@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test race bench bench-ratchet fuzz report experiments ingest-smoke obs-smoke dist-smoke serve-smoke chaos clean
+.PHONY: all build vet lint test race bench bench-compare fuzz report experiments ingest-smoke obs-smoke dist-smoke chaos clean
 
 all: build vet lint test
 
@@ -38,6 +38,9 @@ test:
 
 # Full suite under the race detector — exercises the sharded pipeline, the
 # classifier/registry locks, and the detector's verdict cache concurrently.
+# The serving-telemetry tests (HTTP middleware families, access logs,
+# concurrent scrapes, route parsing) have no smoke target of their own: they
+# run here and under `make test`.
 race:
 	$(GO) test -race ./...
 
@@ -73,17 +76,6 @@ dist-smoke:
 	$(GO) test -count=1 -run 'TestDistTopologyEquivalence|TestCoordWorkerDeathRequeue|TestCoordDuplicateCompletion|TestDistSplicedTrace|TestDistStaleTraceNotSpliced|TestRunLocalTrace' ./internal/dist/
 	$(GO) test -count=1 -run 'TestDistProcessEquivalence|TestDistProcessTrace|TestDistChaosKillWorker' ./cmd/certchain-coord/
 
-# Serving-telemetry smoke: the shared HTTP middleware's metric families and
-# deterministic access logs (including concurrent scrapes), the quantile
-# estimator, and the BENCH_serve schema validator; then a short real
-# serve-bench run — its fresh output AND the committed baseline must both
-# pass obs-check.
-serve-smoke:
-	$(GO) test -count=1 -run 'TestMiddleware|TestParseRoutes|TestSeriesQuantile|TestValidateServeBench' ./internal/obs/
-	$(GO) run ./cmd/serve-bench -duration 1s -out /tmp/BENCH_serve_smoke.json
-	$(GO) run ./cmd/obs-check -serve-bench /tmp/BENCH_serve_smoke.json
-	$(GO) run ./cmd/obs-check -serve-bench BENCH_serve.json
-
 # Chaos suite: every fault-injection matrix under the race detector —
 # scanner dial faults, ctlog HTTP faults, middlebox upstream timeout/retry,
 # zeek tailer file faults (including the fault-plan fuzzer's corpus), and
@@ -103,23 +95,27 @@ chaos:
 	awk -v c="$$cov" -v f="$(RESILIENCE_COVER_FLOOR)" 'BEGIN { exit (c+0 >= f) ? 0 : 1 }' \
 		|| { echo "coverage ratchet failed: $$cov% < $(RESILIENCE_COVER_FLOOR)%"; exit 1; }
 
-# One benchmark per paper table/figure plus ablations (bench_test.go), then
-# the span-driven per-stage pipeline baseline (ns/op, records/sec, and
-# allocs/op per stage at workers 1 and GOMAXPROCS), then the serving-path
-# baseline (p50/p95/p99 latency and QPS for /report under concurrent load
-# while ingest runs).
+# One Go benchmark per paper table/figure plus ablations (bench_test.go),
+# then certchain-bench: the four BENCHMARK.json workloads from Zeek log bytes
+# to report bytes, as tables (cmd/certchain-bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) run ./cmd/pipeline-bench -out BENCH_pipeline.json
-	$(GO) run ./cmd/serve-bench -out BENCH_serve.json
+	$(GO) run ./cmd/certchain-bench
 
-# CI gate on pipeline performance: replay the benchmark harness with the
-# committed baseline's parameters and fail on >10% observe records/sec
-# regression or any stage's allocs_per_op growing past a small jitter
-# allowance. After an intentional optimization, regenerate the baseline with
-# `go run ./cmd/pipeline-bench -out BENCH_pipeline.json` and commit it.
-bench-ratchet:
-	$(GO) run ./cmd/bench-ratchet -baseline BENCH_pipeline.json
+# The performance gate, and the only one: certchain-bench on BASE and on the
+# working tree, one after the other on this machine, then -compare, which
+# exits 1 when any end-to-end metric is worse than BASE beyond its
+# BENCHMARK.json bound (5% on the two allocation metrics, 25% on timed ones
+# and RSS). Paired runs, not a committed result file: timed metrics do not
+# transfer between machines. BASE is checked out as a detached worktree under
+# .bench-compare/, which `make clean` removes.
+BASE ?= HEAD~1
+bench-compare:
+	rm -rf .bench-compare && git worktree prune
+	git worktree add --detach .bench-compare/base $(BASE)
+	cd .bench-compare/base && $(GO) run ./cmd/certchain-bench -out ../base.json
+	$(GO) run ./cmd/certchain-bench -out .bench-compare/head.json
+	$(GO) run ./cmd/certchain-bench -compare .bench-compare/base.json .bench-compare/head.json
 
 # Short fuzz pass over the parsers and the shard-merge property (longer
 # runs: increase -fuzztime).
@@ -147,3 +143,4 @@ experiments:
 
 clean:
 	rm -f test_output.txt bench_output.txt vet-report.json
+	rm -rf .bench-compare && git worktree prune

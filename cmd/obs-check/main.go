@@ -5,7 +5,6 @@
 //
 //	obs-check -trace run.trace.json -min-procs 3 -stages dist-ingest,dist-merge,finalize
 //	obs-check -manifest run.manifest.json
-//	obs-check -serve-bench BENCH_serve.json
 //	obs-check -exposition metrics.prom
 //
 // -trace runs obs.ValidateSplicedChromeTrace: structural Chrome trace-event
@@ -36,13 +35,12 @@ func run() error {
 		minProcs   = flag.Int("min-procs", 1, "with -trace: require spans from at least this many distinct processes")
 		stagesCSV  = flag.String("stages", "", "with -trace: comma-separated stages that must each have at least one span")
 		manifest   = flag.String("manifest", "", "validate this run provenance manifest")
-		serveBench = flag.String("serve-bench", "", "validate this BENCH_serve.json document")
 		exposition = flag.String("exposition", "", "validate this Prometheus exposition text file")
 	)
 	flag.Parse()
-	if *trace == "" && *manifest == "" && *serveBench == "" && *exposition == "" {
+	if *trace == "" && *manifest == "" && *exposition == "" {
 		flag.Usage()
-		return fmt.Errorf("nothing to check: give -trace, -manifest, -serve-bench, or -exposition")
+		return fmt.Errorf("nothing to check: give -trace, -manifest, or -exposition")
 	}
 
 	checks := []struct {
@@ -59,7 +57,6 @@ func run() error {
 			return obs.ValidateSplicedChromeTrace(data, *minProcs, stages...)
 		}},
 		{*manifest, obs.ValidateManifest},
-		{*serveBench, obs.ValidateServeBench},
 		{*exposition, obs.ValidateExposition},
 	}
 	for _, c := range checks {

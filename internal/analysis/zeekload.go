@@ -234,49 +234,8 @@ func Write(observations []*campus.Observation, ssl, x509 io.Writer, opts WriteOp
 				}
 			}
 		}
-		conns := o.Conns
-		if opts.MaxConnsPerObservation > 0 && conns > opts.MaxConnsPerObservation {
-			conns = opts.MaxConnsPerObservation
-		}
-		span := o.Last.Sub(o.First)
-		for i := int64(0); i < conns; i++ {
-			uid++
-			ts := o.First
-			if conns > 1 && span > 0 {
-				ts = o.First.Add(time.Duration(i * int64(span) / (conns - 1)))
-			}
-			// Preserve the establishment and SNI ratios under sampling by
-			// spreading flags evenly across the emitted rows.
-			established := i*o.Conns/conns < o.Established
-			noSNI := o.Conns > 0 && i*o.Conns/conns >= o.Conns-o.NoSNI
-			sni := o.Domain
-			if noSNI {
-				sni = ""
-			}
-			clientIP := "10.0.0.1"
-			if len(o.ClientIPs) > 0 {
-				clientIP = o.ClientIPs[int(i)%len(o.ClientIPs)]
-			}
-			version := "TLSv12"
-			if o.TLS13 {
-				version = "TLSv13"
-			}
-			rec := &zeek.SSLRecord{
-				TS:             ts,
-				UID:            fmt.Sprintf("C%08x", uid),
-				OrigH:          clientIP,
-				OrigP:          32768 + int(i%28000),
-				RespH:          o.ServerIP,
-				RespP:          o.Port,
-				Version:        version,
-				Cipher:         "TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256",
-				ServerName:     sni,
-				Established:    established,
-				CertChainFUIDs: fuids,
-			}
-			if err := sink.writeSSL(rec); err != nil {
-				return fmt.Errorf("analysis: write ssl record: %w", err)
-			}
+		if err := campus.ExpandConns(o, fuids, opts.MaxConnsPerObservation, &uid, sink.writeSSL); err != nil {
+			return fmt.Errorf("analysis: write ssl record: %w", err)
 		}
 	}
 	var closeAt time.Time

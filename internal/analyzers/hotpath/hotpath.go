@@ -1,7 +1,7 @@
 // Package hotpath is the allocation ratchet for per-record code. Files
 // annotated with a //certchain:hotpath directive (the Zeek decode layer and
-// the pipeline observe stage — ~96% of wall time per BENCH_pipeline.json)
-// are held to allocation discipline:
+// the pipeline observe stage; cmd/certchain-bench/README.md has their current
+// share of a pass) are held to allocation discipline:
 //
 //   - fmt-alloc: fmt.Sprintf/Errorf/Sprint/Sprintln allocate on every call;
 //     on a per-record path they dominate the profile. Cold paths (error

@@ -1,7 +1,6 @@
-// Package vet is the driver behind cmd/certchain-vet (and the
-// cmd/determinism-lint alias): it loads the source tree once, runs the
-// selected analyzers from the project suite, applies the checked-in
-// allowlist (.certchain-vet.json), and emits text, JSON, or SARIF.
+// Package vet is the driver behind cmd/certchain-vet: it loads the source
+// tree once, runs the selected analyzers from the project suite, applies the
+// checked-in allowlist (.certchain-vet.json), and emits text, JSON, or SARIF.
 //
 // The allowlist replaces the determinism linter's hardcoded path list with
 // one reviewed file. Every entry must carry a reason — suppressions are
@@ -149,9 +148,6 @@ type Options struct {
 	IncludeTests bool
 	// Config is the loaded allowlist.
 	Config Config
-	// SkipStaleCheck disables the stale-allowlist-entry check (used by the
-	// determinism-lint alias, whose -allow flag takes free-form fragments).
-	SkipStaleCheck bool
 }
 
 // Result is one Run's outcome.
@@ -194,21 +190,19 @@ func Run(opts Options) (*Result, error) {
 		res.Findings = append(res.Findings, f)
 	}
 
-	if !opts.SkipStaleCheck {
-		seen := make(map[string]bool)
-		for _, pkg := range pkgs {
-			for _, f := range pkg.Files {
-				seen[f.Path] = true
-			}
+	seen := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			seen[f.Path] = true
 		}
-		for _, e := range opts.Config.Allow {
-			if !pathMatchesAny(e.Path, seen) {
-				res.Stale = append(res.Stale,
-					fmt.Sprintf("allowlist entry %q matches no analyzed file (reason: %s)", e.Path, e.Reason))
-			}
-		}
-		sort.Strings(res.Stale)
 	}
+	for _, e := range opts.Config.Allow {
+		if !pathMatchesAny(e.Path, seen) {
+			res.Stale = append(res.Stale,
+				fmt.Sprintf("allowlist entry %q matches no analyzed file (reason: %s)", e.Path, e.Reason))
+		}
+	}
+	sort.Strings(res.Stale)
 	return res, nil
 }
 
@@ -343,10 +337,4 @@ func WriteSARIF(w io.Writer, res *Result) error {
 		})
 	}
 	return lint.WriteSARIFRun(w, "certchain-vet", rules, results)
-}
-
-// FindingString formats one finding in the determinism-lint legacy format
-// (pos: rule: message) for the alias CLI.
-func FindingString(f analyzers.Finding) string {
-	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Rule, f.Message)
 }

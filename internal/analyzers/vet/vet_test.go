@@ -78,11 +78,6 @@ func TestAllowlistSuppressesAndStaleFails(t *testing.T) {
 	if len(res.Stale) != 1 || !strings.Contains(res.Stale[0], `"gone/"`) {
 		t.Errorf("stale = %v, want one entry for gone/", res.Stale)
 	}
-
-	res = run(t, vet.Options{Root: root, Config: cfg, SkipStaleCheck: true})
-	if len(res.Stale) != 0 {
-		t.Errorf("SkipStaleCheck left stale entries: %v", res.Stale)
-	}
 }
 
 func TestRuleFilterInAllowEntry(t *testing.T) {

@@ -98,6 +98,62 @@ func newReplaySink(json bool, ssl, x509 io.Writer, open time.Time) *replaySink {
 	}
 }
 
+// ExpandConns emits the ssl.log rows one observation stands for, in
+// connection order: at most maxConns of them (0 means all o.Conns), their
+// timestamps spread evenly over [o.First, o.Last], client addresses rotating
+// through o.ClientIPs. The establishment and SNI ratios survive sampling
+// because the flags are spread evenly across the emitted rows. fuids are the
+// chain's x509.log ids and *uid numbers connections across observations.
+// Both log writers (Replay, analysis.Write) expand through this function, so
+// their rows can differ only in file order.
+func ExpandConns(o *Observation, fuids []string, maxConns int64, uid *int, emit func(*zeek.SSLRecord) error) error {
+	conns := o.Conns
+	if maxConns > 0 && conns > maxConns {
+		conns = maxConns
+	}
+	span := int64(o.Last.Sub(o.First))
+	version := "TLSv12"
+	if o.TLS13 {
+		version = "TLSv13"
+	}
+	for i := int64(0); i < conns; i++ {
+		*uid++
+		ts := o.First
+		if n := conns - 1; n > 0 && span > 0 {
+			// floor(i*span/n) without forming i*span, which overflows int64
+			// past ≈292 rows over a 12-month span.
+			ts = o.First.Add(time.Duration(i*(span/n) + i*(span%n)/n))
+		}
+		established := i*o.Conns/conns < o.Established
+		noSNI := o.Conns > 0 && i*o.Conns/conns >= o.Conns-o.NoSNI
+		sni := o.Domain
+		if noSNI {
+			sni = ""
+		}
+		clientIP := "10.0.0.1"
+		if len(o.ClientIPs) > 0 {
+			clientIP = o.ClientIPs[int(i)%len(o.ClientIPs)]
+		}
+		err := emit(&zeek.SSLRecord{
+			TS:             ts,
+			UID:            fmt.Sprintf("C%08x", *uid),
+			OrigH:          clientIP,
+			OrigP:          32768 + int(i%28000),
+			RespH:          o.ServerIP,
+			RespP:          o.Port,
+			Version:        version,
+			Cipher:         "TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256",
+			ServerName:     sni,
+			Established:    established,
+			CertChainFUIDs: fuids,
+		})
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Replay writes the observation set as time-ordered live logs. See
 // ReplayOptions for the contract.
 func Replay(observations []*Observation, ssl, x509 io.Writer, opts ReplayOptions) error {
@@ -136,44 +192,12 @@ func Replay(observations []*Observation, ssl, x509 io.Writer, opts ReplayOptions
 				add(&replayRecord{ts: first, x: zeek.FromMeta(m, first)})
 			}
 		}
-		conns := o.Conns
-		if opts.MaxConnsPerObservation > 0 && conns > opts.MaxConnsPerObservation {
-			conns = opts.MaxConnsPerObservation
-		}
-		span := o.Last.Sub(o.First)
-		for i := int64(0); i < conns; i++ {
-			uid++
-			ts := o.First
-			if conns > 1 && span > 0 {
-				ts = o.First.Add(time.Duration(i * int64(span) / (conns - 1)))
-			}
-			established := i*o.Conns/conns < o.Established
-			noSNI := o.Conns > 0 && i*o.Conns/conns >= o.Conns-o.NoSNI
-			sni := o.Domain
-			if noSNI {
-				sni = ""
-			}
-			clientIP := "10.0.0.1"
-			if len(o.ClientIPs) > 0 {
-				clientIP = o.ClientIPs[int(i)%len(o.ClientIPs)]
-			}
-			version := "TLSv12"
-			if o.TLS13 {
-				version = "TLSv13"
-			}
-			add(&replayRecord{ts: ts, s: &zeek.SSLRecord{
-				TS:             ts,
-				UID:            fmt.Sprintf("C%08x", uid),
-				OrigH:          clientIP,
-				OrigP:          32768 + int(i%28000),
-				RespH:          o.ServerIP,
-				RespP:          o.Port,
-				Version:        version,
-				Cipher:         "TLS_ECDHE_ECDSA_WITH_AES_128_GCM_SHA256",
-				ServerName:     sni,
-				Established:    established,
-				CertChainFUIDs: fuids,
-			}})
+		err := ExpandConns(o, fuids, opts.MaxConnsPerObservation, &uid, func(r *zeek.SSLRecord) error {
+			add(&replayRecord{ts: r.TS, s: r})
+			return nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 

@@ -205,3 +205,74 @@ func TestReplayJSONFormat(t *testing.T) {
 		t.Error("JSON replay aggregates differ from TSV replay")
 	}
 }
+
+// TestConnExpansionLongSpan: an observation with thousands of connections
+// over a year used to overflow the timestamp interpolation (i*span in int64
+// past ≈292 rows), scattering rows outside [First, Last]. Both writers must
+// emit non-decreasing timestamps from First to Last, and the replayed logs
+// must join without orphans or forced drains.
+func TestConnExpansionLongSpan(t *testing.T) {
+	var o campus.Observation
+	for _, cand := range replayScenario(t).Observations {
+		if len(cand.Chain) > 0 {
+			o = *cand
+			break
+		}
+	}
+	o.Conns, o.Established, o.NoSNI = 5000, 5000, 0
+	o.First = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
+	o.Last = o.First.Add(365 * 24 * time.Hour)
+	obs := []*campus.Observation{&o}
+
+	var rssl, rx509, wssl, wx509 bytes.Buffer
+	if err := campus.Replay(obs, &rssl, &rx509, campus.ReplayOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := analysis.Write(obs, &wssl, &wx509, analysis.WriteOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []struct {
+		name string
+		ssl  []byte
+	}{{"Replay", rssl.Bytes()}, {"Write", wssl.Bytes()}} {
+		name, recs := w.name, readAllRecords(t, w.ssl)
+		if int64(len(recs)) != o.Conns {
+			t.Fatalf("%s: %d ssl rows, want %d", name, len(recs), o.Conns)
+		}
+		var prev time.Time
+		for i, rec := range recs {
+			ts, _ := rec.GetTime("ts")
+			if ts.Before(prev) {
+				t.Fatalf("%s: ts regresses at row %d: %v < %v", name, i, ts, prev)
+			}
+			prev = ts
+		}
+		if first, _ := recs[0].GetTime("ts"); !first.Equal(o.First) {
+			t.Errorf("%s: first ts %v, want %v", name, first, o.First)
+		}
+		if !prev.Equal(o.Last) {
+			t.Errorf("%s: last ts %v, want %v", name, prev, o.Last)
+		}
+	}
+
+	// One observation: every certificate is logged at First, so x509.log
+	// then ssl.log is the merged time order.
+	var joined int64
+	j := zeek.NewIncrementalJoiner(0, 0, func(*zeek.Connection) error { joined++; return nil })
+	for _, rec := range readAllRecords(t, rx509.Bytes()) {
+		if err := j.AddX509Record(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rec := range readAllRecords(t, rssl.Bytes()) {
+		if err := j.AddSSLRecord(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Orphans != 0 || st.Forced != 0 || joined != o.Conns {
+		t.Errorf("joiner stats %+v, joined %d of %d", st, joined, o.Conns)
+	}
+}

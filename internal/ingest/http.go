@@ -22,8 +22,7 @@ import (
 // what is exposed. The surface is wrapped in the shared serving telemetry
 // (obs.HTTPMetrics): per-route latency and response-size histograms, the
 // request counter, and the in-flight gauge land in the same registry
-// /metrics renders, so a scrape shows the daemon's own serving profile —
-// and serve-bench's client-side quantiles have a server-side counterpart.
+// /metrics renders, so a scrape shows the daemon's own serving profile.
 func (ing *Ingestor) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/report", ing.handleReport)

@@ -2,7 +2,7 @@
 // clock-free: tracers and loggers take their clock from here by default and
 // accept an injected replacement, so tests (and the determinism suite) can
 // drive spans with a synthetic clock while production code reads real time.
-// This file — and only this file — is allowlisted in cmd/determinism-lint.
+// This file — and only this file — is allowlisted in .certchain-vet.json.
 package obs
 
 import "time"

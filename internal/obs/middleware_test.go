@@ -82,11 +82,16 @@ func TestMiddlewareRecordsRouteMetrics(t *testing.T) {
 	if v, ok := reg.Value("certchain_http_inflight_requests"); !ok || v != 0 {
 		t.Errorf("inflight after quiesce = %v (ok=%v), want 0", v, ok)
 	}
-	// Response-size histogram saw the 600-byte report body: p100 lands in
-	// the 1024 bucket, above the 256 bound.
-	fam := reg.Histogram("certchain_http_response_bytes", "", DefaultSizeBuckets, "route")
-	if q := fam.With("/report").Quantile(1); q <= 256 || q > 1024 {
-		t.Errorf("response-bytes p100 for /report = %v, want in (256, 1024]", q)
+	// Response-size histogram saw the two 600-byte report bodies: both land
+	// in the 1024 bucket, none at or below the 256 bound.
+	text := reg.Text()
+	for _, line := range []string{
+		`certchain_http_response_bytes_bucket{route="/report",le="256"} 0`,
+		`certchain_http_response_bytes_bucket{route="/report",le="1024"} 2`,
+	} {
+		if !strings.Contains(text, line+"\n") {
+			t.Errorf("exposition lacks %q", line)
+		}
 	}
 }
 

@@ -197,50 +197,6 @@ func (s *Series) Observe(v float64) {
 	s.count++
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) of a histogram series from
-// its bucket counts, interpolating linearly within the containing bucket —
-// the same estimator Prometheus's histogram_quantile applies server-side,
-// so a client-side baseline (serve-bench) and a dashboard read of the same
-// histogram agree. Observations in the +Inf bucket clamp to the largest
-// finite bound; a series with no observations (or a non-histogram series)
-// reports 0.
-func (s *Series) Quantile(q float64) float64 {
-	s.fam.reg.mu.Lock()
-	defer s.fam.reg.mu.Unlock()
-	if s.fam.kind != KindHistogram || s.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	bounds := s.fam.buckets
-	target := q * float64(s.count)
-	var cum float64
-	for i, n := range s.bucketCounts {
-		if n == 0 {
-			continue
-		}
-		lo := 0.0
-		if i > 0 {
-			lo = bounds[i-1]
-		}
-		if i >= len(bounds) {
-			// +Inf bucket: no finite upper bound to interpolate toward.
-			return bounds[len(bounds)-1]
-		}
-		hi := bounds[i]
-		if cum+float64(n) >= target {
-			frac := (target - cum) / float64(n)
-			return lo + frac*(hi-lo)
-		}
-		cum += float64(n)
-	}
-	return bounds[len(bounds)-1]
-}
-
 // Value returns a counter/gauge value, or a histogram's observation count.
 func (s *Series) Value() float64 {
 	s.fam.reg.mu.Lock()
