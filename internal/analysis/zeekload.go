@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"certchains/internal/campus"
+	"certchains/internal/certmodel"
 	"certchains/internal/zeek"
 )
 
@@ -80,17 +81,13 @@ func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observ
 	if x509, err = maybeGunzip(x509); err != nil {
 		return err
 	}
-	type agg struct {
-		o   *campus.Observation
-		ips map[string]bool
-	}
-	byKey := make(map[string]*agg)
-	var order []string
+	byKey := make(map[string]*ConnAggregate)
+	var order []*ConnAggregate
 	var keyBuf []byte
 
 	// FastJoin pools the Connection and SSL record between callbacks; the
-	// aggregation below retains only safe values — the canonical Chain,
-	// immutable field strings, and the TS value.
+	// fold retains only safe values — the canonical Chain, immutable field
+	// strings, and the TS value.
 	join := zeek.FastJoin
 	if format == FormatJSON {
 		join = zeek.FastJoinJSON
@@ -101,65 +98,106 @@ func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observ
 			// pipelines; the row is dropped.
 			return nil
 		}
-		keyBuf = c.Chain.AppendKey(keyBuf[:0])
-		keyBuf = append(keyBuf, '|')
-		keyBuf = append(keyBuf, c.SSL.RespH...)
-		keyBuf = append(keyBuf, '|')
-		keyBuf = strconv.AppendInt(keyBuf, int64(c.SSL.RespP), 10)
+		keyBuf = AppendConnKey(keyBuf[:0], c.Chain, c.SSL.RespH, c.SSL.RespP)
 		a := byKey[string(keyBuf)]
 		if a == nil {
-			key := string(keyBuf)
-			a = &agg{
-				o: &campus.Observation{
-					Chain:    c.Chain,
-					ServerIP: c.SSL.RespH,
-					Port:     c.SSL.RespP,
-					First:    c.SSL.TS,
-					Last:     c.SSL.TS,
-				},
-				ips: make(map[string]bool),
-			}
-			byKey[key] = a
-			order = append(order, key)
+			a = NewConnAggregate(c)
+			byKey[string(keyBuf)] = a
+			order = append(order, a)
 		}
-		a.o.Conns++
-		if c.SSL.Established {
-			a.o.Established++
-		}
-		if c.SSL.ServerName == "" {
-			a.o.NoSNI++
-		} else if a.o.Domain == "" {
-			a.o.Domain = c.SSL.ServerName
-		}
-		if len(c.Chain) == 0 {
-			a.o.TLS13 = true
-		}
-		a.ips[c.SSL.OrigH] = true
-		if c.SSL.TS.Before(a.o.First) {
-			a.o.First = c.SSL.TS
-		}
-		if c.SSL.TS.After(a.o.Last) {
-			a.o.Last = c.SSL.TS
-		}
+		a.Fold(c)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 
-	for _, key := range order {
-		a := byKey[key]
-		ips := make([]string, 0, len(a.ips))
-		for ip := range a.ips {
-			ips = append(ips, ip)
-		}
-		sort.Strings(ips)
-		a.o.ClientIPs = ips
-		if err := emit(a.o); err != nil {
+	for _, a := range order {
+		if err := emit(a.Finalize()); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// AppendConnKey appends the observation identity connections aggregate
+// under — (delivered chain, server address, server port) — to dst.
+// Aggregators probe their maps with m[string(buf)] and materialize a key
+// only for a new observation.
+func AppendConnKey(dst []byte, ch certmodel.Chain, serverIP string, port int) []byte {
+	dst = ch.AppendKey(dst)
+	dst = append(dst, '|')
+	dst = append(dst, serverIP...)
+	dst = append(dst, '|')
+	return strconv.AppendInt(dst, int64(port), 10)
+}
+
+// ConnAggregate folds the joined connections of one observation identity
+// into a campus.Observation: the reduction both the batch loader (over a
+// whole capture) and the ingest daemon (per window) perform.
+type ConnAggregate struct {
+	o   *campus.Observation
+	ips map[string]bool
+}
+
+// NewConnAggregate opens an aggregate at c's identity; c itself still has to
+// be folded. Only values safe to retain past a pooled Connection are kept.
+func NewConnAggregate(c *zeek.Connection) *ConnAggregate {
+	return &ConnAggregate{
+		o: &campus.Observation{
+			Chain:    c.Chain,
+			ServerIP: c.SSL.RespH,
+			Port:     c.SSL.RespP,
+			First:    c.SSL.TS,
+			Last:     c.SSL.TS,
+		},
+		ips: make(map[string]bool),
+	}
+}
+
+// RestoreConnAggregate reopens an aggregate from a finalized observation.
+func RestoreConnAggregate(o *campus.Observation) *ConnAggregate {
+	ips := make(map[string]bool, len(o.ClientIPs))
+	for _, ip := range o.ClientIPs {
+		ips[ip] = true
+	}
+	return &ConnAggregate{o: o, ips: ips}
+}
+
+// Fold accumulates one connection.
+func (a *ConnAggregate) Fold(c *zeek.Connection) {
+	a.o.Conns++
+	if c.SSL.Established {
+		a.o.Established++
+	}
+	if c.SSL.ServerName == "" {
+		a.o.NoSNI++
+	} else if a.o.Domain == "" {
+		a.o.Domain = c.SSL.ServerName
+	}
+	if len(c.Chain) == 0 {
+		a.o.TLS13 = true
+	}
+	a.ips[c.SSL.OrigH] = true
+	if c.SSL.TS.Before(a.o.First) {
+		a.o.First = c.SSL.TS
+	}
+	if c.SSL.TS.After(a.o.Last) {
+		a.o.Last = c.SSL.TS
+	}
+}
+
+// Finalize returns the aggregate's observation with its client addresses
+// sorted into a fresh slice. The aggregate stays open: a later Finalize
+// reflects what was folded since.
+func (a *ConnAggregate) Finalize() *campus.Observation {
+	ips := make([]string, 0, len(a.ips))
+	for ip := range a.ips {
+		ips = append(ips, ip)
+	}
+	sort.Strings(ips)
+	a.o.ClientIPs = ips
+	return a.o
 }
 
 // WriteOptions controls how observations expand into Zeek log records.

@@ -17,8 +17,23 @@ import "sync"
 // the steady-state hit path takes only a read lock and allocates nothing
 // (the map probe with a string conversion of the byte view does not copy).
 type Interner struct {
+	// Max, when positive, bounds the table for long-lived owners: a miss that
+	// finds Max entries starts a fresh table (an epoch swap) instead of
+	// growing. Interning is only an optimization — strings handed out before
+	// the swap stay valid, equal inputs merely stop sharing storage across
+	// epochs. Set it before first use.
+	Max int
+
 	mu sync.RWMutex
 	m  map[string]string
+}
+
+// insert stores s under the write lock, swapping epochs at the bound.
+func (in *Interner) insert(s string) {
+	if in.m == nil || (in.Max > 0 && len(in.m) >= in.Max) {
+		in.m = make(map[string]string) //certchain:coldpath first insert, or one table per Max misses
+	}
+	in.m[s] = s
 }
 
 // Bytes returns the canonical string for b. Equal inputs return the same
@@ -34,13 +49,10 @@ func (in *Interner) Bytes(b []byte) string {
 		return s
 	}
 	in.mu.Lock()
-	if in.m == nil {
-		in.m = make(map[string]string) //certchain:coldpath first insert only
-	}
 	s, ok = in.m[string(b)]
 	if !ok {
-		s = string(b) //certchain:coldpath one copy ever per distinct value, on its first miss
-		in.m[s] = s
+		s = string(b) //certchain:coldpath one copy per distinct value and epoch, on its first miss
+		in.insert(s)
 	}
 	in.mu.Unlock()
 	return s
@@ -58,19 +70,16 @@ func (in *Interner) String(s string) string {
 		return c
 	}
 	in.mu.Lock()
-	if in.m == nil {
-		in.m = make(map[string]string) //certchain:coldpath first insert only
-	}
 	c, ok = in.m[s]
 	if !ok {
 		c = s
-		in.m[s] = s
+		in.insert(s)
 	}
 	in.mu.Unlock()
 	return c
 }
 
-// Len reports the number of distinct strings interned so far.
+// Len reports the number of distinct strings in the current table.
 func (in *Interner) Len() int {
 	in.mu.RLock()
 	defer in.mu.RUnlock()

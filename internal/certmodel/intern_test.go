@@ -141,3 +141,26 @@ func TestInternerConcurrent(t *testing.T) {
 		t.Fatalf("Len() = %d, want %d", in.Len(), keys)
 	}
 }
+
+// TestInternerMaxSwapsEpochs: a bounded interner never holds more than Max
+// entries, and what it handed out before a swap stays intact.
+func TestInternerMaxSwapsEpochs(t *testing.T) {
+	in := Interner{Max: 4}
+	var out []string
+	for i := 0; i < 10; i++ {
+		out = append(out, in.Bytes([]byte(fmt.Sprintf("value-%d", i))))
+		if in.Len() > 4 {
+			t.Fatalf("Len() = %d after %d inserts, Max 4", in.Len(), i+1)
+		}
+	}
+	for i, s := range out {
+		if s != fmt.Sprintf("value-%d", i) {
+			t.Fatalf("out[%d] = %q after epoch swaps", i, s)
+		}
+	}
+	// Within an epoch equal inputs still share storage.
+	a, b := in.String("again"), in.Bytes([]byte("again"))
+	if !sameStringData(a, b) {
+		t.Fatal("equal inputs in one epoch did not intern to one string")
+	}
+}

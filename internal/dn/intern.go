@@ -12,6 +12,11 @@ package dn
 // The zero value is ready to use. An Interner is NOT safe for concurrent
 // use; give each decode stream its own.
 type Interner struct {
+	// Max, when positive, bounds the table for long-lived owners: a miss that
+	// finds Max entries starts a fresh table instead of growing. DNs handed
+	// out before the swap stay valid. Set it before first use.
+	Max int
+
 	m map[string]internEntry
 }
 
@@ -27,14 +32,14 @@ func (in *Interner) Parse(raw []byte) (DN, error) {
 	if e, ok := in.m[string(raw)]; ok {
 		return e.d, e.err
 	}
-	if in.m == nil {
-		in.m = make(map[string]internEntry) //certchain:coldpath first insert only
+	if in.m == nil || (in.Max > 0 && len(in.m) >= in.Max) {
+		in.m = make(map[string]internEntry) //certchain:coldpath first insert, or one table per Max misses
 	}
-	s := string(raw) //certchain:coldpath one copy ever per distinct DN, on its first miss
+	s := string(raw) //certchain:coldpath one copy per distinct DN and epoch, on its first miss
 	d, err := Parse(s)
 	in.m[s] = internEntry{d: d, err: err}
 	return d, err
 }
 
-// Len reports the number of distinct raw strings memoized so far.
+// Len reports the number of distinct raw strings in the current table.
 func (in *Interner) Len() int { return len(in.m) }

@@ -1,6 +1,7 @@
 package dn
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -92,5 +93,21 @@ func TestInternerSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Parse allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestInternerMaxSwapsEpochs: a bounded memo never holds more than Max
+// entries and keeps parsing correctly across the swap.
+func TestInternerMaxSwapsEpochs(t *testing.T) {
+	in := Interner{Max: 3}
+	for i := 0; i < 8; i++ {
+		raw := fmt.Sprintf("CN=host%d,O=Campus", i)
+		d, err := in.Parse([]byte(raw))
+		if err != nil || d.String() != raw {
+			t.Fatalf("Parse(%q) = %q, %v", raw, d.String(), err)
+		}
+		if in.Len() > 3 {
+			t.Fatalf("Len() = %d after %d inserts, Max 3", in.Len(), i+1)
+		}
 	}
 }

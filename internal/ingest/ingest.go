@@ -27,12 +27,10 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 
 	"certchains/internal/analysis"
-	"certchains/internal/campus"
 	"certchains/internal/certmodel"
 	"certchains/internal/obs"
 	"certchains/internal/resilience"
@@ -73,6 +71,11 @@ type Ingestor struct {
 	cfg Config
 	p   *analysis.Pipeline
 
+	// strs interns the field values both row decoders produce; bounded, like
+	// the joiner's caches, because the daemon runs for months.
+	strs     *certmodel.Interner //certchain:nosnapshot cache; a restart starts it over
+	sslDec   *zeek.RowDecoder    //certchain:nosnapshot its stream state rides the tailer's TailState
+	x509Dec  *zeek.RowDecoder    //certchain:nosnapshot its stream state rides the tailer's TailState
 	sslTail  *zeek.Tailer
 	x509Tail *zeek.Tailer
 	joiner   *zeek.IncrementalJoiner
@@ -101,6 +104,11 @@ type Ingestor struct {
 	resMetrics *resilience.Metrics
 }
 
+// internCap bounds the daemon's string interner: past it the interner starts
+// a fresh table, so a year of distinct client addresses, SNIs and certificate
+// ids cannot accumulate.
+const internCap = 1 << 18
+
 // New creates an Ingestor over fresh state.
 func New(p *analysis.Pipeline, cfg Config) *Ingestor {
 	ring := analysis.NewWindowRing(p, cfg.Window)
@@ -113,24 +121,28 @@ func New(p *analysis.Pipeline, cfg Config) *Ingestor {
 		startedAt: time.Now(),
 		reg:       obs.NewRegistry(),
 	}
+	ing.wire()
+	return ing
+}
+
+// wire builds the metrics plumbing and the tail → decode → join chain of a
+// fresh or about-to-be-restored Ingestor.
+func (ing *Ingestor) wire() {
+	cfg := ing.cfg
 	obs.RegisterBuildInfo(ing.reg, "certchain-ingestd")
 	ing.resMetrics = resilience.NewMetrics(ing.reg)
 	cfg.Faults.SetMetrics(ing.resMetrics)
 	ing.joiner = zeek.NewIncrementalJoiner(cfg.CertCap, cfg.PendingCap, ing.observeConn)
-	ing.joiner.SetTracer(p.Tracer)
-	ing.sslTail = zeek.NewTailerFS(cfg.SSLPath, ing.newDecoder, cfg.FS)
-	ing.x509Tail = zeek.NewTailerFS(cfg.X509Path, ing.newDecoder, cfg.FS)
-	return ing
+	ing.joiner.SetTracer(ing.p.Tracer)
+	ing.strs = &certmodel.Interner{Max: internCap}
+	ing.sslDec = zeek.NewRowDecoder(cfg.JSON, ing.strs)
+	ing.x509Dec = zeek.NewRowDecoder(cfg.JSON, ing.strs)
+	ing.sslTail = zeek.NewSSLTailerFS(cfg.SSLPath, ing.sslDec, ing.feedSSL, cfg.FS)
+	ing.x509Tail = zeek.NewX509TailerFS(cfg.X509Path, ing.x509Dec, ing.feedX509, cfg.FS)
 }
 
-func (ing *Ingestor) newDecoder() zeek.LineDecoder {
-	if ing.cfg.JSON {
-		return zeek.NewJSONDecoder()
-	}
-	return zeek.NewTSVDecoder()
-}
-
-// observeConn is the joiner's emit callback (called under ing.mu).
+// observeConn is the joiner's emit callback (called under ing.mu). c is the
+// joiner's pooled connection; nothing here keeps it.
 func (ing *Ingestor) observeConn(c *zeek.Connection) error {
 	ing.agg.add(c)
 	if !ing.wmSet || c.SSL.TS.After(ing.wm) {
@@ -146,27 +158,29 @@ func (ing *Ingestor) observeConn(c *zeek.Connection) error {
 func (ing *Ingestor) PollOnce() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	if err := ing.x509Tail.Poll(ing.feedX509); err != nil {
+	if err := ing.x509Tail.PollRows(); err != nil {
 		return err
 	}
-	if err := ing.sslTail.Poll(ing.feedSSL); err != nil {
+	if err := ing.sslTail.PollRows(); err != nil {
 		return err
 	}
 	ing.foldReady(false)
 	return nil
 }
 
-// feedX509 / feedSSL push decoded records into the joiner, absorbing
-// record-level parse failures (a daemon must outlive one bad row).
-func (ing *Ingestor) feedX509(rec zeek.Record) error {
-	if err := ing.joiner.AddX509Record(rec); err != nil {
+// feedX509 / feedSSL are the tailers' row callbacks: they push each decoded
+// row into the joiner, absorbing record-level failures — a line that decodes
+// but is no valid record (err set), or one the join layer rejects — because a
+// daemon must outlive one bad row.
+func (ing *Ingestor) feedX509(r *zeek.X509Row, err error) error {
+	if err != nil || ing.joiner.AddX509Row(r) != nil {
 		ing.recordErrs++
 	}
 	return nil
 }
 
-func (ing *Ingestor) feedSSL(rec zeek.Record) error {
-	if err := ing.joiner.AddSSLRecord(rec); err != nil {
+func (ing *Ingestor) feedSSL(r *zeek.SSLRecord, err error) error {
+	if err != nil || ing.joiner.AddSSL(r) != nil {
 		ing.recordErrs++
 	}
 	return nil
@@ -180,10 +194,10 @@ func (ing *Ingestor) feedSSL(rec zeek.Record) error {
 func (ing *Ingestor) Finish() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	if err := ing.x509Tail.Finish(ing.feedX509); err != nil {
+	if err := ing.x509Tail.FinishRows(); err != nil {
 		return err
 	}
-	if err := ing.sslTail.Finish(ing.feedSSL); err != nil {
+	if err := ing.sslTail.FinishRows(); err != nil {
 		return err
 	}
 	if err := ing.joiner.Finish(); err != nil {
@@ -350,20 +364,14 @@ func Restore(p *analysis.Pipeline, cfg Config, data []byte) (*Ingestor, error) {
 		startedAt:     time.Now(),
 		reg:           obs.NewRegistry(),
 	}
-	obs.RegisterBuildInfo(ing.reg, "certchain-ingestd")
-	ing.resMetrics = resilience.NewMetrics(ing.reg)
-	cfg.Faults.SetMetrics(ing.resMetrics)
+	ing.wire()
 	if s.WMSet {
 		ing.wm, ing.wmSet = s.WM.Time(), true
 	}
-	ing.joiner = zeek.NewIncrementalJoiner(cfg.CertCap, cfg.PendingCap, ing.observeConn)
-	ing.joiner.SetTracer(p.Tracer)
 	if err := ing.joiner.RestoreState(s.Joiner); err != nil {
 		return nil, err
 	}
-	ing.sslTail = zeek.NewTailerFS(cfg.SSLPath, ing.newDecoder, cfg.FS)
 	ing.sslTail.Restore(s.SSLTail)
-	ing.x509Tail = zeek.NewTailerFS(cfg.X509Path, ing.newDecoder, cfg.FS)
 	ing.x509Tail.Restore(s.X509Tail)
 	return ing, nil
 }
@@ -392,311 +400,4 @@ func (ing *Ingestor) Close() error {
 		err = err2
 	}
 	return err
-}
-
-// --- windowed re-aggregation -------------------------------------------
-
-// aggKey matches the batch loader's observation identity exactly.
-func aggKey(c *zeek.Connection) string {
-	return c.Chain.Key() + "|" + c.SSL.RespH + "|" + fmt.Sprint(c.SSL.RespP)
-}
-
-// openAgg is one (chain, server endpoint) aggregate inside one window,
-// mirroring the batch loader's accumulation field for field.
-type openAgg struct {
-	o   *campus.Observation
-	ips map[string]bool
-}
-
-// aggWindow holds one log-time interval's open aggregates in first-seen
-// order.
-type aggWindow struct {
-	order []string
-	aggs  map[string]*openAgg
-}
-
-// aggregator buckets joined connections into per-interval observation
-// aggregates, closing a window once the join watermark passes its end.
-type aggregator struct {
-	interval time.Duration //certchain:nosnapshot config; Restore threads it from the ring snapshot's authoritative IntervalNS
-	windows  map[int64]*aggWindow
-	order    []int64 // ascending open-window indexes
-
-	// maxFolded guards against out-of-order stragglers: a connection landing
-	// in an already-folded window re-opens it (counted) and the straggler
-	// observation folds separately rather than corrupting history.
-	maxFolded  int64
-	foldedAny  bool
-	lateConns  int64
-	totalConns int64
-}
-
-func newAggregator(interval time.Duration) *aggregator {
-	return &aggregator{interval: interval, windows: make(map[int64]*aggWindow)}
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
-func (g *aggregator) window(idx int64) *aggWindow {
-	if w, ok := g.windows[idx]; ok {
-		return w
-	}
-	w := &aggWindow{aggs: make(map[string]*openAgg)}
-	g.windows[idx] = w
-	pos := sort.Search(len(g.order), func(i int) bool { return g.order[i] >= idx })
-	g.order = append(g.order, 0)
-	copy(g.order[pos+1:], g.order[pos:])
-	g.order[pos] = idx
-	return w
-}
-
-// add folds one joined connection into its window's aggregate, replicating
-// the batch loader's per-connection accumulation.
-func (g *aggregator) add(c *zeek.Connection) {
-	g.totalConns++
-	idx := floorDiv(c.SSL.TS.UnixNano(), int64(g.interval))
-	if g.foldedAny && idx <= g.maxFolded {
-		g.lateConns++
-	}
-	w := g.window(idx)
-	key := aggKey(c)
-	a := w.aggs[key]
-	if a == nil {
-		a = &openAgg{
-			o: &campus.Observation{
-				Chain:    c.Chain,
-				ServerIP: c.SSL.RespH,
-				Port:     c.SSL.RespP,
-				First:    c.SSL.TS,
-				Last:     c.SSL.TS,
-			},
-			ips: make(map[string]bool),
-		}
-		w.aggs[key] = a
-		w.order = append(w.order, key)
-	}
-	a.o.Conns++
-	if c.SSL.Established {
-		a.o.Established++
-	}
-	if c.SSL.ServerName == "" {
-		a.o.NoSNI++
-	} else if a.o.Domain == "" {
-		a.o.Domain = c.SSL.ServerName
-	}
-	if len(c.Chain) == 0 {
-		a.o.TLS13 = true
-	}
-	a.ips[c.SSL.OrigH] = true
-	if c.SSL.TS.Before(a.o.First) {
-		a.o.First = c.SSL.TS
-	}
-	if c.SSL.TS.After(a.o.Last) {
-		a.o.Last = c.SSL.TS
-	}
-}
-
-// finalizeObs materializes an aggregate's observation (sorted client IPs, as
-// the batch loader emits them).
-func (a *openAgg) finalizeObs() *campus.Observation {
-	ips := make([]string, 0, len(a.ips))
-	for ip := range a.ips {
-		ips = append(ips, ip)
-	}
-	sort.Strings(ips)
-	o := *a.o
-	o.ClientIPs = ips
-	return &o
-}
-
-// closeReady removes and returns the observations of every window whose end
-// the watermark has passed (all open windows when force), ascending by
-// window then first-seen. n is the number of windows closed.
-func (g *aggregator) closeReady(wm time.Time, wmSet, force bool) (obs []*campus.Observation, n int) {
-	var remaining []int64
-	for _, idx := range g.order {
-		end := (idx + 1) * int64(g.interval)
-		if !force && (!wmSet || wm.UnixNano() < end) {
-			remaining = append(remaining, idx)
-			continue
-		}
-		w := g.windows[idx]
-		delete(g.windows, idx)
-		for _, key := range w.order {
-			obs = append(obs, w.aggs[key].finalizeObs())
-		}
-		if !g.foldedAny || idx > g.maxFolded {
-			g.maxFolded, g.foldedAny = idx, true
-		}
-		n++
-	}
-	g.order = remaining
-	return obs, n
-}
-
-// provisional returns copies of every still-open aggregate, ascending by
-// window then first-seen, without closing anything.
-func (g *aggregator) provisional() []*campus.Observation {
-	var obs []*campus.Observation
-	for _, idx := range g.order {
-		w := g.windows[idx]
-		for _, key := range w.order {
-			obs = append(obs, w.aggs[key].finalizeObs())
-		}
-	}
-	return obs
-}
-
-// openCount is the number of open aggregates across all windows.
-func (g *aggregator) openCount() int {
-	n := 0
-	for _, w := range g.windows {
-		n += len(w.aggs)
-	}
-	return n
-}
-
-// --- aggregator snapshot ------------------------------------------------
-
-type aggSnapshot struct {
-	Windows   []aggWindowSnap          `json:"windows,omitempty"`
-	Certs     []certmodel.MetaSnapshot `json:"certs,omitempty"`
-	MaxFolded int64                    `json:"max_folded,omitempty"`
-	FoldedAny bool                     `json:"folded_any,omitempty"`
-	LateConns int64                    `json:"late_conns,omitempty"`
-	Total     int64                    `json:"total_conns,omitempty"`
-}
-
-type aggWindowSnap struct {
-	Idx  int64     `json:"idx"`
-	Aggs []aggSnap `json:"aggs"`
-}
-
-// aggSnap serializes one open aggregate; the chain is referenced by
-// fingerprint key against the snapshot's certificate table.
-type aggSnap struct {
-	ChainKey    string                 `json:"chain,omitempty"`
-	ServerIP    string                 `json:"server_ip"`
-	Port        int                    `json:"port"`
-	Domain      string                 `json:"domain,omitempty"`
-	First       certmodel.TimeSnapshot `json:"first"`
-	Last        certmodel.TimeSnapshot `json:"last"`
-	Conns       int64                  `json:"conns"`
-	Established int64                  `json:"established,omitempty"`
-	NoSNI       int64                  `json:"no_sni,omitempty"`
-	TLS13       bool                   `json:"tls13,omitempty"`
-	ClientIPs   []string               `json:"client_ips,omitempty"`
-}
-
-func (g *aggregator) snapshot() *aggSnapshot {
-	s := &aggSnapshot{
-		MaxFolded: g.maxFolded,
-		FoldedAny: g.foldedAny,
-		LateConns: g.lateConns,
-		Total:     g.totalConns,
-	}
-	certs := make(map[string]*certmodel.Meta)
-	for _, idx := range g.order {
-		w := g.windows[idx]
-		ws := aggWindowSnap{Idx: idx}
-		for _, key := range w.order {
-			a := w.aggs[key]
-			for _, m := range a.o.Chain {
-				certs[string(m.FP)] = m
-			}
-			o := a.finalizeObs()
-			ws.Aggs = append(ws.Aggs, aggSnap{
-				ChainKey:    o.Chain.Key(),
-				ServerIP:    o.ServerIP,
-				Port:        o.Port,
-				Domain:      o.Domain,
-				First:       certmodel.SnapTime(o.First),
-				Last:        certmodel.SnapTime(o.Last),
-				Conns:       o.Conns,
-				Established: o.Established,
-				NoSNI:       o.NoSNI,
-				TLS13:       o.TLS13,
-				ClientIPs:   o.ClientIPs,
-			})
-		}
-		s.Windows = append(s.Windows, ws)
-	}
-	fps := make([]string, 0, len(certs))
-	for fp := range certs {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	for _, fp := range fps {
-		s.Certs = append(s.Certs, certs[fp].Snapshot())
-	}
-	return s
-}
-
-func restoreAggregator(interval time.Duration, s *aggSnapshot) (*aggregator, error) {
-	g := newAggregator(interval)
-	if s == nil {
-		return g, nil
-	}
-	g.maxFolded, g.foldedAny = s.MaxFolded, s.FoldedAny
-	g.lateConns, g.totalConns = s.LateConns, s.Total
-	table := make(map[string]*certmodel.Meta, len(s.Certs))
-	for _, ms := range s.Certs {
-		m := ms.Meta()
-		table[string(m.FP)] = m
-	}
-	for _, ws := range s.Windows {
-		w := g.window(ws.Idx)
-		for _, as := range ws.Aggs {
-			ch, err := chainFromSnapKey(as.ChainKey, table)
-			if err != nil {
-				return nil, err
-			}
-			o := &campus.Observation{
-				Chain:       ch,
-				ServerIP:    as.ServerIP,
-				Port:        as.Port,
-				Domain:      as.Domain,
-				First:       as.First.Time(),
-				Last:        as.Last.Time(),
-				Conns:       as.Conns,
-				Established: as.Established,
-				NoSNI:       as.NoSNI,
-				TLS13:       as.TLS13,
-			}
-			key := ch.Key() + "|" + o.ServerIP + "|" + fmt.Sprint(o.Port)
-			ips := make(map[string]bool, len(as.ClientIPs))
-			for _, ip := range as.ClientIPs {
-				ips[ip] = true
-			}
-			w.aggs[key] = &openAgg{o: o, ips: ips}
-			w.order = append(w.order, key)
-		}
-	}
-	return g, nil
-}
-
-func chainFromSnapKey(key string, table map[string]*certmodel.Meta) (certmodel.Chain, error) {
-	if key == "" {
-		return nil, nil
-	}
-	var ch certmodel.Chain
-	start := 0
-	for i := 0; i <= len(key); i++ {
-		if i == len(key) || key[i] == '|' {
-			fp := key[start:i]
-			m := table[fp]
-			if m == nil {
-				return nil, fmt.Errorf("ingest: snapshot references unknown certificate %s", fp)
-			}
-			ch = append(ch, m)
-			start = i + 1
-		}
-	}
-	return ch, nil
 }

@@ -44,6 +44,20 @@ type Stats struct {
 	Uptime      float64 `json:"uptime_seconds"`
 	Closed      bool    `json:"closed"`
 	Watermark   string  `json:"watermark,omitempty"`
+
+	// InternStrings / InternDNs size the two bounded interners (field values,
+	// parsed DNs); ChainCache sizes and scores the joiner's resolved-chain
+	// cache. All process-lifetime: a restart starts them over.
+	InternStrings    int   `json:"intern_strings"`
+	InternDNs        int   `json:"intern_dns"`
+	ChainCache       int   `json:"chain_cache"`
+	ChainCacheHits   int64 `json:"chain_cache_hits"`
+	ChainCacheMisses int64 `json:"chain_cache_misses"`
+	// Format is the log format being decoded ("tsv" or "json");
+	// DecodeFallbacks counts, per zeek.FallbackReasons entry, the ND-JSON
+	// lines of either log that left the fast tokenizer for the legacy parser.
+	Format          string           `json:"format,omitempty"`
+	DecodeFallbacks map[string]int64 `json:"decode_fallbacks,omitempty"`
 }
 
 func tailStats(t *zeek.Tailer) TailStats {
@@ -61,6 +75,16 @@ func (ing *Ingestor) Stats() Stats {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	tls13, visible := ing.ring.ConnTotals()
+	cache := ing.joiner.CacheStats()
+	format := "tsv"
+	if ing.cfg.JSON {
+		format = "json"
+	}
+	fallbacks := make(map[string]int64, len(zeek.FallbackReasons))
+	sslFB, x509FB := ing.sslDec.Fallbacks(), ing.x509Dec.Fallbacks()
+	for i, reason := range zeek.FallbackReasons {
+		fallbacks[reason] = sslFB[i] + x509FB[i]
+	}
 	s := Stats{
 		Observations:  ing.ring.Seq(),
 		TLS13Conns:    tls13,
@@ -80,6 +104,14 @@ func (ing *Ingestor) Stats() Stats {
 		SnapshotAge:   -1,
 		Uptime:        time.Since(ing.startedAt).Seconds(),
 		Closed:        ing.sslTail.Closed() && ing.x509Tail.Closed(),
+
+		InternStrings:    ing.strs.Len(),
+		InternDNs:        cache.DNEntries,
+		ChainCache:       cache.ChainEntries,
+		ChainCacheHits:   cache.ChainHits,
+		ChainCacheMisses: cache.ChainMisses,
+		Format:           format,
+		DecodeFallbacks:  fallbacks,
 	}
 	if !ing.lastSnapshot.IsZero() {
 		s.SnapshotAge = time.Since(ing.lastSnapshot).Seconds()
@@ -133,6 +165,19 @@ func (s Stats) Fill(reg *obs.Registry) {
 	set(reg.Counter("certchain_join_forced_total", "Connections drained early by the pending-queue cap."), float64(s.Joiner.Forced))
 	set(reg.Gauge("certchain_join_pending_depth", "Connections held for the x509 watermark."), float64(s.JoinPending))
 	set(reg.Gauge("certchain_join_cert_index_size", "Certificates resident in the join index."), float64(s.CertIndex))
+
+	interned := reg.Gauge("certchain_ingest_intern_entries", "Entries in the bounded interners (field strings, parsed DNs).", "kind")
+	interned.With("string").Set(float64(s.InternStrings))
+	interned.With("dn").Set(float64(s.InternDNs))
+	set(reg.Gauge("certchain_ingest_chain_cache_entries", "Fuid sequences in the joiner's resolved-chain cache."), float64(s.ChainCache))
+	set(reg.Counter("certchain_ingest_chain_cache_hits_total", "Connections whose chain came from the cache."), float64(s.ChainCacheHits))
+	set(reg.Counter("certchain_ingest_chain_cache_misses_total", "Connections whose chain was resolved against the certificate index."), float64(s.ChainCacheMisses))
+	fallback := reg.Counter("certchain_decode_fallback_total", "Log lines decoded by the legacy parser instead of the fast tokenizer.", "format", "reason")
+	for _, reason := range zeek.FallbackReasons {
+		if n, ok := s.DecodeFallbacks[reason]; ok {
+			fallback.With(s.Format, reason).Set(float64(n))
+		}
+	}
 
 	lag := reg.Gauge("certchain_tail_lag_bytes", "Bytes appended but not yet processed.", "log")
 	rot := reg.Counter("certchain_tail_rotations_total", "Detected rotations and truncations.", "log")

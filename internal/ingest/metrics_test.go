@@ -36,6 +36,14 @@ func TestStatsPrometheusConformance(t *testing.T) {
 		FoldedWindows: 6,
 		SnapshotAge:   -1,
 		Uptime:        1.5,
+
+		InternStrings:    40,
+		InternDNs:        9,
+		ChainCache:       3,
+		ChainCacheHits:   11,
+		ChainCacheMisses: 4,
+		Format:           "json",
+		DecodeFallbacks:  map[string]int64{"escape": 2, "shape": 0, "malformed": 1},
 	}
 	text := st.PrometheusText()
 	if err := obs.ValidateExposition([]byte(text)); err != nil {
@@ -46,6 +54,14 @@ func TestStatsPrometheusConformance(t *testing.T) {
 		`certchain_tail_lag_bytes{log="ssl"} 10`,
 		`certchain_tail_parse_errors_total{log="x509"} 2`,
 		"certchain_snapshot_age_seconds -1",
+		`certchain_ingest_intern_entries{kind="string"} 40`,
+		`certchain_ingest_intern_entries{kind="dn"} 9`,
+		"certchain_ingest_chain_cache_entries 3",
+		"certchain_ingest_chain_cache_hits_total 11",
+		"certchain_ingest_chain_cache_misses_total 4",
+		`certchain_decode_fallback_total{format="json",reason="escape"} 2`,
+		`certchain_decode_fallback_total{format="json",reason="shape"} 0`,
+		`certchain_decode_fallback_total{format="json",reason="malformed"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

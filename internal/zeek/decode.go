@@ -3,14 +3,9 @@
 package zeek
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"strconv"
-	"strings"
-	"time"
 
 	"certchains/internal/certmodel"
 	"certchains/internal/dn"
@@ -36,12 +31,7 @@ import (
 //     interned per call; certificates parse their DNs once per distinct
 //     string.
 func FastJoin(ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
-	j := newFastJoiner()
-	certs, err := j.indexX509TSV(newTSVScanner(x509))
-	if err != nil {
-		return err
-	}
-	return j.joinSSLTSV(newTSVScanner(ssl), certs, fn)
+	return fastJoin(false, ssl, x509, fn)
 }
 
 // FastJoinJSON is FastJoin for Zeek's ND-JSON log format. Well-formed flat
@@ -50,50 +40,38 @@ func FastJoin(ssl, x509 io.Reader, fn func(c *Connection, err error) error) erro
 // through the legacy full-line path, so behaviour — including error text —
 // is identical to JoinJSON on every input.
 func FastJoinJSON(ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
-	j := newFastJoiner()
-	certs, err := j.indexX509JSON(newJSONScanner(x509))
+	return fastJoin(true, ssl, x509, fn)
+}
+
+func fastJoin(json bool, ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
+	j := &fastJoiner{chains: make(map[string]certmodel.Chain)}
+	certs, err := j.indexX509(newLineScanner(x509, json), NewRowDecoder(json, &j.strs))
 	if err != nil {
 		return err
 	}
-	return j.joinSSLJSON(newJSONScanner(ssl), certs, fn)
+	return j.joinSSL(newLineScanner(ssl, json), NewRowDecoder(json, &j.strs), certs, fn)
 }
 
-// fastJoiner carries the per-call reusable state: interners, the canonical
-// chain cache, the pooled connection/record pair, and scratch buffers.
+// fastJoiner carries the per-call join state: the interners the two
+// streams' decoders share, the canonical chain cache and the pooled
+// connection.
 type fastJoiner struct {
-	strs    certmodel.Interner
-	dns     dn.Interner
-	chains  map[string]certmodel.Chain
-	keyBuf  []byte
-	fuids   []string
-	scratch []byte
-	conn    Connection
-	ssl     SSLRecord
-	x509    x509Row
+	strs   certmodel.Interner
+	dns    dn.Interner
+	chains map[string]certmodel.Chain
+	keyBuf []byte
+	conn   Connection
 }
 
-func newFastJoiner() *fastJoiner {
-	return &fastJoiner{chains: make(map[string]certmodel.Chain)}
-}
-
-// resetSSL is the pooled record's explicit reset; the scratch slices it
-// drops are re-linked by the next parse.
-func (j *fastJoiner) resetSSL() { j.ssl = SSLRecord{} }
-
-// x509Row is the reusable x509 field holder: byte views stay valid until
-// the next scanner advance, which is after the row is folded into a Meta.
-type x509Row struct {
-	ts, nvb, nva time.Time
-	tsOK         bool
-	id           []byte
-	serial       []byte
-	subject      []byte
-	issuer       []byte
-	keyType      string
-	sigAlg       string
-	keyLen       int
-	bcVal, bcSet bool
-	san          []string
+// appendFUIDKey appends the chain-cache key of a fuid sequence:
+// length-prefixed, so no two sequences share a key.
+func appendFUIDKey(dst []byte, fuids []string) []byte {
+	for _, f := range fuids {
+		dst = strconv.AppendInt(dst, int64(len(f)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, f...)
+	}
+	return dst
 }
 
 // chainFor resolves a fuid list against the certificate index, returning
@@ -103,12 +81,7 @@ func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, uid string, fuid
 	if len(fuids) == 0 {
 		return nil, nil
 	}
-	j.keyBuf = j.keyBuf[:0]
-	for _, f := range fuids {
-		j.keyBuf = strconv.AppendInt(j.keyBuf, int64(len(f)), 10)
-		j.keyBuf = append(j.keyBuf, ':')
-		j.keyBuf = append(j.keyBuf, f...)
-	}
+	j.keyBuf = appendFUIDKey(j.keyBuf[:0], fuids)
 	if ch, ok := j.chains[string(j.keyBuf)]; ok {
 		return ch, nil
 	}
@@ -124,735 +97,40 @@ func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, uid string, fuid
 	return ch, nil
 }
 
-// deliver runs the joined-row tail of JoinRecords: resolve the chain, route
-// the row or its error to the callback.
-func (j *fastJoiner) deliver(certs map[string]*certmodel.Meta, r *SSLRecord, fn func(*Connection, error) error) error {
-	ch, joinErr := j.chainFor(certs, r.UID, r.CertChainFUIDs)
-	if joinErr != nil {
-		return fn(nil, joinErr)
-	}
-	j.conn = Connection{SSL: r, Chain: ch}
-	return fn(&j.conn, nil)
-}
-
-// buildMeta folds one parsed x509 row into the index — the indexX509Records
-// tail: missing-field errors are fatal, duplicates keep the first record,
-// DN parsing happens only for first-seen ids, with ToMeta's error text.
-func (j *fastJoiner) buildMeta(out map[string]*certmodel.Meta, row *x509Row) error {
-	if !row.tsOK {
-		return errX509MissingTS
-	}
-	if len(row.id) == 0 {
-		return errX509MissingID
-	}
-	if _, dup := out[string(row.id)]; dup {
-		return nil // Zeek logs a certificate once per observation; first wins
-	}
-	issuer, err := j.dns.Parse(row.issuer)
-	if err != nil {
-		return fmt.Errorf("zeek: x509 %s: bad issuer: %w", row.id, err) //certchain:coldpath malformed-record error path
-	}
-	subject, err := j.dns.Parse(row.subject)
-	if err != nil {
-		return fmt.Errorf("zeek: x509 %s: bad subject: %w", row.id, err) //certchain:coldpath malformed-record error path
-	}
-	id := string(row.id)
-	m := &certmodel.Meta{
-		FP:        certmodel.Fingerprint(id),
-		Issuer:    issuer,
-		Subject:   subject,
-		SerialHex: strings.ToLower(string(row.serial)),
-		NotBefore: row.nvb,
-		NotAfter:  row.nva,
-		KeyAlg:    certmodel.KeyAlgorithm(row.keyType),
-		KeyBits:   row.keyLen,
-		SigAlg:    row.sigAlg,
-		SAN:       row.san,
-	}
-	switch {
-	case !row.bcSet:
-		m.BC = certmodel.BCAbsent
-	case row.bcVal:
-		m.BC = certmodel.BCTrue
-	default:
-		m.BC = certmodel.BCFalse
-	}
-	out[id] = m
-	return nil
-}
-
-// ---- TSV ----
-
-// sslCols maps the ssl schema onto the current #fields directive;
-// duplicate names keep the last column, like Record construction.
-type sslCols struct {
-	gen                                 int
-	ts, uid, origH, origP, respH, respP int
-	version, cipher, serverName         int
-	resumed, established, chain         int
-}
-
-func (c *sslCols) refresh(s *tsvScanner) {
-	*c = sslCols{gen: s.gen, ts: -1, uid: -1, origH: -1, origP: -1, respH: -1, respP: -1,
-		version: -1, cipher: -1, serverName: -1, resumed: -1, established: -1, chain: -1}
-	for i, f := range s.fields {
-		switch f {
-		case "ts":
-			c.ts = i
-		case "uid":
-			c.uid = i
-		case "id.orig_h":
-			c.origH = i
-		case "id.orig_p":
-			c.origP = i
-		case "id.resp_h":
-			c.respH = i
-		case "id.resp_p":
-			c.respP = i
-		case "version":
-			c.version = i
-		case "cipher":
-			c.cipher = i
-		case "server_name":
-			c.serverName = i
-		case "resumed":
-			c.resumed = i
-		case "established":
-			c.established = i
-		case "cert_chain_fuids":
-			c.chain = i
-		}
-	}
-}
-
-type x509Cols struct {
-	gen                                   int
-	ts, id, serial, subject, issuer       int
-	nvb, nva, sigAlg, keyType, keyLen, bc int
-	san                                   int
-}
-
-func (c *x509Cols) refresh(s *tsvScanner) {
-	*c = x509Cols{gen: s.gen, ts: -1, id: -1, serial: -1, subject: -1, issuer: -1,
-		nvb: -1, nva: -1, sigAlg: -1, keyType: -1, keyLen: -1, bc: -1, san: -1}
-	for i, f := range s.fields {
-		switch f {
-		case "ts":
-			c.ts = i
-		case "id":
-			c.id = i
-		case "certificate.serial":
-			c.serial = i
-		case "certificate.subject":
-			c.subject = i
-		case "certificate.issuer":
-			c.issuer = i
-		case "certificate.not_valid_before":
-			c.nvb = i
-		case "certificate.not_valid_after":
-			c.nva = i
-		case "certificate.sig_alg":
-			c.sigAlg = i
-		case "certificate.key_type":
-			c.keyType = i
-		case "certificate.key_length":
-			c.keyLen = i
-		case "basic_constraints.ca":
-			c.bc = i
-		case "san.dns":
-			c.san = i
-		}
-	}
-}
-
-func (j *fastJoiner) joinSSLTSV(s *tsvScanner, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
-	cols := sslCols{gen: -1}
+// joinSSL walks the ssl stream — the joined-row tail of JoinRecords: decode,
+// resolve the chain, route the row or its per-row error to the callback.
+func (j *fastJoiner) joinSSL(s *lineScanner, d *RowDecoder, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
 	for {
 		ok, err := s.scan()
-		if err != nil {
+		if err != nil || !ok {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		if cols.gen != s.gen {
-			cols.refresh(s) //certchain:coldpath once per #fields directive
-		}
-		if rowErr := j.parseSSLTSV(s, &cols); rowErr != nil {
-			if cbErr := fn(nil, rowErr); cbErr != nil {
-				return cbErr
+		st, rowErr := d.decodeSSL(s.cur)
+		switch st {
+		case rowNone:
+		case rowOK:
+			ch, joinErr := j.chainFor(certs, d.ssl.UID, d.ssl.CertChainFUIDs)
+			if joinErr != nil {
+				err = fn(nil, joinErr)
+				break
 			}
-			continue
-		}
-		if err := j.deliver(certs, &j.ssl, fn); err != nil {
-			return err
-		}
-	}
-}
-
-func (j *fastJoiner) parseSSLTSV(s *tsvScanner, c *sslCols) error {
-	j.resetSSL()
-	r := &j.ssl
-	var ok bool
-	if r.TS, ok = s.fieldTime(c.ts); !ok {
-		return errSSLMissingTS
-	}
-	uid, _ := s.field(c.uid)
-	if len(uid) == 0 {
-		return errSSLMissingUID
-	}
-	r.UID = string(uid)
-	r.OrigH = j.internField(s, c.origH)
-	r.OrigP, _ = s.fieldInt(c.origP)
-	r.RespH = j.internField(s, c.respH)
-	r.RespP, _ = s.fieldInt(c.respP)
-	r.Version = j.internField(s, c.version)
-	r.Cipher = j.internField(s, c.cipher)
-	r.ServerName = j.internField(s, c.serverName)
-	r.Resumed, _ = s.fieldBool(c.resumed)
-	r.Established, _ = s.fieldBool(c.established)
-	r.CertChainFUIDs = j.vectorScratch(s, c.chain)
-	return nil
-}
-
-// internField reads a scalar string column into the interner; absent fields
-// become "" exactly as Record.Get's callers see them.
-func (j *fastJoiner) internField(s *tsvScanner, c int) string {
-	v, ok := s.field(c)
-	if !ok {
-		return ""
-	}
-	return j.strs.Bytes(v)
-}
-
-// vectorScratch splits a vector column into the reused fuid scratch slice
-// (valid until the next row), interning each element.
-func (j *fastJoiner) vectorScratch(s *tsvScanner, c int) []string {
-	v, ok := s.field(c)
-	if !ok || len(v) == 0 {
-		return nil
-	}
-	j.fuids = j.fuids[:0]
-	for {
-		i := bytes.IndexByte(v, ',')
-		if i < 0 {
-			return append(j.fuids, j.strs.Bytes(v))
-		}
-		j.fuids = append(j.fuids, j.strs.Bytes(v[:i]))
-		v = v[i+1:]
-	}
-}
-
-// vectorFresh is vectorScratch into a fresh slice, for values retained
-// beyond the row (certificate SANs).
-func (j *fastJoiner) vectorFresh(s *tsvScanner, c int) []string {
-	v, ok := s.field(c)
-	if !ok || len(v) == 0 {
-		return nil
-	}
-	out := make([]string, 0, bytes.Count(v, []byte{','})+1)
-	for {
-		i := bytes.IndexByte(v, ',')
-		if i < 0 {
-			return append(out, j.strs.Bytes(v))
-		}
-		out = append(out, j.strs.Bytes(v[:i]))
-		v = v[i+1:]
-	}
-}
-
-func (j *fastJoiner) indexX509TSV(s *tsvScanner) (map[string]*certmodel.Meta, error) {
-	out := make(map[string]*certmodel.Meta)
-	cols := x509Cols{gen: -1}
-	for {
-		ok, err := s.scan()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		if cols.gen != s.gen {
-			cols.refresh(s) //certchain:coldpath once per #fields directive
-		}
-		row := &j.x509
-		*row = x509Row{}
-		row.ts, row.tsOK = s.fieldTime(cols.ts)
-		row.id, _ = s.field(cols.id)
-		row.serial, _ = s.field(cols.serial)
-		row.subject, _ = s.field(cols.subject)
-		row.issuer, _ = s.field(cols.issuer)
-		row.nvb, _ = s.fieldTime(cols.nvb)
-		row.nva, _ = s.fieldTime(cols.nva)
-		row.sigAlg = j.internField(s, cols.sigAlg)
-		row.keyType = j.internField(s, cols.keyType)
-		row.keyLen, _ = s.fieldInt(cols.keyLen)
-		row.bcVal, row.bcSet = s.fieldBool(cols.bc)
-		row.san = j.vectorFresh(s, cols.san)
-		if err := j.buildMeta(out, row); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// ---- ND-JSON ----
-
-// JSON key dispatch tables; 0 means "not a schema field, skip".
-const (
-	jkTS = 1 + iota
-	jkUID
-	jkOrigH
-	jkOrigP
-	jkRespH
-	jkRespP
-	jkVersion
-	jkCipher
-	jkServerName
-	jkResumed
-	jkEstablished
-	jkChain
-	jkID
-	jkSerial
-	jkSubject
-	jkIssuer
-	jkNVB
-	jkNVA
-	jkKeyAlg
-	jkSigAlg
-	jkKeyType
-	jkKeyLen
-	jkBC
-	jkSAN
-	jkX509Version
-)
-
-var sslJSONKey = map[string]int{
-	"ts": jkTS, "uid": jkUID, "id.orig_h": jkOrigH, "id.orig_p": jkOrigP,
-	"id.resp_h": jkRespH, "id.resp_p": jkRespP, "version": jkVersion,
-	"cipher": jkCipher, "server_name": jkServerName, "resumed": jkResumed,
-	"established": jkEstablished, "cert_chain_fuids": jkChain,
-}
-
-var x509JSONKey = map[string]int{
-	"ts": jkTS, "id": jkID, "certificate.version": jkX509Version,
-	"certificate.serial": jkSerial, "certificate.subject": jkSubject,
-	"certificate.issuer": jkIssuer, "certificate.not_valid_before": jkNVB,
-	"certificate.not_valid_after": jkNVA, "certificate.key_alg": jkKeyAlg,
-	"certificate.sig_alg": jkSigAlg, "certificate.key_type": jkKeyType,
-	"certificate.key_length": jkKeyLen, "basic_constraints.ca": jkBC,
-	"san.dns": jkSAN,
-}
-
-// jsonString parses a scalar string value with Record.Get's sentinel
-// semantics: null and the unset sentinel yield "", as does the empty
-// sentinel and the empty string. ok=false sends the line to the fallback.
-func (j *fastJoiner) jsonString(t *jsonTok, intern bool) (string, bool) {
-	switch t.peek() {
-	case '"':
-		s, ok := t.simpleString()
-		if !ok {
-			return "", false
-		}
-		if len(s) == 0 || string(s) == UnsetField || string(s) == EmptyField {
-			return "", true
-		}
-		if intern {
-			return j.strs.Bytes(s), true
-		}
-		return string(s), true
-	case 'n':
-		return "", t.literal("null")
-	}
-	return "", false
-}
-
-// jsonTime parses a numeric time value; null means absent.
-func (t *jsonTok) jsonTime() (ts time.Time, set, ok bool) {
-	switch c := t.peek(); {
-	case c == '-' || (c >= '0' && c <= '9'):
-		f, ok := t.number()
-		if !ok {
-			return time.Time{}, false, false
-		}
-		return epochToTime(f), true, true
-	case c == 'n':
-		return time.Time{}, false, t.literal("null")
-	}
-	return time.Time{}, false, false
-}
-
-// jsonInt parses a numeric value with the legacy float-render/Atoi round
-// trip's semantics; null and non-integral values yield 0.
-func (j *fastJoiner) jsonInt(t *jsonTok) (int, bool) {
-	switch c := t.peek(); {
-	case c == '-' || (c >= '0' && c <= '9'):
-		f, ok := t.number()
-		if !ok {
-			return 0, false
-		}
-		return j.intFromFloat(f), true
-	case c == 'n':
-		return 0, t.literal("null")
-	}
-	return 0, false
-}
-
-// intFromFloat reproduces jsonValueToField + Record.GetInt: format the
-// float and Atoi it. Safe integral floats take the direct path (their
-// shortest 'f' rendering is the same integer); everything else replays the
-// render/parse pair exactly.
-func (j *fastJoiner) intFromFloat(f float64) int {
-	if f == math.Trunc(f) && f >= -(1<<53) && f <= 1<<53 {
-		return int(f)
-	}
-	j.scratch = strconv.AppendFloat(j.scratch[:0], f, 'f', -1, 64) //certchain:coldpath rare shape, exact-oracle fallback
-	n, _ := parseIntBytes(j.scratch)
-	return n
-}
-
-func (t *jsonTok) jsonBool() (v, ok bool) {
-	switch t.peek() {
-	case 't':
-		return true, t.literal("true")
-	case 'f':
-		return false, t.literal("false")
-	case 'n':
-		return false, t.literal("null")
-	}
-	return false, false
-}
-
-// jsonVector parses an array of plain strings that survive the legacy
-// join-then-split round trip unchanged: non-empty, comma-free, non-sentinel
-// elements. Anything else (including whole-array sentinel collisions)
-// falls back. dst may be a reused scratch slice.
-func (j *fastJoiner) jsonVector(t *jsonTok, dst []string) ([]string, bool) {
-	switch t.peek() {
-	case '[':
-	case 'n':
-		return nil, t.literal("null")
-	default:
-		return nil, false
-	}
-	t.i++
-	if t.peek() == ']' {
-		t.i++
-		return nil, true // empty vector renders as the empty sentinel: nil
-	}
-	for {
-		t.ws()
-		el, ok := t.simpleString()
-		if !ok {
-			return nil, false
-		}
-		if len(el) == 0 || bytes.IndexByte(el, ',') >= 0 ||
-			string(el) == UnsetField || string(el) == EmptyField {
-			return nil, false
-		}
-		dst = append(dst, j.strs.Bytes(el))
-		switch t.peek() {
-		case ',':
-			t.i++
-		case ']':
-			t.i++
-			return dst, true
+			j.conn = Connection{SSL: &d.ssl, Chain: ch}
+			err = fn(&j.conn, nil)
+		case rowRecordErr:
+			err = fn(nil, rowErr)
 		default:
-			return nil, false
+			err = s.reject(st, rowErr, d)
 		}
-	}
-}
-
-// legacyJSONRecord is the exact fallback: the legacy JSONReader's per-line
-// conversion, reproducing encoding/json's error text for malformed lines.
-func legacyJSONRecord(line []byte, lineNo int) (Record, error) {
-	var raw map[string]any
-	if err := json.Unmarshal(line, &raw); err != nil {
-		return nil, fmt.Errorf("zeek: json line %d: %w", lineNo, err) //certchain:coldpath malformed-line error path
-	}
-	rec := make(Record, len(raw))
-	for k, v := range raw {
-		rec[k] = jsonValueToField(v)
-	}
-	return rec, nil
-}
-
-// parseSSLJSONFast decodes one flat ND-JSON ssl row into the pooled record.
-// fastOK=false means the line is outside the tokenizer's subset and must be
-// re-parsed through the legacy path.
-func (j *fastJoiner) parseSSLJSONFast(line []byte) (rowErr error, fastOK bool) {
-	t := jsonTok{b: line}
-	if t.peek() != '{' {
-		return nil, false
-	}
-	t.i++
-	j.resetSSL()
-	r := &j.ssl
-	tsSet := false
-	if t.peek() == '}' {
-		t.i++
-	} else {
-	fields:
-		for {
-			t.ws()
-			k, ok := t.simpleString()
-			if !ok || t.peek() != ':' {
-				return nil, false
-			}
-			t.i++
-			switch sslJSONKey[string(k)] {
-			case jkTS:
-				var ok bool
-				if r.TS, tsSet, ok = t.jsonTime(); !ok {
-					return nil, false
-				}
-			case jkUID:
-				if r.UID, ok = j.jsonString(&t, false); !ok {
-					return nil, false
-				}
-			case jkOrigH:
-				if r.OrigH, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkOrigP:
-				if r.OrigP, ok = j.jsonInt(&t); !ok {
-					return nil, false
-				}
-			case jkRespH:
-				if r.RespH, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkRespP:
-				if r.RespP, ok = j.jsonInt(&t); !ok {
-					return nil, false
-				}
-			case jkVersion:
-				if r.Version, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkCipher:
-				if r.Cipher, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkServerName:
-				if r.ServerName, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkResumed:
-				if r.Resumed, ok = t.jsonBool(); !ok {
-					return nil, false
-				}
-			case jkEstablished:
-				if r.Established, ok = t.jsonBool(); !ok {
-					return nil, false
-				}
-			case jkChain:
-				if r.CertChainFUIDs, ok = j.jsonVector(&t, j.fuids[:0]); !ok {
-					return nil, false
-				}
-				if r.CertChainFUIDs != nil {
-					j.fuids = r.CertChainFUIDs
-				}
-			default:
-				if !t.skipValue() {
-					return nil, false
-				}
-			}
-			switch t.peek() {
-			case ',':
-				t.i++
-			case '}':
-				t.i++
-				break fields
-			default:
-				return nil, false
-			}
-		}
-	}
-	t.ws()
-	if t.i != len(t.b) {
-		return nil, false
-	}
-	if !tsSet {
-		return errSSLMissingTS, true
-	}
-	if r.UID == "" {
-		return errSSLMissingUID, true
-	}
-	return nil, true
-}
-
-func (j *fastJoiner) joinSSLJSON(s *jsonScanner, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
-	for {
-		ok, err := s.scan()
 		if err != nil {
 			return err
 		}
-		if !ok {
-			return nil
-		}
-		rowErr, fastOK := j.parseSSLJSONFast(s.cur)
-		if !fastOK {
-			rec, err := legacyJSONRecord(s.cur, s.line) //certchain:coldpath anomalous-line fallback
-			if err != nil {
-				return err
-			}
-			sr, rowErr := ParseSSLRecord(rec)
-			if rowErr != nil {
-				if cbErr := fn(nil, rowErr); cbErr != nil {
-					return cbErr
-				}
-				continue
-			}
-			if err := j.deliver(certs, sr, fn); err != nil {
-				return err
-			}
-			continue
-		}
-		if rowErr != nil {
-			if cbErr := fn(nil, rowErr); cbErr != nil {
-				return cbErr
-			}
-			continue
-		}
-		if err := j.deliver(certs, &j.ssl, fn); err != nil {
-			return err
-		}
 	}
 }
 
-// parseX509JSONFast decodes one flat ND-JSON x509 row into the reusable
-// field holder; fastOK=false routes the line to the legacy fallback.
-func (j *fastJoiner) parseX509JSONFast(line []byte) (row *x509Row, fastOK bool) {
-	t := jsonTok{b: line}
-	if t.peek() != '{' {
-		return nil, false
-	}
-	t.i++
-	row = &j.x509
-	*row = x509Row{}
-	var ok bool
-	if t.peek() == '}' {
-		t.i++
-	} else {
-	fields:
-		for {
-			t.ws()
-			k, okK := t.simpleString()
-			if !okK || t.peek() != ':' {
-				return nil, false
-			}
-			t.i++
-			switch x509JSONKey[string(k)] {
-			case jkTS:
-				if row.ts, row.tsOK, ok = t.jsonTime(); !ok {
-					return nil, false
-				}
-			case jkID:
-				if row.id, ok = j.jsonRawString(&t); !ok {
-					return nil, false
-				}
-			case jkSerial:
-				if row.serial, ok = j.jsonRawString(&t); !ok {
-					return nil, false
-				}
-			case jkSubject:
-				if row.subject, ok = j.jsonRawString(&t); !ok {
-					return nil, false
-				}
-			case jkIssuer:
-				if row.issuer, ok = j.jsonRawString(&t); !ok {
-					return nil, false
-				}
-			case jkNVB:
-				if row.nvb, _, ok = t.jsonTime(); !ok {
-					return nil, false
-				}
-			case jkNVA:
-				if row.nva, _, ok = t.jsonTime(); !ok {
-					return nil, false
-				}
-			case jkKeyAlg:
-				if _, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkSigAlg:
-				if row.sigAlg, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkKeyType:
-				if row.keyType, ok = j.jsonString(&t, true); !ok {
-					return nil, false
-				}
-			case jkKeyLen:
-				if row.keyLen, ok = j.jsonInt(&t); !ok {
-					return nil, false
-				}
-			case jkBC:
-				if t.peek() == 'n' {
-					if !t.literal("null") {
-						return nil, false
-					}
-				} else {
-					if row.bcVal, ok = t.jsonBool(); !ok {
-						return nil, false
-					}
-					row.bcSet = true
-				}
-			case jkSAN:
-				if row.san, ok = j.jsonVector(&t, nil); !ok {
-					return nil, false
-				}
-			case jkX509Version:
-				if _, ok = j.jsonInt(&t); !ok {
-					return nil, false
-				}
-			default:
-				if !t.skipValue() {
-					return nil, false
-				}
-			}
-			switch t.peek() {
-			case ',':
-				t.i++
-			case '}':
-				t.i++
-				break fields
-			default:
-				return nil, false
-			}
-		}
-	}
-	t.ws()
-	if t.i != len(t.b) {
-		return nil, false
-	}
-	return row, true
-}
-
-// jsonRawString parses a string value into a byte view with Record.Get's
-// sentinel semantics (null/unset → nil absent view, empty sentinel → empty
-// present view). The view is only valid until the next line.
-func (j *fastJoiner) jsonRawString(t *jsonTok) ([]byte, bool) {
-	switch t.peek() {
-	case '"':
-		s, ok := t.simpleString()
-		if !ok {
-			return nil, false
-		}
-		if string(s) == UnsetField {
-			return nil, true
-		}
-		if string(s) == EmptyField {
-			return s[:0], true
-		}
-		return s, true
-	case 'n':
-		return nil, t.literal("null")
-	}
-	return nil, false
-}
-
-func (j *fastJoiner) indexX509JSON(s *jsonScanner) (map[string]*certmodel.Meta, error) {
+// indexX509 reads the whole x509 stream into the certificate index — the
+// indexX509Records loop: a row missing ts or id ends the stream, duplicates
+// keep the first record, and DNs are parsed only for first-seen ids.
+func (j *fastJoiner) indexX509(s *lineScanner, d *RowDecoder) (map[string]*certmodel.Meta, error) {
 	out := make(map[string]*certmodel.Meta)
 	for {
 		ok, err := s.scan()
@@ -862,28 +140,24 @@ func (j *fastJoiner) indexX509JSON(s *jsonScanner) (map[string]*certmodel.Meta, 
 		if !ok {
 			return out, nil
 		}
-		row, fastOK := j.parseX509JSONFast(s.cur)
-		if !fastOK {
-			rec, err := legacyJSONRecord(s.cur, s.line) //certchain:coldpath anomalous-line fallback
+		st, rowErr := d.decodeX509(s.cur)
+		switch st {
+		case rowNone:
+		case rowOK:
+			if _, dup := out[string(d.x509.id)]; dup {
+				continue // Zeek logs a certificate once per observation; first wins
+			}
+			m, err := d.x509.meta(&j.dns)
 			if err != nil {
 				return nil, err
 			}
-			xr, err := ParseX509Record(rec)
-			if err != nil {
+			out[string(m.FP)] = m
+		case rowRecordErr:
+			return nil, rowErr
+		default:
+			if err := s.reject(st, rowErr, d); err != nil {
 				return nil, err
 			}
-			if _, dup := out[xr.ID]; dup {
-				continue
-			}
-			m, err := xr.ToMeta()
-			if err != nil {
-				return nil, err
-			}
-			out[xr.ID] = m
-			continue
-		}
-		if err := j.buildMeta(out, row); err != nil {
-			return nil, err
 		}
 	}
 }

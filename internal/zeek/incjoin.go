@@ -1,3 +1,5 @@
+//certchain:hotpath — the incremental joiner runs once per row the daemon ingests.
+
 package zeek
 
 import (
@@ -5,6 +7,7 @@ import (
 	"time"
 
 	"certchains/internal/certmodel"
+	"certchains/internal/dn"
 	"certchains/internal/obs"
 )
 
@@ -27,22 +30,44 @@ import (
 // drain time are dropped and counted as orphans — the streaming analogue of
 // the per-row join errors the batch loader tolerates across x509 rotation
 // gaps.
+//
+// Allocation economy follows FastJoin, with the same retention contract: rows
+// fed to AddSSL / AddX509Row are pooled by the caller and only read during the
+// call (AddSSL copies the row into the hold queue); the *Connection handed to
+// emit, its SSL record and that record's CertChainFUIDs are the joiner's own
+// pooled storage, valid until emit returns — field strings and the Chain may
+// be retained, the Chain being the canonical shared value for its
+// certificate sequence (read-only, like the *Meta values it holds). emit must
+// not feed the joiner.
 type IncrementalJoiner struct {
 	emit func(*Connection) error
+	conn Connection // the pooled value emit receives
 
 	// certs indexes certificates by file-unique id; fifo remembers insertion
 	// order so the index can be bounded (satellite: orphaned fuids must not
 	// leak memory — without a cap, every certificate ever logged would stay
 	// resident for the daemon's lifetime).
 	certs   map[string]*certmodel.Meta
-	fifo    []string
+	fifo    ring[string]
 	certCap int
+	dns     dn.Interner
+
+	// chains caches the resolved Chain per fuid sequence. An entry is good
+	// while the index has not evicted since it was resolved: certificates
+	// only ever leave the index by eviction, so until evictGen moves, a
+	// lookup would find the very same Metas — which keeps Orphans identical
+	// to resolving every connection against the index, at any certCap.
+	chains      map[string]cachedChain
+	evictGen    int64
+	keyBuf      []byte
+	chainHits   int64
+	chainMisses int64
 
 	// pending is the FIFO hold queue of ssl records waiting for the x509
 	// watermark. pendingCap is a pathology valve: a stream that stops
 	// advancing the watermark (e.g. x509.log goes silent while ssl.log keeps
 	// growing) would otherwise hold connections forever.
-	pending    []*SSLRecord
+	pending    ring[heldSSL]
 	pendingCap int
 
 	wm       time.Time
@@ -51,6 +76,62 @@ type IncrementalJoiner struct {
 
 	stats  JoinerStats
 	tracer *obs.Tracer
+}
+
+// ring is a growable FIFO over one backing array. Popping moves an index
+// instead of reslicing the head away — after q = q[1:], the slice has slid off
+// the front of its array and every append reallocates.
+type ring[T any] struct {
+	buf     []T
+	head, n int
+}
+
+// push appends a slot and returns it, still holding what an earlier lap left
+// there so the caller can reuse its storage. The pointer is good until the
+// next push.
+func (q *ring[T]) push() *T {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(16, 2*len(q.buf)))
+		for i := range q.n {
+			grown[i] = *q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.n++
+	return q.at(q.n - 1)
+}
+
+// at returns the i-th element from the front.
+func (q *ring[T]) at(i int) *T {
+	i += q.head
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
+
+// pop drops the front element; its slot keeps its contents until a later
+// push reuses it.
+func (q *ring[T]) pop() {
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
+	q.n--
+}
+
+// heldSSL is one hold-queue slot: the record by value, and the backing array
+// its CertChainFUIDs reuse from lap to lap.
+type heldSSL struct {
+	rec   SSLRecord
+	fuids []string
+}
+
+// cachedChain is a resolved chain and the eviction generation it was
+// resolved in.
+type cachedChain struct {
+	ch  certmodel.Chain
+	gen int64
 }
 
 // JoinerStats are the joiner's observable counters, all monotone.
@@ -88,6 +169,14 @@ const DefaultCertCap = 1 << 18
 // DefaultPendingCap bounds the hold queue of not-yet-drained connections.
 const DefaultPendingCap = 1 << 16
 
+// The joiner's caches are optimizations, so each is bounded by starting over
+// at a fixed size rather than by tracking use: the chain cache at
+// chainCacheCap sequences, the DN parse memo at dnInternCap distinct strings.
+const (
+	chainCacheCap = 1 << 16
+	dnInternCap   = 1 << 16
+)
+
 // NewIncrementalJoiner creates a joiner emitting joined connections through
 // emit. certCap / pendingCap of 0 select the defaults; negative values mean
 // unbounded.
@@ -102,44 +191,96 @@ func NewIncrementalJoiner(certCap, pendingCap int, emit func(*Connection) error)
 		emit:       emit,
 		certs:      make(map[string]*certmodel.Meta),
 		certCap:    certCap,
+		dns:        dn.Interner{Max: dnInternCap},
+		chains:     make(map[string]cachedChain),
 		pendingCap: pendingCap,
 	}
 }
 
-// AddSSL feeds the next ssl.log record (in file order).
+// AddSSL feeds the next ssl.log record (in file order). The record is copied
+// into the hold queue: r and its CertChainFUIDs are not retained.
 func (j *IncrementalJoiner) AddSSL(r *SSLRecord) error {
 	j.stats.SSLRecords++
-	j.pending = append(j.pending, r)
+	j.hold(r)
 	return j.drain()
 }
 
-// AddX509 feeds the next x509.log record (in file order). Zeek writes
-// x509.log in timestamp order, so each record advances the watermark
-// monotonically; an out-of-order record only delays draining, never breaks
-// correctness.
+func (j *IncrementalJoiner) hold(r *SSLRecord) {
+	h := j.pending.push()
+	h.rec = *r
+	if len(r.CertChainFUIDs) > 0 {
+		h.fuids = append(h.fuids[:0], r.CertChainFUIDs...)
+		h.rec.CertChainFUIDs = h.fuids
+	}
+}
+
+// AddX509 feeds the next x509.log record (in file order) in its typed-record
+// form.
 func (j *IncrementalJoiner) AddX509(r *X509Record) error {
+	var row X509Row
+	row.fromRecord(r)
+	return j.AddX509Row(&row)
+}
+
+// AddX509Row feeds the next x509.log row (in file order). Zeek writes
+// x509.log in timestamp order, so each row advances the watermark
+// monotonically; an out-of-order row only delays draining, never breaks
+// correctness. The row is only read during the call.
+func (j *IncrementalJoiner) AddX509Row(r *X509Row) error {
 	j.stats.X509Records++
-	if _, dup := j.certs[r.ID]; dup {
+	if _, dup := j.certs[string(r.id)]; dup {
 		j.stats.DupCerts++
 	} else {
-		m, err := r.ToMeta()
+		m, err := r.meta(&j.dns)
 		if err != nil {
 			return err
 		}
-		j.certs[r.ID] = m
-		j.fifo = append(j.fifo, r.ID)
-		if j.certCap > 0 && len(j.fifo) > j.certCap {
-			old := j.fifo[0]
-			j.fifo = j.fifo[1:]
-			delete(j.certs, old)
-			j.stats.Evictions++
-		}
+		j.index(m)
 	}
-	if !j.wmSet || r.TS.After(j.wm) {
-		j.wm = r.TS
+	if !j.wmSet || r.ts.After(j.wm) {
+		j.wm = r.ts
 		j.wmSet = true
 	}
 	return j.drain()
+}
+
+// index adds a certificate, evicting the oldest past the cap.
+func (j *IncrementalJoiner) index(m *certmodel.Meta) {
+	j.certs[string(m.FP)] = m
+	*j.fifo.push() = string(m.FP)
+	if j.certCap > 0 && j.fifo.n > j.certCap {
+		delete(j.certs, *j.fifo.at(0))
+		j.fifo.pop()
+		j.stats.Evictions++
+		j.evictGen++
+	}
+}
+
+// chainFor resolves a fuid sequence against the index through the chain
+// cache; false means a certificate is missing.
+func (j *IncrementalJoiner) chainFor(fuids []string) (certmodel.Chain, bool) {
+	if len(fuids) == 0 {
+		return nil, true
+	}
+	j.keyBuf = appendFUIDKey(j.keyBuf[:0], fuids)
+	if c, ok := j.chains[string(j.keyBuf)]; ok && c.gen == j.evictGen {
+		j.chainHits++
+		return c.ch, true
+	}
+	j.chainMisses++
+	ch := make(certmodel.Chain, 0, len(fuids))
+	for _, fuid := range fuids {
+		m, ok := j.certs[fuid]
+		if !ok {
+			return nil, false
+		}
+		ch = append(ch, m)
+	}
+	if len(j.chains) >= chainCacheCap {
+		j.chains = make(map[string]cachedChain) //certchain:coldpath one table per chainCacheCap misses
+	}
+	j.chains[string(j.keyBuf)] = cachedChain{ch, j.evictGen}
+	return ch, true
 }
 
 // AddSSLRecord parses and feeds a generic ssl.log record.
@@ -160,6 +301,25 @@ func (j *IncrementalJoiner) AddX509Record(rec Record) error {
 	return j.AddX509(r)
 }
 
+// JoinerCacheStats sizes the joiner's caches and counts the chain cache's
+// traffic. Process-lifetime diagnostics: not part of JoinerState.
+type JoinerCacheStats struct {
+	ChainEntries int
+	ChainHits    int64
+	ChainMisses  int64
+	DNEntries    int
+}
+
+// CacheStats returns the cache diagnostics.
+func (j *IncrementalJoiner) CacheStats() JoinerCacheStats {
+	return JoinerCacheStats{
+		ChainEntries: len(j.chains),
+		ChainHits:    j.chainHits,
+		ChainMisses:  j.chainMisses,
+		DNEntries:    j.dns.Len(),
+	}
+}
+
 // SetTracer attaches a stage tracer; Finish then records a "join-finish"
 // span covering the final drain. A nil tracer is the no-op default.
 func (j *IncrementalJoiner) SetTracer(t *obs.Tracer) { j.tracer = t }
@@ -169,7 +329,7 @@ func (j *IncrementalJoiner) SetTracer(t *obs.Tracer) { j.tracer = t }
 // final certificate index.
 func (j *IncrementalJoiner) Finish() error {
 	sp := j.tracer.Start("join-finish", "join/finish").
-		SetRecords(int64(len(j.pending))).
+		SetRecords(int64(j.pending.n)).
 		Arg("cert_index", int64(len(j.certs)))
 	defer sp.End()
 	j.finished = true
@@ -179,33 +339,24 @@ func (j *IncrementalJoiner) Finish() error {
 // drain releases the front of the hold queue while the watermark (or stream
 // completion, or the capacity valve) allows.
 func (j *IncrementalJoiner) drain() error {
-	for len(j.pending) > 0 {
-		forced := j.pendingCap > 0 && len(j.pending) > j.pendingCap
-		if !j.finished && !forced && !(j.wmSet && j.pending[0].TS.Before(j.wm)) {
+	for j.pending.n > 0 {
+		forced := j.pendingCap > 0 && j.pending.n > j.pendingCap
+		r := &j.pending.at(0).rec
+		if !j.finished && !forced && !(j.wmSet && r.TS.Before(j.wm)) {
 			return nil
 		}
-		r := j.pending[0]
-		j.pending[0] = nil
-		j.pending = j.pending[1:]
+		j.pending.pop() // r stays intact until the next hold, which is after emit
 		if forced {
 			j.stats.Forced++
 		}
-		chain := make(certmodel.Chain, 0, len(r.CertChainFUIDs))
-		complete := true
-		for _, fuid := range r.CertChainFUIDs {
-			m, ok := j.certs[fuid]
-			if !ok {
-				complete = false
-				break
-			}
-			chain = append(chain, m)
-		}
+		chain, complete := j.chainFor(r.CertChainFUIDs)
 		if !complete {
 			j.stats.Orphans++
 			continue
 		}
 		j.stats.Joined++
-		if err := j.emit(&Connection{SSL: r, Chain: chain}); err != nil {
+		j.conn = Connection{SSL: r, Chain: chain}
+		if err := j.emit(&j.conn); err != nil {
 			return err
 		}
 	}
@@ -213,7 +364,7 @@ func (j *IncrementalJoiner) drain() error {
 }
 
 // PendingDepth is the current hold-queue length.
-func (j *IncrementalJoiner) PendingDepth() int { return len(j.pending) }
+func (j *IncrementalJoiner) PendingDepth() int { return j.pending.n }
 
 // CertIndexSize is the current certificate-index size.
 func (j *IncrementalJoiner) CertIndexSize() int { return len(j.certs) }
@@ -224,13 +375,17 @@ func (j *IncrementalJoiner) Stats() JoinerStats { return j.stats }
 // State serializes the joiner for a daemon snapshot.
 func (j *IncrementalJoiner) State() *JoinerState {
 	s := &JoinerState{
-		WM:      certmodel.SnapTime(j.wm),
-		WMSet:   j.wmSet,
-		Pending: j.pending,
-		Stats:   j.stats,
+		WM:    certmodel.SnapTime(j.wm),
+		WMSet: j.wmSet,
+		Stats: j.stats,
 	}
-	for _, id := range j.fifo {
-		s.Certs = append(s.Certs, j.certs[id].Snapshot())
+	for i := range j.fifo.n {
+		s.Certs = append(s.Certs, j.certs[*j.fifo.at(i)].Snapshot())
+	}
+	for i := range j.pending.n {
+		r := j.pending.at(i).rec // a copy: the slot and its fuid array are reused
+		r.CertChainFUIDs = append([]string(nil), r.CertChainFUIDs...)
+		s.Pending = append(s.Pending, &r)
 	}
 	return s
 }
@@ -241,8 +396,8 @@ func (j *IncrementalJoiner) RestoreState(s *JoinerState) error {
 	if s == nil {
 		return nil
 	}
-	if len(j.fifo) > 0 || len(j.pending) > 0 {
-		return fmt.Errorf("zeek: joiner restore on a non-empty joiner")
+	if j.fifo.n > 0 || j.pending.n > 0 {
+		return fmt.Errorf("zeek: joiner restore on a non-empty joiner") //certchain:coldpath caller-bug error path
 	}
 	if s.WMSet {
 		j.wm, j.wmSet = s.WM.Time(), true
@@ -250,9 +405,11 @@ func (j *IncrementalJoiner) RestoreState(s *JoinerState) error {
 	for _, ms := range s.Certs {
 		m := ms.Meta()
 		j.certs[string(m.FP)] = m
-		j.fifo = append(j.fifo, string(m.FP))
+		*j.fifo.push() = string(m.FP)
 	}
-	j.pending = append(j.pending, s.Pending...)
+	for _, r := range s.Pending {
+		j.hold(r)
+	}
 	j.stats = s.Stats
 	return nil
 }

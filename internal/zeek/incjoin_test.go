@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"certchains/internal/certmodel"
 )
 
 // incFixture builds a small ts-sorted pair of record streams: certificates
@@ -140,9 +143,10 @@ func TestIncrementalJoinWatermarkHolds(t *testing.T) {
 }
 
 func TestIncrementalJoinChainOrderAndContent(t *testing.T) {
-	var conns []*Connection
+	// The emitted Connection is pooled: copy what outlives the callback.
+	var conns []Connection
 	j := NewIncrementalJoiner(0, 0, func(c *Connection) error {
-		conns = append(conns, c)
+		conns = append(conns, *c)
 		return nil
 	})
 	var emitted []string
@@ -268,5 +272,163 @@ func TestIncrementalJoinStateRoundTrip(t *testing.T) {
 		if stats != wantStats {
 			t.Errorf("split %d stats %+v, want %+v", split, stats, wantStats)
 		}
+	}
+}
+
+// TestIncrementalJoinHeldRowsSurviveDecoding is the pooled-row retention
+// test: the decoder reuses one SSLRecord and one fuid array for every line,
+// so a connection parked in the hold queue (watermark not yet past it) must
+// come out with the values of its own line, whatever was decoded — and
+// however the queue grew, wrapped and refilled — in between.
+func TestIncrementalJoinHeldRowsSurviveDecoding(t *testing.T) {
+	var got []SSLRecord
+	j := NewIncrementalJoiner(0, 0, func(c *Connection) error {
+		r := *c.SSL
+		r.CertChainFUIDs = append([]string(nil), r.CertChainFUIDs...)
+		got = append(got, r)
+		if len(c.Chain) != len(r.CertChainFUIDs) {
+			t.Errorf("%s: chain of %d for %d fuids", r.UID, len(c.Chain), len(r.CertChainFUIDs))
+		}
+		for i, m := range c.Chain {
+			if string(m.FP) != r.CertChainFUIDs[i] {
+				t.Errorf("%s: chain[%d] = %s, want %s", r.UID, i, m.FP, r.CertChainFUIDs[i])
+			}
+		}
+		return nil
+	})
+	cert := func(id string, sec int) {
+		t.Helper()
+		x := &X509Record{TS: ts0.Add(time.Duration(sec) * time.Second), ID: id, Subject: "CN=" + id, Issuer: "CN=ca"}
+		if err := j.AddX509(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fuidSets := [][]string{{"Fa", "Fb", "Fc"}, nil, {"Fc"}, {"Fb", "Fa"}}
+	for _, id := range []string{"Fa", "Fb", "Fc"} {
+		cert(id, 0)
+	}
+
+	dec := NewRowDecoder(false, &certmodel.Interner{})
+	if st, _ := dec.decodeSSL([]byte(strings.TrimSuffix(tsvSSLHeader[strings.Index(tsvSSLHeader, "#fields"):], "\n"))); st != rowNone {
+		t.Fatalf("header line decoded to status %d", st)
+	}
+	var want []SSLRecord
+	feed := func(n int) {
+		t.Helper()
+		for range n {
+			i := len(want)
+			r := SSLRecord{
+				TS: ts0.Add(time.Duration(i+1) * time.Second).UTC(), UID: fmt.Sprintf("C%03d", i),
+				OrigH: fmt.Sprintf("10.0.%d.%d", i/7, i%7), OrigP: 40000 + i, RespH: fmt.Sprintf("192.0.2.%d", i%5), RespP: 443 + i%3,
+				Version: "TLSv12", Cipher: fmt.Sprintf("CIPHER_%d", i%4), ServerName: fmt.Sprintf("host%d.example", i%9),
+				Resumed: i%2 == 0, Established: i%3 != 0, CertChainFUIDs: fuidSets[i%len(fuidSets)],
+			}
+			want = append(want, r)
+			var line strings.Builder
+			w := NewSSLWriter(&line, ts0)
+			if err := w.Write(&r); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			rows := strings.Split(strings.TrimSpace(line.String()), "\n")
+			if st, err := dec.decodeSSL([]byte(rows[len(rows)-1])); st != rowOK {
+				t.Fatalf("row %d: status %d, %v", i, st, err)
+			}
+			if err := j.AddSSL(&dec.ssl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(released int) {
+		t.Helper()
+		if len(got) != released {
+			t.Fatalf("%d connections released, want %d", len(got), released)
+		}
+		for i := range got {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("connection %d changed while held:\n got %+v\nwant %+v", i, got[i], want[i])
+			}
+		}
+	}
+
+	feed(40) // all held: the queue grows past its first arrays
+	check(0)
+	cert("Fd", 26) // watermark passes the first 25
+	check(25)
+	feed(30) // the queue wraps and refills slots whose rows already left
+	check(25)
+	if j.PendingDepth() != 45 {
+		t.Fatalf("pending depth %d, want 45", j.PendingDepth())
+	}
+	// A snapshot taken now must not alias the live slots either.
+	state := j.State()
+	feed(5)
+	for i, r := range state.Pending {
+		if !reflect.DeepEqual(*r, want[25+i]) {
+			t.Fatalf("snapshotted pending[%d] changed after the snapshot:\n got %+v\nwant %+v", i, *r, want[25+i])
+		}
+	}
+	if err := j.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	check(75)
+}
+
+// TestIncrementalJoinChainCacheFollowsEvictions pins the chain cache to the
+// index: once a certificate is evicted, a cached chain holding it must not
+// resurrect it, and a re-logged certificate must show up as the new record.
+func TestIncrementalJoinChainCacheFollowsEvictions(t *testing.T) {
+	var chains []certmodel.Chain
+	j := NewIncrementalJoiner(2, 0, func(c *Connection) error {
+		chains = append(chains, c.Chain)
+		return nil
+	})
+	at := func(s int) time.Time { return ts0.Add(time.Duration(s) * time.Second) }
+	cert := func(id, cn string, s int) {
+		t.Helper()
+		if err := j.AddX509(&X509Record{TS: at(s), ID: id, Subject: "CN=" + cn, Issuer: "CN=ca"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn := func(s int, fuids ...string) {
+		t.Helper()
+		if err := j.AddSSL(&SSLRecord{TS: at(s), UID: fmt.Sprint("C", s), CertChainFUIDs: fuids}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cert("F1", "one", 0)
+	cert("F2", "two", 0)
+	conn(1, "F1", "F2")
+	conn(2, "F1", "F2")
+	// F3's arrival evicts F1 before it releases the two connections, so both
+	// are orphans.
+	cert("F3", "three", 10)
+	if st := j.Stats(); st.Orphans != 2 || st.Joined != 0 || st.Evictions != 1 {
+		t.Fatalf("after eviction: %+v", st)
+	}
+	conn(11, "F2", "F3")
+	conn(12, "F2", "F3")
+	cert("F2", "dup", 20) // re-logged while still indexed: first record wins
+	if cs := j.CacheStats(); cs.ChainHits != 1 || cs.ChainEntries != 1 {
+		t.Fatalf("cache after two equal chains: %+v", cs)
+	}
+	if len(chains) != 2 || &chains[0][0] != &chains[1][0] {
+		t.Fatalf("equal fuid sequences did not share the canonical chain")
+	}
+	cert("F4", "four", 21) // evicts F2
+	conn(22, "F2", "F3")   // cached, but stale
+	cert("F2", "two-again", 30)
+	conn(31, "F2", "F3") // F3 was evicted by the re-logged F2
+	conn(32, "F4", "F2")
+	if err := j.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	if st := j.Stats(); st.Orphans != 4 || st.Joined != 3 {
+		t.Fatalf("final: %+v", st)
+	}
+	if got := chains[2][1].Subject.CommonName(); got != "two-again" {
+		t.Fatalf("re-logged certificate resolved to %q", got)
 	}
 }

@@ -1,86 +1,8 @@
-//certchain:hotpath — the byte-slice ND-JSON scanner runs once per log line.
+//certchain:hotpath — the ND-JSON tokenizer runs once per log line.
 
 package zeek
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"unicode/utf8"
-)
-
-// maxJSONLine mirrors the legacy JSONReader's bufio.Scanner token limit: a
-// line at or beyond this length (excluding the newline) is the same
-// too-long error the Scanner reports.
-const maxJSONLine = 1 << 24
-
-// jsonScanner is the zero-allocation analogue of JSONReader's line loop: it
-// reads ND-JSON lines into a reused row buffer. Line accounting (empty
-// lines count), carriage-return stripping, and the too-long and I/O error
-// strings are pinned byte-identical to JSONReader by the differential
-// fuzzer in equiv_fuzz_test.go.
-type jsonScanner struct {
-	br   *bufio.Reader
-	row  []byte
-	cur  []byte // current line view (row minus terminators)
-	line int
-	eof  bool
-}
-
-func newJSONScanner(r io.Reader) *jsonScanner {
-	return &jsonScanner{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
-func (s *jsonScanner) readLine() (terminated bool, err error) {
-	s.row = s.row[:0]
-	for {
-		chunk, err := s.br.ReadSlice('\n')
-		s.row = append(s.row, chunk...)
-		switch err {
-		case nil:
-			return true, nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			s.eof = true
-			return false, nil
-		default:
-			s.eof = true
-			return false, err //certchain:coldpath I/O error path
-		}
-	}
-}
-
-// scan advances to the next non-empty line. It returns false at end of
-// stream; the line is left in s.cur.
-func (s *jsonScanner) scan() (bool, error) {
-	for !s.eof {
-		terminated, err := s.readLine()
-		if err != nil {
-			return false, fmt.Errorf("zeek: json scan: %w", err) //certchain:coldpath I/O error path
-		}
-		row := s.row
-		if terminated {
-			row = row[:len(row)-1]
-		}
-		// The legacy Scanner rejects the token before stripping its \r.
-		if len(row) >= maxJSONLine {
-			return false, fmt.Errorf("zeek: json scan: %w", bufio.ErrTooLong) //certchain:coldpath malformed-stream error path
-		}
-		if n := len(row); n > 0 && row[n-1] == '\r' {
-			row = row[:n-1]
-		}
-		if terminated || len(row) > 0 {
-			s.line++
-		}
-		if len(row) == 0 {
-			continue
-		}
-		s.cur = row
-		return true, nil
-	}
-	return false, nil
-}
+import "unicode/utf8"
 
 // jsonTok is a minimal tokenizer over one ND-JSON line. It recognizes only
 // the flat, escape-free shape Zeek's writers emit; anything outside that

@@ -1,0 +1,112 @@
+package zeek
+
+import (
+	"encoding/json"
+	"fmt"
+	"strings"
+)
+
+// This file is the Record-based line decoding a Tailer built by NewTailer
+// runs: string lines in, generic Record maps out. The daemon does not use it
+// (its tailers decode typed rows through RowDecoder); it stays as the
+// benchmark's per-layer probe surface and as the independent oracle the
+// typed path is fuzzed against (FuzzStreamDecodeEquivalence).
+
+// LineDecoder turns raw log lines into generic Records. Implementations keep
+// whatever per-file state the format needs (the TSV header block); the tailer
+// resets the decoder on rotation, when the new file carries a new header.
+type LineDecoder interface {
+	// Decode parses one complete line. A nil record with nil error means the
+	// line carried no data (blank line, header directive, #close footer).
+	Decode(line string) (Record, error)
+	// Closed reports whether the stream has announced its end (#close for
+	// TSV; ND-JSON streams never do).
+	Closed() bool
+}
+
+// TSVDecoder decodes Zeek ASCII (TSV) log lines.
+type TSVDecoder struct {
+	header Header
+	closed bool
+	line   int
+}
+
+// NewTSVDecoder returns a decoder with no header state; the header block is
+// folded in as directive lines arrive.
+func NewTSVDecoder() *TSVDecoder { return &TSVDecoder{} }
+
+// Decode implements LineDecoder.
+func (d *TSVDecoder) Decode(line string) (Record, error) {
+	if line == "" {
+		return nil, nil
+	}
+	d.line++
+	if strings.HasPrefix(line, "#") {
+		if strings.HasPrefix(line, "#close") {
+			d.closed = true
+			return nil, nil
+		}
+		if strings.HasPrefix(line, "#open") {
+			// A writer reopening the same file after #close resumes the stream.
+			d.closed = false
+		}
+		parseDirective(&d.header, line)
+		return nil, nil
+	}
+	if len(d.header.Fields) == 0 {
+		return nil, fmt.Errorf("zeek: tail line %d: data before #fields header", d.line)
+	}
+	parts := strings.Split(line, Separator)
+	if len(parts) != len(d.header.Fields) {
+		return nil, fmt.Errorf("zeek: tail line %d: %d values for %d fields", d.line, len(parts), len(d.header.Fields))
+	}
+	rec := make(Record, len(parts))
+	for i, f := range d.header.Fields {
+		rec[f] = unescapeField(parts[i])
+	}
+	return rec, nil
+}
+
+// Closed implements LineDecoder.
+func (d *TSVDecoder) Closed() bool { return d.closed }
+
+// Header returns the header parsed so far.
+func (d *TSVDecoder) Header() Header { return d.header }
+
+// restore reinstates header state from a snapshot, so a tailer resuming
+// mid-file does not need to re-read the header block.
+func (d *TSVDecoder) restore(fields []string, closed bool) {
+	if len(fields) > 0 {
+		d.header.Fields = fields
+	}
+	d.closed = closed
+}
+
+// JSONDecoder decodes ND-JSON log lines. It is stateless: every line is a
+// self-contained object.
+type JSONDecoder struct {
+	line int
+}
+
+// NewJSONDecoder returns an ND-JSON line decoder.
+func NewJSONDecoder() *JSONDecoder { return &JSONDecoder{} }
+
+// Decode implements LineDecoder.
+func (d *JSONDecoder) Decode(line string) (Record, error) {
+	if line == "" {
+		return nil, nil
+	}
+	d.line++
+	var raw map[string]any
+	if err := json.Unmarshal([]byte(line), &raw); err != nil {
+		return nil, fmt.Errorf("zeek: tail json line %d: %w", d.line, err)
+	}
+	rec := make(Record, len(raw))
+	for k, v := range raw {
+		rec[k] = jsonValueToField(v)
+	}
+	return rec, nil
+}
+
+// Closed implements LineDecoder.
+func (d *JSONDecoder) Closed() bool { return false }

@@ -1,0 +1,942 @@
+//certchain:hotpath — the row decoder runs once per ssl.log/x509.log line, batch and streaming.
+
+package zeek
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"strconv"
+	"strings"
+	"time"
+
+	"certchains/internal/certmodel"
+	"certchains/internal/dn"
+)
+
+// RowDecoder is the one per-line decoder of the fast path: one complete log
+// line of bytes in (terminator and trailing \r already stripped), one typed
+// row out — an SSLRecord or an X509Row — with no I/O of its own. It carries
+// what decoding a stream needs between lines (the TSV #fields column map and
+// #close state) and the scratch it reuses, and nothing about where lines
+// come from or what a bad one means: the batch scanner (lineScanner) wraps it
+// in the legacy readers' fatal-error policy, the Tailer in the daemon's
+// count-and-continue policy.
+//
+// The decoded row is pooled: it, its CertChainFUIDs slice and an X509Row's
+// byte views are valid until the next decode call. Field strings are interned
+// or freshly copied, so they may be retained.
+//
+// Both formats decode here. TSV splits the line into byte views and resolves
+// escapes in place on access; ND-JSON runs the flat-object tokenizer
+// (jsonTok) and re-parses any line outside its subset through encoding/json
+// and the Record parsers — counted per reason in Fallbacks — so every input
+// decodes exactly as the legacy LineDecoder → Parse*Record path would.
+type RowDecoder struct {
+	json bool
+	strs *certmodel.Interner
+
+	// fields is the current #fields directive; gen bumps on every directive
+	// (and on reset) so the column maps know to recompute.
+	fields   []string
+	gen      int
+	closed   bool
+	cols     [][]byte // field views into the current line
+	sslCols  sslCols
+	x509Cols x509Cols
+
+	fuids   []string // backing array of ssl.CertChainFUIDs
+	scratch []byte
+	ssl     SSLRecord
+	x509    X509Row
+
+	fallbacks [len(FallbackReasons)]int64
+}
+
+// NewRowDecoder returns a decoder for one log stream in TSV (or ND-JSON)
+// format. strs canonicalizes repeated field values; the decoders of the two
+// streams of one join share it.
+func NewRowDecoder(ndjson bool, strs *certmodel.Interner) *RowDecoder {
+	return &RowDecoder{json: ndjson, strs: strs, sslCols: sslCols{gen: -1}, x509Cols: x509Cols{gen: -1}}
+}
+
+// rowStatus classifies what one line decoded to. The statuses past
+// rowRecordErr are lines the legacy LineDecoder rejects; which of them are
+// fatal is the caller's policy.
+type rowStatus uint8
+
+const (
+	rowNone       rowStatus = iota // blank line or header directive: no data
+	rowOK                          // a row, in d.ssl or d.x509
+	rowRecordErr                   // decoded, but Parse*Record rejects it (the error says why)
+	rowNoHeader                    // TSV data before any #fields directive
+	rowFieldCount                  // TSV value count differs from the #fields count
+	rowBadJSON                     // not a JSON object (the error is encoding/json's)
+)
+
+// FallbackReasons names why an ND-JSON line left the fast tokenizer, indexing
+// RowDecoder.Fallbacks: the line carries a backslash escape, it is valid JSON
+// of another shape (nested values, type surprises, sentinel collisions,
+// invalid UTF-8), or encoding/json rejects it too.
+var FallbackReasons = [...]string{"escape", "shape", "malformed"}
+
+const (
+	fallbackEscape = iota
+	fallbackShape
+	fallbackMalformed
+)
+
+// Fallbacks counts the ND-JSON lines decoded by the legacy parser instead of
+// the fast tokenizer, per FallbackReasons entry. TSV never falls back.
+func (d *RowDecoder) Fallbacks() [len(FallbackReasons)]int64 { return d.fallbacks }
+
+// Closed reports whether the stream has announced its end (#close).
+func (d *RowDecoder) Closed() bool { return d.closed }
+
+// reset forgets the stream state: the next file brings its own header.
+func (d *RowDecoder) reset() { d.restore(nil, false) }
+
+// header and restore expose the stream state a tailer snapshot persists.
+func (d *RowDecoder) header() (fields []string, closed bool) { return d.fields, d.closed }
+
+func (d *RowDecoder) restore(fields []string, closed bool) {
+	d.fields, d.closed = fields, closed
+	d.gen++
+}
+
+// decodeSSL decodes one ssl.log line into d.ssl.
+func (d *RowDecoder) decodeSSL(line []byte) (rowStatus, error) {
+	if len(line) == 0 {
+		return rowNone, nil
+	}
+	if d.json {
+		return d.sslJSON(line)
+	}
+	if st := d.splitTSV(line); st != rowOK {
+		return st, nil
+	}
+	if d.sslCols.gen != d.gen {
+		d.sslCols.refresh(d.fields, d.gen) //certchain:coldpath once per #fields directive
+	}
+	return d.sslTSV()
+}
+
+// decodeX509 decodes one x509.log line into d.x509.
+func (d *RowDecoder) decodeX509(line []byte) (rowStatus, error) {
+	if len(line) == 0 {
+		return rowNone, nil
+	}
+	if d.json {
+		return d.x509JSON(line)
+	}
+	if st := d.splitTSV(line); st != rowOK {
+		return st, nil
+	}
+	if d.x509Cols.gen != d.gen {
+		d.x509Cols.refresh(d.fields, d.gen) //certchain:coldpath once per #fields directive
+	}
+	d.x509TSV()
+	return d.x509.status()
+}
+
+// ---- TSV ----
+
+// splitTSV folds a directive line into the stream state, or cuts a data line
+// into d.cols.
+func (d *RowDecoder) splitTSV(line []byte) rowStatus {
+	if line[0] == '#' {
+		d.directive(line)
+		return rowNone
+	}
+	if len(d.fields) == 0 {
+		return rowNoHeader
+	}
+	d.cols = d.cols[:0]
+	for {
+		i := bytes.IndexByte(line, '\t')
+		if i < 0 {
+			d.cols = append(d.cols, line)
+			break
+		}
+		d.cols = append(d.cols, line[:i])
+		line = line[i+1:]
+	}
+	if len(d.cols) != len(d.fields) {
+		return rowFieldCount
+	}
+	return rowOK
+}
+
+// directive folds one '#'-prefixed header line, with the legacy decoders'
+// matching: #close and #open by prefix, #fields by exact key. Other
+// directives (#separator, #types, ...) do not affect decoding.
+//
+//certchain:coldpath once per directive line, not per record
+func (d *RowDecoder) directive(row []byte) {
+	const fieldsKey = "#fields"
+	switch {
+	case bytes.HasPrefix(row, []byte("#close")):
+		d.closed = true
+	case bytes.HasPrefix(row, []byte("#open")):
+		// A writer reopening the same file after #close resumes the stream.
+		d.closed = false
+	case bytes.HasPrefix(row, []byte(fieldsKey+Separator)):
+		d.fields = strings.Split(string(row[len(fieldsKey)+1:]), Separator)
+		d.gen++
+	case string(row) == fieldsKey:
+		// No separator at all: the legacy parse maps the empty rest to one
+		// empty field name.
+		d.fields = []string{""}
+		d.gen++
+	}
+}
+
+// sslCols maps the ssl schema onto the current #fields directive;
+// duplicate names keep the last column, like Record construction.
+type sslCols struct {
+	gen                                 int
+	ts, uid, origH, origP, respH, respP int
+	version, cipher, serverName         int
+	resumed, established, chain         int
+}
+
+func (c *sslCols) refresh(fields []string, gen int) {
+	*c = sslCols{gen: gen, ts: -1, uid: -1, origH: -1, origP: -1, respH: -1, respP: -1,
+		version: -1, cipher: -1, serverName: -1, resumed: -1, established: -1, chain: -1}
+	for i, f := range fields {
+		switch f {
+		case "ts":
+			c.ts = i
+		case "uid":
+			c.uid = i
+		case "id.orig_h":
+			c.origH = i
+		case "id.orig_p":
+			c.origP = i
+		case "id.resp_h":
+			c.respH = i
+		case "id.resp_p":
+			c.respP = i
+		case "version":
+			c.version = i
+		case "cipher":
+			c.cipher = i
+		case "server_name":
+			c.serverName = i
+		case "resumed":
+			c.resumed = i
+		case "established":
+			c.established = i
+		case "cert_chain_fuids":
+			c.chain = i
+		}
+	}
+}
+
+type x509Cols struct {
+	gen                                   int
+	ts, id, serial, subject, issuer       int
+	nvb, nva, sigAlg, keyType, keyLen, bc int
+	san                                   int
+}
+
+func (c *x509Cols) refresh(fields []string, gen int) {
+	*c = x509Cols{gen: gen, ts: -1, id: -1, serial: -1, subject: -1, issuer: -1,
+		nvb: -1, nva: -1, sigAlg: -1, keyType: -1, keyLen: -1, bc: -1, san: -1}
+	for i, f := range fields {
+		switch f {
+		case "ts":
+			c.ts = i
+		case "id":
+			c.id = i
+		case "certificate.serial":
+			c.serial = i
+		case "certificate.subject":
+			c.subject = i
+		case "certificate.issuer":
+			c.issuer = i
+		case "certificate.not_valid_before":
+			c.nvb = i
+		case "certificate.not_valid_after":
+			c.nva = i
+		case "certificate.sig_alg":
+			c.sigAlg = i
+		case "certificate.key_type":
+			c.keyType = i
+		case "certificate.key_length":
+			c.keyLen = i
+		case "basic_constraints.ca":
+			c.bc = i
+		case "san.dns":
+			c.san = i
+		}
+	}
+}
+
+// field returns the unescaped bytes of column c and whether the field is
+// set: the unset sentinel maps to absent, the empty sentinel to a present
+// empty value — Record.Get over byte views. Each column must be accessed at
+// most once per row (unescaping rewrites the view in place). c < 0 means
+// the header lacks the field.
+func (d *RowDecoder) field(c int) ([]byte, bool) {
+	if c < 0 {
+		return nil, false
+	}
+	v := unescapeInPlace(d.cols[c])
+	d.cols[c] = v
+	if string(v) == UnsetField {
+		return nil, false
+	}
+	if string(v) == EmptyField {
+		return v[:0], true
+	}
+	return v, true
+}
+
+// fieldTime parses a Zeek time column — Record.GetTime over byte views.
+func (d *RowDecoder) fieldTime(c int) (time.Time, bool) {
+	v, ok := d.field(c)
+	if !ok {
+		return time.Time{}, false
+	}
+	f, ok := parseFloatBytes(v)
+	if !ok {
+		return time.Time{}, false
+	}
+	return epochToTime(f), true
+}
+
+// fieldInt parses a count/int column — Record.GetInt over byte views.
+func (d *RowDecoder) fieldInt(c int) (int, bool) {
+	v, ok := d.field(c)
+	if !ok {
+		return 0, false
+	}
+	return parseIntBytes(v)
+}
+
+// fieldBool parses a Zeek bool column — Record.GetBool over byte views.
+func (d *RowDecoder) fieldBool(c int) (value, present bool) {
+	v, ok := d.field(c)
+	if !ok {
+		return false, false
+	}
+	return string(v) == "T", true
+}
+
+// fieldInterned reads a scalar string column into the interner; absent
+// fields become "" exactly as Record.Get's callers see them.
+func (d *RowDecoder) fieldInterned(c int) string {
+	v, ok := d.field(c)
+	if !ok {
+		return ""
+	}
+	return d.strs.Bytes(v)
+}
+
+// fieldVector splits a vector column into dst (a fresh slice when nil),
+// interning each element — Record.GetVector over byte views.
+func (d *RowDecoder) fieldVector(c int, dst []string) []string {
+	v, ok := d.field(c)
+	if !ok || len(v) == 0 {
+		return nil
+	}
+	if dst == nil {
+		dst = make([]string, 0, bytes.Count(v, []byte{','})+1)
+	}
+	for {
+		i := bytes.IndexByte(v, ',')
+		if i < 0 {
+			return append(dst, d.strs.Bytes(v))
+		}
+		dst = append(dst, d.strs.Bytes(v[:i]))
+		v = v[i+1:]
+	}
+}
+
+func (d *RowDecoder) sslTSV() (rowStatus, error) {
+	c := &d.sslCols
+	d.ssl = SSLRecord{}
+	r := &d.ssl
+	var ok bool
+	if r.TS, ok = d.fieldTime(c.ts); !ok {
+		return rowRecordErr, errSSLMissingTS
+	}
+	uid, _ := d.field(c.uid)
+	if len(uid) == 0 {
+		return rowRecordErr, errSSLMissingUID
+	}
+	r.UID = string(uid)
+	r.OrigH = d.fieldInterned(c.origH)
+	r.OrigP, _ = d.fieldInt(c.origP)
+	r.RespH = d.fieldInterned(c.respH)
+	r.RespP, _ = d.fieldInt(c.respP)
+	r.Version = d.fieldInterned(c.version)
+	r.Cipher = d.fieldInterned(c.cipher)
+	r.ServerName = d.fieldInterned(c.serverName)
+	r.Resumed, _ = d.fieldBool(c.resumed)
+	r.Established, _ = d.fieldBool(c.established)
+	if r.CertChainFUIDs = d.fieldVector(c.chain, d.fuids[:0]); r.CertChainFUIDs != nil {
+		d.fuids = r.CertChainFUIDs
+	}
+	return rowOK, nil
+}
+
+// X509Row is one decoded x509.log row: the fields a certificate's Meta is
+// built from, the raw ones as byte views into the decoded line (valid until
+// the decoder's next line). The index builders look the id up first and only
+// parse the DNs of a certificate they have not seen.
+type X509Row struct {
+	ts, nvb, nva time.Time
+	tsOK         bool
+	id           []byte
+	serial       []byte
+	subject      []byte
+	issuer       []byte
+	keyType      string
+	sigAlg       string
+	keyLen       int
+	bcVal, bcSet bool
+	san          []string // retained by the Meta: never the decoder's scratch
+}
+
+func (d *RowDecoder) x509TSV() {
+	c := &d.x509Cols
+	d.x509 = X509Row{}
+	row := &d.x509
+	row.ts, row.tsOK = d.fieldTime(c.ts)
+	row.id, _ = d.field(c.id)
+	row.serial, _ = d.field(c.serial)
+	row.subject, _ = d.field(c.subject)
+	row.issuer, _ = d.field(c.issuer)
+	row.nvb, _ = d.fieldTime(c.nvb)
+	row.nva, _ = d.fieldTime(c.nva)
+	row.sigAlg = d.fieldInterned(c.sigAlg)
+	row.keyType = d.fieldInterned(c.keyType)
+	row.keyLen, _ = d.fieldInt(c.keyLen)
+	row.bcVal, row.bcSet = d.fieldBool(c.bc)
+	row.san = d.fieldVector(c.san, nil)
+}
+
+// status is ParseX509Record's verdict on a decoded row.
+func (r *X509Row) status() (rowStatus, error) {
+	if !r.tsOK {
+		return rowRecordErr, errX509MissingTS
+	}
+	if len(r.id) == 0 {
+		return rowRecordErr, errX509MissingID
+	}
+	return rowOK, nil
+}
+
+// fromRecord loads a typed record into the row form, so the legacy-parsed
+// rows (ND-JSON fallback lines, the Record entry points) index through the
+// same code as fast-decoded ones.
+//
+//certchain:coldpath anomalous-line fallback and Record probe surface
+func (r *X509Row) fromRecord(x *X509Record) {
+	*r = X509Row{
+		ts: x.TS, tsOK: true, nvb: x.NotValidBefore, nva: x.NotValidAfter,
+		id: []byte(x.ID), serial: []byte(x.Serial),
+		subject: []byte(x.Subject), issuer: []byte(x.Issuer),
+		keyType: x.KeyType, sigAlg: x.SigAlg, keyLen: x.KeyLength, san: x.SANDNS,
+	}
+	if x.BasicConstraintsCA != nil {
+		r.bcVal, r.bcSet = *x.BasicConstraintsCA, true
+	}
+}
+
+// meta builds the certificate model of a row whose id is new to the caller's
+// index — X509Record.ToMeta over byte views, error text included, with DN
+// parsing memoized in dns.
+func (r *X509Row) meta(dns *dn.Interner) (*certmodel.Meta, error) {
+	issuer, err := dns.Parse(r.issuer)
+	if err != nil {
+		return nil, fmt.Errorf("zeek: x509 %s: bad issuer: %w", r.id, err) //certchain:coldpath malformed-record error path
+	}
+	subject, err := dns.Parse(r.subject)
+	if err != nil {
+		return nil, fmt.Errorf("zeek: x509 %s: bad subject: %w", r.id, err) //certchain:coldpath malformed-record error path
+	}
+	m := &certmodel.Meta{
+		FP:        certmodel.Fingerprint(r.id),
+		Issuer:    issuer,
+		Subject:   subject,
+		SerialHex: strings.ToLower(string(r.serial)),
+		NotBefore: r.nvb,
+		NotAfter:  r.nva,
+		KeyAlg:    certmodel.KeyAlgorithm(r.keyType),
+		KeyBits:   r.keyLen,
+		SigAlg:    r.sigAlg,
+		SAN:       r.san,
+	}
+	switch {
+	case !r.bcSet:
+		m.BC = certmodel.BCAbsent
+	case r.bcVal:
+		m.BC = certmodel.BCTrue
+	default:
+		m.BC = certmodel.BCFalse
+	}
+	return m, nil
+}
+
+// ---- ND-JSON ----
+
+// JSON key dispatch tables; 0 means "not a schema field, skip".
+const (
+	jkTS = 1 + iota
+	jkUID
+	jkOrigH
+	jkOrigP
+	jkRespH
+	jkRespP
+	jkVersion
+	jkCipher
+	jkServerName
+	jkResumed
+	jkEstablished
+	jkChain
+	jkID
+	jkSerial
+	jkSubject
+	jkIssuer
+	jkNVB
+	jkNVA
+	jkKeyAlg
+	jkSigAlg
+	jkKeyType
+	jkKeyLen
+	jkBC
+	jkSAN
+	jkX509Version
+)
+
+var sslJSONKey = map[string]int{
+	"ts": jkTS, "uid": jkUID, "id.orig_h": jkOrigH, "id.orig_p": jkOrigP,
+	"id.resp_h": jkRespH, "id.resp_p": jkRespP, "version": jkVersion,
+	"cipher": jkCipher, "server_name": jkServerName, "resumed": jkResumed,
+	"established": jkEstablished, "cert_chain_fuids": jkChain,
+}
+
+var x509JSONKey = map[string]int{
+	"ts": jkTS, "id": jkID, "certificate.version": jkX509Version,
+	"certificate.serial": jkSerial, "certificate.subject": jkSubject,
+	"certificate.issuer": jkIssuer, "certificate.not_valid_before": jkNVB,
+	"certificate.not_valid_after": jkNVA, "certificate.key_alg": jkKeyAlg,
+	"certificate.sig_alg": jkSigAlg, "certificate.key_type": jkKeyType,
+	"certificate.key_length": jkKeyLen, "basic_constraints.ca": jkBC,
+	"san.dns": jkSAN,
+}
+
+func (d *RowDecoder) sslJSON(line []byte) (rowStatus, error) {
+	rowErr, fastOK := d.sslJSONFast(line)
+	if !fastOK {
+		rec, err := d.legacyJSONRecord(line) //certchain:coldpath anomalous-line fallback
+		if err != nil {
+			return rowBadJSON, err
+		}
+		sr, err := ParseSSLRecord(rec)
+		if err != nil {
+			return rowRecordErr, err
+		}
+		d.ssl = *sr
+		return rowOK, nil
+	}
+	if rowErr != nil {
+		return rowRecordErr, rowErr
+	}
+	return rowOK, nil
+}
+
+func (d *RowDecoder) x509JSON(line []byte) (rowStatus, error) {
+	if !d.x509JSONFast(line) {
+		rec, err := d.legacyJSONRecord(line) //certchain:coldpath anomalous-line fallback
+		if err != nil {
+			return rowBadJSON, err
+		}
+		xr, err := ParseX509Record(rec)
+		if err != nil {
+			return rowRecordErr, err
+		}
+		d.x509.fromRecord(xr)
+	}
+	return d.x509.status()
+}
+
+// legacyJSONRecord is the exact fallback: the legacy readers' per-line
+// conversion, counted by why the fast tokenizer gave the line up. The error
+// is encoding/json's own; callers add their line context.
+//
+//certchain:coldpath anomalous-line fallback
+func (d *RowDecoder) legacyJSONRecord(line []byte) (Record, error) {
+	var raw map[string]any
+	if err := json.Unmarshal(line, &raw); err != nil {
+		d.fallbacks[fallbackMalformed]++
+		return nil, err
+	}
+	if bytes.IndexByte(line, '\\') >= 0 {
+		d.fallbacks[fallbackEscape]++
+	} else {
+		d.fallbacks[fallbackShape]++
+	}
+	rec := make(Record, len(raw))
+	for k, v := range raw {
+		rec[k] = jsonValueToField(v)
+	}
+	return rec, nil
+}
+
+// jsonString parses a scalar string value with Record.Get's sentinel
+// semantics: null and the unset sentinel yield "", as does the empty
+// sentinel and the empty string. ok=false sends the line to the fallback.
+func (d *RowDecoder) jsonString(t *jsonTok, intern bool) (string, bool) {
+	switch t.peek() {
+	case '"':
+		s, ok := t.simpleString()
+		if !ok {
+			return "", false
+		}
+		if len(s) == 0 || string(s) == UnsetField || string(s) == EmptyField {
+			return "", true
+		}
+		if intern {
+			return d.strs.Bytes(s), true
+		}
+		return string(s), true
+	case 'n':
+		return "", t.literal("null")
+	}
+	return "", false
+}
+
+// jsonRawString parses a string value into a byte view with Record.Get's
+// sentinel semantics (null/unset → nil absent view, empty sentinel → empty
+// present view). The view is only valid until the next line.
+func (t *jsonTok) jsonRawString() ([]byte, bool) {
+	switch t.peek() {
+	case '"':
+		s, ok := t.simpleString()
+		if !ok {
+			return nil, false
+		}
+		if string(s) == UnsetField {
+			return nil, true
+		}
+		if string(s) == EmptyField {
+			return s[:0], true
+		}
+		return s, true
+	case 'n':
+		return nil, t.literal("null")
+	}
+	return nil, false
+}
+
+// jsonTime parses a numeric time value; null means absent.
+func (t *jsonTok) jsonTime() (ts time.Time, set, ok bool) {
+	switch c := t.peek(); {
+	case c == '-' || (c >= '0' && c <= '9'):
+		f, ok := t.number()
+		if !ok {
+			return time.Time{}, false, false
+		}
+		return epochToTime(f), true, true
+	case c == 'n':
+		return time.Time{}, false, t.literal("null")
+	}
+	return time.Time{}, false, false
+}
+
+// jsonInt parses a numeric value with the legacy float-render/Atoi round
+// trip's semantics; null and non-integral values yield 0.
+func (d *RowDecoder) jsonInt(t *jsonTok) (int, bool) {
+	switch c := t.peek(); {
+	case c == '-' || (c >= '0' && c <= '9'):
+		f, ok := t.number()
+		if !ok {
+			return 0, false
+		}
+		return d.intFromFloat(f), true
+	case c == 'n':
+		return 0, t.literal("null")
+	}
+	return 0, false
+}
+
+// intFromFloat reproduces jsonValueToField + Record.GetInt: format the
+// float and Atoi it. Safe integral floats take the direct path (their
+// shortest 'f' rendering is the same integer); everything else replays the
+// render/parse pair exactly.
+func (d *RowDecoder) intFromFloat(f float64) int {
+	if f == math.Trunc(f) && f >= -(1<<53) && f <= 1<<53 {
+		return int(f)
+	}
+	d.scratch = strconv.AppendFloat(d.scratch[:0], f, 'f', -1, 64) //certchain:coldpath rare shape, exact-oracle fallback
+	n, _ := parseIntBytes(d.scratch)
+	return n
+}
+
+func (t *jsonTok) jsonBool() (v, ok bool) {
+	switch t.peek() {
+	case 't':
+		return true, t.literal("true")
+	case 'f':
+		return false, t.literal("false")
+	case 'n':
+		return false, t.literal("null")
+	}
+	return false, false
+}
+
+// jsonVector parses an array of plain strings that survive the legacy
+// join-then-split round trip unchanged: non-empty, comma-free, non-sentinel
+// elements. Anything else (including whole-array sentinel collisions)
+// falls back. dst may be a reused scratch slice.
+func (d *RowDecoder) jsonVector(t *jsonTok, dst []string) ([]string, bool) {
+	switch t.peek() {
+	case '[':
+	case 'n':
+		return nil, t.literal("null")
+	default:
+		return nil, false
+	}
+	t.i++
+	if t.peek() == ']' {
+		t.i++
+		return nil, true // empty vector renders as the empty sentinel: nil
+	}
+	for {
+		t.ws()
+		el, ok := t.simpleString()
+		if !ok {
+			return nil, false
+		}
+		if len(el) == 0 || bytes.IndexByte(el, ',') >= 0 ||
+			string(el) == UnsetField || string(el) == EmptyField {
+			return nil, false
+		}
+		dst = append(dst, d.strs.Bytes(el))
+		switch t.peek() {
+		case ',':
+			t.i++
+		case ']':
+			t.i++
+			return dst, true
+		default:
+			return nil, false
+		}
+	}
+}
+
+// sslJSONFast decodes one flat ND-JSON ssl row into the pooled record.
+// fastOK=false means the line is outside the tokenizer's subset and must be
+// re-parsed through the legacy path.
+func (d *RowDecoder) sslJSONFast(line []byte) (rowErr error, fastOK bool) {
+	t := jsonTok{b: line}
+	if t.peek() != '{' {
+		return nil, false
+	}
+	t.i++
+	d.ssl = SSLRecord{}
+	r := &d.ssl
+	tsSet := false
+	if t.peek() == '}' {
+		t.i++
+	} else {
+	fields:
+		for {
+			t.ws()
+			k, ok := t.simpleString()
+			if !ok || t.peek() != ':' {
+				return nil, false
+			}
+			t.i++
+			switch sslJSONKey[string(k)] {
+			case jkTS:
+				var ok bool
+				if r.TS, tsSet, ok = t.jsonTime(); !ok {
+					return nil, false
+				}
+			case jkUID:
+				if r.UID, ok = d.jsonString(&t, false); !ok {
+					return nil, false
+				}
+			case jkOrigH:
+				if r.OrigH, ok = d.jsonString(&t, true); !ok {
+					return nil, false
+				}
+			case jkOrigP:
+				if r.OrigP, ok = d.jsonInt(&t); !ok {
+					return nil, false
+				}
+			case jkRespH:
+				if r.RespH, ok = d.jsonString(&t, true); !ok {
+					return nil, false
+				}
+			case jkRespP:
+				if r.RespP, ok = d.jsonInt(&t); !ok {
+					return nil, false
+				}
+			case jkVersion:
+				if r.Version, ok = d.jsonString(&t, true); !ok {
+					return nil, false
+				}
+			case jkCipher:
+				if r.Cipher, ok = d.jsonString(&t, true); !ok {
+					return nil, false
+				}
+			case jkServerName:
+				if r.ServerName, ok = d.jsonString(&t, true); !ok {
+					return nil, false
+				}
+			case jkResumed:
+				if r.Resumed, ok = t.jsonBool(); !ok {
+					return nil, false
+				}
+			case jkEstablished:
+				if r.Established, ok = t.jsonBool(); !ok {
+					return nil, false
+				}
+			case jkChain:
+				if r.CertChainFUIDs, ok = d.jsonVector(&t, d.fuids[:0]); !ok {
+					return nil, false
+				}
+				if r.CertChainFUIDs != nil {
+					d.fuids = r.CertChainFUIDs
+				}
+			default:
+				if !t.skipValue() {
+					return nil, false
+				}
+			}
+			switch t.peek() {
+			case ',':
+				t.i++
+			case '}':
+				t.i++
+				break fields
+			default:
+				return nil, false
+			}
+		}
+	}
+	t.ws()
+	if t.i != len(t.b) {
+		return nil, false
+	}
+	if !tsSet {
+		return errSSLMissingTS, true
+	}
+	if r.UID == "" {
+		return errSSLMissingUID, true
+	}
+	return nil, true
+}
+
+// x509JSONFast decodes one flat ND-JSON x509 row into d.x509; false routes
+// the line to the legacy fallback.
+func (d *RowDecoder) x509JSONFast(line []byte) bool {
+	t := jsonTok{b: line}
+	if t.peek() != '{' {
+		return false
+	}
+	t.i++
+	d.x509 = X509Row{}
+	row := &d.x509
+	var ok bool
+	if t.peek() == '}' {
+		t.i++
+	} else {
+	fields:
+		for {
+			t.ws()
+			k, okK := t.simpleString()
+			if !okK || t.peek() != ':' {
+				return false
+			}
+			t.i++
+			switch x509JSONKey[string(k)] {
+			case jkTS:
+				if row.ts, row.tsOK, ok = t.jsonTime(); !ok {
+					return false
+				}
+			case jkID:
+				if row.id, ok = t.jsonRawString(); !ok {
+					return false
+				}
+			case jkSerial:
+				if row.serial, ok = t.jsonRawString(); !ok {
+					return false
+				}
+			case jkSubject:
+				if row.subject, ok = t.jsonRawString(); !ok {
+					return false
+				}
+			case jkIssuer:
+				if row.issuer, ok = t.jsonRawString(); !ok {
+					return false
+				}
+			case jkNVB:
+				if row.nvb, _, ok = t.jsonTime(); !ok {
+					return false
+				}
+			case jkNVA:
+				if row.nva, _, ok = t.jsonTime(); !ok {
+					return false
+				}
+			case jkKeyAlg:
+				if _, ok = d.jsonString(&t, true); !ok {
+					return false
+				}
+			case jkSigAlg:
+				if row.sigAlg, ok = d.jsonString(&t, true); !ok {
+					return false
+				}
+			case jkKeyType:
+				if row.keyType, ok = d.jsonString(&t, true); !ok {
+					return false
+				}
+			case jkKeyLen:
+				if row.keyLen, ok = d.jsonInt(&t); !ok {
+					return false
+				}
+			case jkBC:
+				if t.peek() == 'n' {
+					if !t.literal("null") {
+						return false
+					}
+				} else {
+					if row.bcVal, ok = t.jsonBool(); !ok {
+						return false
+					}
+					row.bcSet = true
+				}
+			case jkSAN:
+				if row.san, ok = d.jsonVector(&t, nil); !ok {
+					return false
+				}
+			case jkX509Version:
+				if _, ok = d.jsonInt(&t); !ok {
+					return false
+				}
+			default:
+				if !t.skipValue() {
+					return false
+				}
+			}
+			switch t.peek() {
+			case ',':
+				t.i++
+			case '}':
+				t.i++
+				break fields
+			default:
+				return false
+			}
+		}
+	}
+	t.ws()
+	return t.i == len(t.b)
+}

@@ -1,4 +1,4 @@
-//certchain:hotpath — the byte-slice TSV scanner runs once per log line.
+//certchain:hotpath — the batch line scanner runs once per log line.
 
 package zeek
 
@@ -11,31 +11,37 @@ import (
 	"time"
 )
 
-// tsvScanner is the zero-allocation analogue of Reader: it reads a Zeek
-// ASCII log line by line into a reused row buffer and splits fields as byte
-// views, resolving escapes in place on access. Its observable behaviour —
-// line accounting, header handling, truncation tolerance, and every error
-// string — is pinned byte-identical to Reader by the differential fuzzers
-// in equiv_fuzz_test.go.
-type tsvScanner struct {
+// maxJSONLine mirrors the legacy JSONReader's bufio.Scanner token limit: a
+// line at or beyond this length (excluding the newline) is the same
+// too-long error the Scanner reports.
+const maxJSONLine = 1 << 24
+
+// lineScanner is the batch half of the fast path: it reads a log stream line
+// by line into a reused buffer and hands each line to a RowDecoder, wrapping
+// it in the legacy readers' policy — a malformed line ends the stream with an
+// error, except the fragment a mid-write truncation leaves at the end. Line
+// accounting, terminator handling, truncation tolerance and every error
+// string are pinned byte-identical to Reader (TSV) and JSONReader (ND-JSON)
+// by the differential fuzzers in equiv_fuzz_test.go.
+type lineScanner struct {
 	br   *bufio.Reader
-	row  []byte   // owned copy of the current line; cols alias it
-	cols [][]byte // field views into row, escapes resolved lazily per access
-	// fields is the current #fields directive; gen bumps on every directive
-	// so decoders know to recompute their column indices.
-	fields []string
-	gen    int
-	line   int
-	eof    bool
+	json bool
+	row  []byte // owned copy of the current line; decoded views alias it
+	// cur is the current line (row minus terminators); terminated is whether
+	// a newline ended it.
+	cur        []byte
+	terminated bool
+	line       int
+	eof        bool
 }
 
-func newTSVScanner(r io.Reader) *tsvScanner {
-	return &tsvScanner{br: bufio.NewReaderSize(r, 1<<16)}
+func newLineScanner(r io.Reader, json bool) *lineScanner {
+	return &lineScanner{br: bufio.NewReaderSize(r, 1<<16), json: json}
 }
 
 // readLine accumulates one line into s.row and reports whether it was
 // newline-terminated. The row buffer is reused across lines.
-func (s *tsvScanner) readLine() (terminated bool, err error) {
+func (s *lineScanner) readLine() (terminated bool, err error) {
 	s.row = s.row[:0]
 	for {
 		chunk, err := s.br.ReadSlice('\n')
@@ -55,151 +61,64 @@ func (s *tsvScanner) readLine() (terminated bool, err error) {
 	}
 }
 
-// scan advances to the next data row, handling directives and the same
-// mid-write tolerance Reader documents. It returns false at end of stream.
-func (s *tsvScanner) scan() (bool, error) {
+// scan advances to the next line worth decoding, left in s.cur. It returns
+// false at end of stream. TSV counts non-empty lines and drops a directive
+// fragment cut mid-write; ND-JSON counts every terminated line, as the
+// legacy Scanner does.
+func (s *lineScanner) scan() (bool, error) {
 	for !s.eof {
 		terminated, err := s.readLine()
 		if err != nil {
+			if s.json {
+				return false, fmt.Errorf("zeek: json scan: %w", err) //certchain:coldpath I/O error path
+			}
 			return false, fmt.Errorf("zeek: read: %w", err) //certchain:coldpath I/O error path
 		}
 		row := s.row
 		if terminated {
 			row = row[:len(row)-1]
 		}
+		// The legacy Scanner rejects the token before stripping its \r.
+		if s.json && len(row) >= maxJSONLine {
+			return false, fmt.Errorf("zeek: json scan: %w", bufio.ErrTooLong) //certchain:coldpath malformed-stream error path
+		}
 		if n := len(row); n > 0 && row[n-1] == '\r' {
 			row = row[:n-1]
+		}
+		if s.json && terminated || len(row) > 0 {
+			s.line++
 		}
 		if len(row) == 0 {
 			continue
 		}
-		s.line++
-		if row[0] == '#' {
-			if !terminated {
-				// A directive fragment cut mid-write: not yet a directive.
-				continue
-			}
-			s.directive(row)
+		if !s.json && row[0] == '#' && !terminated {
+			// A directive fragment cut mid-write: not yet a directive.
 			continue
 		}
-		if len(s.fields) == 0 {
-			return false, fmt.Errorf("zeek: line %d: data before #fields header", s.line) //certchain:coldpath malformed-stream error path
-		}
-		s.split(row)
-		if len(s.cols) != len(s.fields) {
-			if !terminated {
-				// The writer is mid-record; the fragment is not data yet.
-				continue
-			}
-			return false, fmt.Errorf("zeek: line %d: %d values for %d fields", s.line, len(s.cols), len(s.fields)) //certchain:coldpath malformed-line error path
-		}
+		s.cur, s.terminated = row, terminated
 		return true, nil
 	}
 	return false, nil
 }
 
-// directive folds one '#'-prefixed header line. Only #fields affects the
-// join; other directives (#separator, #types, #close, ...) are ignored
-// exactly as parseDirective ignores them for record decoding.
-func (s *tsvScanner) directive(row []byte) {
-	const prefix = "#fields\t"
-	switch {
-	case len(row) >= len(prefix) && string(row[:len(prefix)]) == prefix:
-		s.fields = splitFields(string(row[len(prefix):]))
-		s.gen++
-	case string(row) == "#fields": //certchain:coldpath once per directive line, not per record
-		// SplitN yields an empty rest, which Split maps to one empty name.
-		s.fields = []string{""}
-		s.gen++
-	}
-}
-
-// splitFields is strings.Split(rest, Separator) — one empty name for an
-// empty rest, matching the legacy header parse.
-func splitFields(rest string) []string {
-	out := make([]string, 0, 16)
-	for {
-		i := indexByteString(rest, '\t')
-		if i < 0 {
-			return append(out, rest)
+// reject is the batch policy for a line the decoder could not turn into a
+// row: the legacy readers' stream error, or nil for the fragment a writer
+// leaves mid-record, which is not data yet.
+//
+//certchain:coldpath malformed-stream error path
+func (s *lineScanner) reject(st rowStatus, cause error, d *RowDecoder) error {
+	switch st {
+	case rowNoHeader:
+		return fmt.Errorf("zeek: line %d: data before #fields header", s.line)
+	case rowFieldCount:
+		if !s.terminated {
+			return nil
 		}
-		out = append(out, rest[:i])
-		rest = rest[i+1:]
+		return fmt.Errorf("zeek: line %d: %d values for %d fields", s.line, len(d.cols), len(d.fields))
+	case rowBadJSON:
+		return fmt.Errorf("zeek: json line %d: %w", s.line, cause)
 	}
-}
-
-func indexByteString(s string, c byte) int {
-	for i := 0; i < len(s); i++ {
-		if s[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// split cuts row into tab-separated field views without copying.
-func (s *tsvScanner) split(row []byte) {
-	s.cols = s.cols[:0]
-	for {
-		i := bytes.IndexByte(row, '\t')
-		if i < 0 {
-			s.cols = append(s.cols, row)
-			return
-		}
-		s.cols = append(s.cols, row[:i])
-		row = row[i+1:]
-	}
-}
-
-// field returns the unescaped bytes of column c and whether the field is
-// set: the unset sentinel maps to absent, the empty sentinel to a present
-// empty value — Record.Get over byte views. Each column must be accessed at
-// most once per row (unescaping rewrites the view in place). c < 0 means
-// the header lacks the field.
-func (s *tsvScanner) field(c int) ([]byte, bool) {
-	if c < 0 {
-		return nil, false
-	}
-	v := unescapeInPlace(s.cols[c])
-	s.cols[c] = v
-	if string(v) == UnsetField {
-		return nil, false
-	}
-	if string(v) == EmptyField {
-		return v[:0], true
-	}
-	return v, true
-}
-
-// fieldTime parses a Zeek time column — Record.GetTime over byte views.
-func (s *tsvScanner) fieldTime(c int) (time.Time, bool) {
-	v, ok := s.field(c)
-	if !ok {
-		return time.Time{}, false
-	}
-	f, ok := parseFloatBytes(v)
-	if !ok {
-		return time.Time{}, false
-	}
-	return epochToTime(f), true
-}
-
-// fieldInt parses a count/int column — Record.GetInt over byte views.
-func (s *tsvScanner) fieldInt(c int) (int, bool) {
-	v, ok := s.field(c)
-	if !ok {
-		return 0, false
-	}
-	return parseIntBytes(v)
-}
-
-// fieldBool parses a Zeek bool column — Record.GetBool over byte views.
-func (s *tsvScanner) fieldBool(c int) (value, present bool) {
-	v, ok := s.field(c)
-	if !ok {
-		return false, false
-	}
-	return string(v) == "T", true
+	return nil
 }
 
 // unescapeInPlace resolves the Zeek writer's escapes, rewriting b in place

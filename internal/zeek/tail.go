@@ -1,14 +1,14 @@
+//certchain:hotpath — the tailer's line loop runs once per log line the daemon ingests.
+
 package zeek
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
-	"strings"
 
 	"certchains/internal/resilience"
 )
@@ -24,105 +24,6 @@ import (
 // the downstream join is poll-independent (see incjoin.go), so the poll
 // cadence never changes analysis results.
 
-// LineDecoder turns raw log lines into generic Records. Implementations keep
-// whatever per-file state the format needs (the TSV header block); the tailer
-// resets the decoder on rotation, when the new file carries a new header.
-type LineDecoder interface {
-	// Decode parses one complete line. A nil record with nil error means the
-	// line carried no data (blank line, header directive, #close footer).
-	Decode(line string) (Record, error)
-	// Closed reports whether the stream has announced its end (#close for
-	// TSV; ND-JSON streams never do).
-	Closed() bool
-}
-
-// TSVDecoder decodes Zeek ASCII (TSV) log lines.
-type TSVDecoder struct {
-	header Header
-	closed bool
-	line   int
-}
-
-// NewTSVDecoder returns a decoder with no header state; the header block is
-// folded in as directive lines arrive.
-func NewTSVDecoder() *TSVDecoder { return &TSVDecoder{} }
-
-// Decode implements LineDecoder.
-func (d *TSVDecoder) Decode(line string) (Record, error) {
-	if line == "" {
-		return nil, nil
-	}
-	d.line++
-	if strings.HasPrefix(line, "#") {
-		if strings.HasPrefix(line, "#close") {
-			d.closed = true
-			return nil, nil
-		}
-		if strings.HasPrefix(line, "#open") {
-			// A writer reopening the same file after #close resumes the stream.
-			d.closed = false
-		}
-		parseDirective(&d.header, line)
-		return nil, nil
-	}
-	if len(d.header.Fields) == 0 {
-		return nil, fmt.Errorf("zeek: tail line %d: data before #fields header", d.line)
-	}
-	parts := strings.Split(line, Separator)
-	if len(parts) != len(d.header.Fields) {
-		return nil, fmt.Errorf("zeek: tail line %d: %d values for %d fields", d.line, len(parts), len(d.header.Fields))
-	}
-	rec := make(Record, len(parts))
-	for i, f := range d.header.Fields {
-		rec[f] = unescapeField(parts[i])
-	}
-	return rec, nil
-}
-
-// Closed implements LineDecoder.
-func (d *TSVDecoder) Closed() bool { return d.closed }
-
-// Header returns the header parsed so far.
-func (d *TSVDecoder) Header() Header { return d.header }
-
-// restore reinstates header state from a snapshot, so a tailer resuming
-// mid-file does not need to re-read the header block.
-func (d *TSVDecoder) restore(fields []string, closed bool) {
-	if len(fields) > 0 {
-		d.header.Fields = fields
-	}
-	d.closed = closed
-}
-
-// JSONDecoder decodes ND-JSON log lines. It is stateless: every line is a
-// self-contained object.
-type JSONDecoder struct {
-	line int
-}
-
-// NewJSONDecoder returns an ND-JSON line decoder.
-func NewJSONDecoder() *JSONDecoder { return &JSONDecoder{} }
-
-// Decode implements LineDecoder.
-func (d *JSONDecoder) Decode(line string) (Record, error) {
-	if line == "" {
-		return nil, nil
-	}
-	d.line++
-	var raw map[string]any
-	if err := json.Unmarshal([]byte(line), &raw); err != nil {
-		return nil, fmt.Errorf("zeek: tail json line %d: %w", d.line, err)
-	}
-	rec := make(Record, len(raw))
-	for k, v := range raw {
-		rec[k] = jsonValueToField(v)
-	}
-	return rec, nil
-}
-
-// Closed implements LineDecoder.
-func (d *JSONDecoder) Closed() bool { return false }
-
 // TailState is the serializable position of a tailer, persisted in daemon
 // snapshots so a restart resumes tailing where it left off. Offset always
 // points at a line boundary (partial reads are re-read after restore), so no
@@ -135,20 +36,117 @@ type TailState struct {
 	Closed    bool     `json:"closed,omitempty"`
 }
 
+// lineHandler is what the line-following loop drives: the per-file decode
+// state and the sink behind it. The loop hands it each complete line — a
+// sub-slice of the read buffer, valid only during the call, newline and
+// trailing \r stripped — and resets it when the path starts naming a new
+// file.
+type lineHandler interface {
+	// handleLine decodes and delivers one line. errMalformedLine reports a
+	// line the format rejects, which the tailer counts and survives; any
+	// other error is the sink's and ends the poll.
+	handleLine(line []byte) error
+	reset()
+	Closed() bool
+	// header and restore carry the TSV header state through TailState, so a
+	// tailer resuming mid-file does not need to re-read the header block.
+	header() (fields []string, closed bool)
+	restore(fields []string, closed bool)
+}
+
+var errMalformedLine = errors.New("zeek: malformed log line")
+
+// recordLines is the Record surface: a caller-supplied LineDecoder emitting
+// generic Records to the callback of the Poll in progress.
+type recordLines struct {
+	newDec func() LineDecoder
+	dec    LineDecoder
+	emit   func(Record) error
+}
+
+func (h *recordLines) handleLine(line []byte) error {
+	rec, err := h.dec.Decode(string(line)) //certchain:coldpath Record probe/oracle surface, not the daemon's path
+	if err != nil {
+		return errMalformedLine
+	}
+	if rec == nil {
+		return nil
+	}
+	return h.emit(rec)
+}
+
+func (h *recordLines) reset()       { h.dec = h.newDec() }
+func (h *recordLines) Closed() bool { return h.dec.Closed() }
+
+func (h *recordLines) header() ([]string, bool) {
+	if d, ok := h.dec.(*TSVDecoder); ok {
+		return d.header.Fields, d.closed
+	}
+	return nil, false
+}
+
+func (h *recordLines) restore(fields []string, closed bool) {
+	if d, ok := h.dec.(*TSVDecoder); ok {
+		d.restore(fields, closed)
+	}
+}
+
+// sslLines and x509Lines are the typed surface: a RowDecoder handing each
+// pooled row — or the error of a line that decodes but is no valid record —
+// to a fixed callback. The row is only valid until the callback returns.
+type sslLines struct {
+	*RowDecoder
+	fn func(*SSLRecord, error) error
+}
+
+func (h sslLines) handleLine(line []byte) error {
+	switch st, err := h.decodeSSL(line); st {
+	case rowNone:
+		return nil
+	case rowOK:
+		return h.fn(&h.ssl, nil)
+	case rowRecordErr:
+		return h.fn(nil, err)
+	}
+	return errMalformedLine
+}
+
+type x509Lines struct {
+	*RowDecoder
+	fn func(*X509Row, error) error
+}
+
+func (h x509Lines) handleLine(line []byte) error {
+	switch st, err := h.decodeX509(line); st {
+	case rowNone:
+		return nil
+	case rowOK:
+		return h.fn(&h.x509, nil)
+	case rowRecordErr:
+		return h.fn(nil, err)
+	}
+	return errMalformedLine
+}
+
 // Tailer follows one growing log file. All file I/O goes through a
 // resilience.FS, so a fault plan can fail opens, stats, and reads at chosen
 // points; a failed Poll leaves the tailer's position untouched (read faults
 // consume no bytes), so the caller just polls again.
 type Tailer struct {
-	path   string
-	newDec func() LineDecoder
-	dec    LineDecoder
-	fsys   resilience.FS
+	path string
+	h    lineHandler
+	fsys resilience.FS
 
 	f      resilience.File
-	offset int64  // bytes of fully processed lines in the current file
-	carry  []byte // bytes after offset still waiting for their newline
-	size   int64  // file size at the last poll, for lag reporting
+	offset int64 // bytes of fully processed lines in the current file
+	// buf is the one read buffer; buf[:held] are the bytes after offset not
+	// yet consumed, compacted to the front between reads. They are a partial
+	// line still waiting for its newline — unless the sink stopped a poll
+	// mid-buffer, which leaves whole lines held: rescan says to search them.
+	buf    []byte
+	held   int
+	rescan bool
+	size   int64 // file size at the last poll, for lag reporting
 
 	rotations int64
 	parseErrs int64
@@ -156,8 +154,9 @@ type Tailer struct {
 	resume TailState // pending seek target from Restore, applied on open
 }
 
-// NewTailer follows path, decoding lines with decoders from newDec. The file
-// does not need to exist yet; polls before it appears are no-ops.
+// NewTailer follows path, decoding lines into generic Records with decoders
+// from newDec — the probe and oracle surface; Poll and Finish drive it. The
+// file does not need to exist yet; polls before it appears are no-ops.
 func NewTailer(path string, newDec func() LineDecoder) *Tailer {
 	return NewTailerFS(path, newDec, resilience.OS)
 }
@@ -165,10 +164,28 @@ func NewTailer(path string, newDec func() LineDecoder) *Tailer {
 // NewTailerFS is NewTailer with an explicit filesystem — the seam chaos
 // tests use to inject open/stat/read faults.
 func NewTailerFS(path string, newDec func() LineDecoder, fsys resilience.FS) *Tailer {
+	return newTailer(path, &recordLines{newDec: newDec, dec: newDec()}, fsys)
+}
+
+// NewSSLTailerFS follows an ssl.log, decoding each line with dec and handing
+// fn the typed row — pooled: valid, with its CertChainFUIDs, only until fn
+// returns — or, with a nil row, the error of a line that decodes but is not
+// a valid record. Lines the format rejects are counted in ParseErrors.
+// PollRows and FinishRows drive it.
+func NewSSLTailerFS(path string, dec *RowDecoder, fn func(*SSLRecord, error) error, fsys resilience.FS) *Tailer {
+	return newTailer(path, sslLines{dec, fn}, fsys)
+}
+
+// NewX509TailerFS is NewSSLTailerFS for an x509.log.
+func NewX509TailerFS(path string, dec *RowDecoder, fn func(*X509Row, error) error, fsys resilience.FS) *Tailer {
+	return newTailer(path, x509Lines{dec, fn}, fsys)
+}
+
+func newTailer(path string, h lineHandler, fsys resilience.FS) *Tailer {
 	if fsys == nil {
 		fsys = resilience.OS
 	}
-	return &Tailer{path: path, newDec: newDec, dec: newDec(), fsys: fsys}
+	return &Tailer{path: path, h: h, fsys: fsys}
 }
 
 // Restore positions the tailer from a snapshot. Must be called before the
@@ -179,18 +196,13 @@ func (t *Tailer) Restore(s TailState) {
 	t.resume = s
 	t.rotations = s.Rotations
 	t.parseErrs = s.ParseErrs
-	if d, ok := t.dec.(*TSVDecoder); ok {
-		d.restore(s.TSVFields, s.Closed)
-	}
+	t.h.restore(s.TSVFields, s.Closed)
 }
 
 // State returns the serializable tailer position.
 func (t *Tailer) State() TailState {
 	s := TailState{Offset: t.offset, Rotations: t.rotations, ParseErrs: t.parseErrs}
-	if d, ok := t.dec.(*TSVDecoder); ok {
-		s.TSVFields = d.header.Fields
-		s.Closed = d.closed
-	}
+	s.TSVFields, s.Closed = t.h.header()
 	return s
 }
 
@@ -199,6 +211,25 @@ func (t *Tailer) State() TailState {
 // and rename rotation (path now names a different file): the remainder of a
 // rotated-away file is drained before switching to its replacement.
 func (t *Tailer) Poll(emit func(Record) error) error {
+	if err := t.setEmit(emit); err != nil {
+		return err
+	}
+	return t.PollRows()
+}
+
+// setEmit installs the callback of a Record-surface Poll or Finish.
+func (t *Tailer) setEmit(emit func(Record) error) error {
+	h, ok := t.h.(*recordLines)
+	if !ok {
+		return fmt.Errorf("zeek: tail %s: typed tailer has no Record surface", t.path) //certchain:coldpath caller-bug error path
+	}
+	h.emit = emit
+	return nil
+}
+
+// PollRows is Poll for a typed tailer: rows go to the callback it was built
+// with.
+func (t *Tailer) PollRows() error {
 	if t.f == nil {
 		if err := t.open(); err != nil || t.f == nil {
 			return err
@@ -206,20 +237,20 @@ func (t *Tailer) Poll(emit func(Record) error) error {
 	}
 	cur, err := t.f.Stat()
 	if err != nil {
-		return fmt.Errorf("zeek: tail %s: %w", t.path, err)
+		return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 	}
-	if cur.Size() < t.offset+int64(len(t.carry)) {
+	if cur.Size() < t.offset+int64(t.held) {
 		// Truncated in place: the writer restarted the file under us.
 		if _, err := t.f.Seek(0, io.SeekStart); err != nil {
-			return fmt.Errorf("zeek: tail %s: %w", t.path, err)
+			return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 		}
-		t.offset, t.carry = 0, nil
-		t.dec = t.newDec()
+		t.offset, t.held = 0, 0
+		t.h.reset()
 		t.rotations++
 	}
 	named, statErr := t.fsys.Stat(t.path)
 	rotated := statErr == nil && !os.SameFile(cur, named)
-	if err := t.consume(emit); err != nil {
+	if err := t.consume(); err != nil {
 		return err
 	}
 	if !rotated {
@@ -227,18 +258,18 @@ func (t *Tailer) Poll(emit func(Record) error) error {
 	}
 	// The old file is fully drained; a dangling partial line is the writer's
 	// final (unterminated) record — decode it before moving on.
-	if err := t.flushCarry(emit); err != nil {
+	if err := t.FinishRows(); err != nil {
 		return err
 	}
 	t.f.Close()
 	t.f = nil
 	t.offset = 0
-	t.dec = t.newDec()
+	t.h.reset()
 	t.rotations++
 	if err := t.open(); err != nil || t.f == nil {
 		return err
 	}
-	return t.consume(emit)
+	return t.consume()
 }
 
 // open opens the tailed path, applying any pending restore offset. A missing
@@ -249,22 +280,22 @@ func (t *Tailer) open() error {
 		return nil
 	}
 	if err != nil {
-		return fmt.Errorf("zeek: tail %s: %w", t.path, err)
+		return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 	}
 	t.f = f
 	if t.resume.Offset > 0 {
 		fi, err := f.Stat()
 		if err != nil {
-			return fmt.Errorf("zeek: tail %s: %w", t.path, err)
+			return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 		}
 		if fi.Size() >= t.resume.Offset {
 			if _, err := f.Seek(t.resume.Offset, io.SeekStart); err != nil {
-				return fmt.Errorf("zeek: tail %s: %w", t.path, err)
+				return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 			}
 			t.offset = t.resume.Offset
 		} else {
 			// Shorter than where we left off: rotated while down.
-			t.dec = t.newDec()
+			t.h.reset()
 			t.rotations++
 		}
 		t.resume = TailState{}
@@ -272,25 +303,44 @@ func (t *Tailer) open() error {
 	return nil
 }
 
-// consume reads to the current EOF, emitting every complete line.
-func (t *Tailer) consume(emit func(Record) error) error {
-	buf := make([]byte, 1<<16)
+// tailBufSize is the read buffer's initial size; it only grows when a single
+// line is longer.
+const tailBufSize = 1 << 16
+
+// consume reads to the current EOF, handing every complete line to the
+// handler as a view into the read buffer. The unterminated tail is compacted
+// to the buffer's front before each read, so the bytes held, the offset and
+// the file position stay consistent wherever a read fails or the sink stops.
+func (t *Tailer) consume() error {
 	for {
-		n, err := t.f.Read(buf)
+		if t.held == len(t.buf) {
+			// The first read, or a line longer than the buffer: make room.
+			grown := make([]byte, max(tailBufSize, 2*len(t.buf)))
+			copy(grown, t.buf[:t.held])
+			t.buf = grown
+		}
+		n, err := t.f.Read(t.buf[t.held:])
 		if n > 0 {
-			t.carry = append(t.carry, buf[:n]...)
+			// A held partial line has no newline: search only the new bytes.
+			end, pos, scan := t.held+n, 0, t.held
+			if t.rescan {
+				scan, t.rescan = 0, false
+			}
 			for {
-				i := bytes.IndexByte(t.carry, '\n')
+				i := bytes.IndexByte(t.buf[scan:end], '\n')
 				if i < 0 {
 					break
 				}
-				line := string(t.carry[:i])
-				t.carry = t.carry[i+1:]
-				t.offset += int64(i) + 1
-				if err := t.decodeLine(line, emit); err != nil {
-					return err
+				line := t.buf[pos : scan+i]
+				t.offset += int64(len(line)) + 1
+				pos = scan + i + 1
+				scan = pos
+				if herr := t.line(line); herr != nil {
+					t.held, t.rescan = copy(t.buf, t.buf[pos:end]), true
+					return herr
 				}
 			}
+			t.held = copy(t.buf, t.buf[pos:end])
 		}
 		if err == io.EOF {
 			if fi, serr := t.f.Stat(); serr == nil {
@@ -299,52 +349,56 @@ func (t *Tailer) consume(emit func(Record) error) error {
 			return nil
 		}
 		if err != nil {
-			return fmt.Errorf("zeek: tail %s: %w", t.path, err)
+			return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 		}
 	}
 }
 
-func (t *Tailer) decodeLine(line string, emit func(Record) error) error {
-	line = strings.TrimSuffix(line, "\r")
-	rec, err := t.dec.Decode(line)
-	if err != nil {
-		// Malformed lines are counted, not fatal: a daemon must outlive one
-		// corrupt record.
+// line strips the carriage return and applies the tailer's error policy:
+// malformed lines are counted, not fatal — a daemon must outlive one corrupt
+// record.
+func (t *Tailer) line(line []byte) error {
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	err := t.h.handleLine(line)
+	if err == errMalformedLine {
 		t.parseErrs++
 		return nil
 	}
-	if rec == nil {
-		return nil
-	}
-	return emit(rec)
-}
-
-// flushCarry decodes a dangling unterminated final line, used when the file
-// has reached its definite end (rotation or shutdown). Mid-record truncation
-// shows up as a parse error and is counted, matching the Reader's tolerance.
-func (t *Tailer) flushCarry(emit func(Record) error) error {
-	if len(t.carry) == 0 {
-		return nil
-	}
-	line := string(t.carry)
-	t.offset += int64(len(t.carry))
-	t.carry = nil
-	return t.decodeLine(line, emit)
+	return err
 }
 
 // Finish drains any unterminated final line. Call once when tailing ends for
 // good (daemon shutdown after the writer closed the stream).
 func (t *Tailer) Finish(emit func(Record) error) error {
-	return t.flushCarry(emit)
+	if err := t.setEmit(emit); err != nil {
+		return err
+	}
+	return t.FinishRows()
+}
+
+// FinishRows is Finish for a typed tailer. It decodes a dangling
+// unterminated final line, for a file that has reached its definite end
+// (rotation or shutdown). Mid-record truncation shows up as a parse error
+// and is counted, matching the Reader's tolerance.
+func (t *Tailer) FinishRows() error {
+	if t.held == 0 {
+		return nil
+	}
+	line := t.buf[:t.held]
+	t.offset += int64(t.held)
+	t.held = 0
+	return t.line(line)
 }
 
 // Closed reports whether the stream announced its end (#close).
-func (t *Tailer) Closed() bool { return t.dec.Closed() }
+func (t *Tailer) Closed() bool { return t.h.Closed() }
 
 // LagBytes is how far the last poll's file end is beyond what has been
 // processed — 0 when fully caught up.
 func (t *Tailer) LagBytes() int64 {
-	lag := t.size - t.offset - int64(len(t.carry))
+	lag := t.size - t.offset - int64(t.held)
 	if lag < 0 {
 		return 0
 	}

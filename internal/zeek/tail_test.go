@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -282,5 +283,63 @@ func TestTailerJSONLines(t *testing.T) {
 	}
 	if v, _ := got[0].Get("a"); v != "r2a" {
 		t.Errorf("completed a = %q", v)
+	}
+}
+
+// TestTailerLineLongerThanBuffer: the one read buffer grows for a line that
+// outsizes it — delivered across many reads, some ending mid-line — and the
+// lines around it still come out whole and in order.
+func TestTailerLineLongerThanBuffer(t *testing.T) {
+	path, write, _ := tailerFixtures(t)
+	tl := NewTailer(path, func() LineDecoder { return NewTSVDecoder() })
+	defer tl.Close()
+
+	long := strings.Repeat("x", 3*tailBufSize+17)
+	content := tailHeader + "r1a\tr1b\n" + long + "\tlb\nr3a"
+	write(content[:len(tailHeader)+tailBufSize]) // ends inside the long value
+	got := collectTail(t, tl)
+	write(content[len(tailHeader)+tailBufSize:])
+	got = append(got, collectTail(t, tl)...)
+	if err := tl.Finish(func(r Record) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || tl.ParseErrors() != 1 {
+		t.Fatalf("%d records, %d parse errors; want 2 records and the cut-off final line counted", len(got), tl.ParseErrors())
+	}
+	if v, _ := got[1].Get("a"); v != long {
+		t.Errorf("long value came back %d bytes, want %d", len(v), len(long))
+	}
+	if tl.Offset() != int64(len(content)) || tl.LagBytes() != 0 {
+		t.Errorf("offset %d, lag %d after draining %d bytes", tl.Offset(), tl.LagBytes(), len(content))
+	}
+}
+
+// TestTailerSinkErrorLosesNothing: when the sink stops a poll mid-buffer, the
+// lines behind the failing one stay held and the next poll delivers them.
+func TestTailerSinkErrorLosesNothing(t *testing.T) {
+	path, write, _ := tailerFixtures(t)
+	tl := NewTailer(path, func() LineDecoder { return NewTSVDecoder() })
+	defer tl.Close()
+	write(tailHeader + "r1a\tx\nr2a\tx\nr3a\tx\nr4a\tpart")
+
+	stop := fmt.Errorf("sink full")
+	var got []string
+	err := tl.Poll(func(r Record) error {
+		v, _ := r.Get("a")
+		got = append(got, v)
+		if v == "r2a" {
+			return stop
+		}
+		return nil
+	})
+	if err != stop {
+		t.Fatalf("poll error = %v, want the sink's", err)
+	}
+	write("ial\n")
+	if err := tl.Poll(func(r Record) error { v, _ := r.Get("a"); got = append(got, v); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"r1a", "r2a", "r3a", "r4a"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("got %v, want %v", got, want)
 	}
 }
