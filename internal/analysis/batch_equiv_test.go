@@ -170,18 +170,24 @@ func TestBatchChaosShortRead(t *testing.T) {
 	baseline := p.RunParallel(clean, 1)
 	baseText, baseJSON := renderings(t, baseline)
 
-	// Cut every early read short (1, 3, or 7 bytes) on both streams: the
-	// decoder's row accumulation must stitch records back together no matter
-	// where the cuts land relative to record and batch boundaries.
+	// Cut the first 128 reads of both streams short — to 1, 3 or 7 bytes, or
+	// to sizes that stop a read deep in a line — so the cuts run through the
+	// first ~1.8 MB: across many of the decoder's 128 KiB blocks, not just
+	// the first. Record and block boundaries must be stitched back together
+	// no matter where the cuts land.
+	if ssl.Len() < 2<<20 {
+		t.Fatalf("ssl.log is %d bytes; the rung needs one spanning many decode blocks", ssl.Len())
+	}
+	const cutReads = 128
 	plan := resilience.NewPlan()
-	for attempt := 1; attempt <= 64; attempt++ {
-		n := []int{1, 3, 7}[attempt%3]
+	for attempt := 1; attempt <= cutReads; attempt++ {
+		n := []int{1, 3, 7, 4093, 65521}[attempt%5]
 		plan.Add(resilience.Fault{Op: "ssl", Attempt: attempt, Kind: resilience.ShortRead, N: n})
 		plan.Add(resilience.Fault{Op: "x509", Attempt: attempt, Kind: resilience.ShortRead, N: n})
 	}
 	faulted := load(plan)
-	if plan.InjectedCount() == 0 {
-		t.Fatal("chaos rung injected no faults")
+	if got := plan.InjectedByOp()["ssl"]; got != cutReads {
+		t.Fatalf("chaos rung cut %d ssl reads, want %d", got, cutReads)
 	}
 	if len(faulted) != len(clean) {
 		t.Fatalf("faulted load produced %d observations, clean %d", len(faulted), len(clean))

@@ -5,7 +5,7 @@ package zeek
 import (
 	"fmt"
 	"io"
-	"strconv"
+	"runtime"
 
 	"certchains/internal/certmodel"
 	"certchains/internal/dn"
@@ -30,6 +30,10 @@ import (
 //   - Repeated strings (DNs, SNIs, addresses, algorithm names) are
 //     interned per call; certificates parse their DNs once per distinct
 //     string.
+//
+// ssl.log is decoded ahead of fn on runtime.GOMAXPROCS(0) worker goroutines
+// (block.go); fn itself always runs on the calling goroutine, in file order,
+// and the join returns only after every goroutine it started has exited.
 func FastJoin(ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
 	return fastJoin(false, ssl, x509, fn)
 }
@@ -44,120 +48,124 @@ func FastJoinJSON(ssl, x509 io.Reader, fn func(c *Connection, err error) error) 
 }
 
 func fastJoin(json bool, ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
+	return fastJoinBlocks(json, ssl, x509, fn, blockSize, runtime.GOMAXPROCS(0))
+}
+
+// fastJoinBlocks is fastJoin with its block size and worker count explicit —
+// the seam tests use to put block boundaries anywhere.
+func fastJoinBlocks(json bool, ssl, x509 io.Reader, fn func(c *Connection, err error) error, size, workers int) error {
 	j := &fastJoiner{chains: make(map[string]certmodel.Chain)}
-	certs, err := j.indexX509(newLineScanner(x509, json), NewRowDecoder(json, &j.strs))
+	j.ssl = NewRowDecoder(json, &j.strs)
+	blk := newBlock(size)
+	certs, err := j.indexX509(newBlockReader(x509, json, size), blk, NewRowDecoder(json, &j.strs))
 	if err != nil {
 		return err
 	}
-	return j.joinSSL(newLineScanner(ssl, json), NewRowDecoder(json, &j.strs), certs, fn)
+	return j.joinSSL(newBlockReader(ssl, json, size), blk, workers, certs, fn)
 }
 
 // fastJoiner carries the per-call join state: the interners the two
-// streams' decoders share, the canonical chain cache and the pooled
-// connection.
+// streams' decoders share, the canonical chain cache, the decoder that
+// materializes ssl rows and the pooled connection.
 type fastJoiner struct {
 	strs   certmodel.Interner
 	dns    dn.Interner
 	chains map[string]certmodel.Chain
 	keyBuf []byte
+	ssl    *RowDecoder
 	conn   Connection
 }
 
-// appendFUIDKey appends the chain-cache key of a fuid sequence:
-// length-prefixed, so no two sequences share a key.
-func appendFUIDKey(dst []byte, fuids []string) []byte {
-	for _, f := range fuids {
-		dst = strconv.AppendInt(dst, int64(len(f)), 10)
-		dst = append(dst, ':')
+// chainFor resolves the fuids of the row just materialized from v against
+// the certificate index, returning the canonical shared Chain for that
+// sequence and filling d.ssl.CertChainFUIDs. The cache key is the comma
+// list of fuids — no fuid holds a comma — and a chain's fingerprints are
+// its fuids, so a hit interns nothing. The per-row error for an unknown fuid
+// matches JoinRecords exactly.
+func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, line []byte, v *sslView) (certmodel.Chain, error) {
+	d := j.ssl
+	key := v.fuids.of(line)
+	if v.legacy != nil {
+		j.keyBuf = appendJoined(j.keyBuf[:0], v.legacy.CertChainFUIDs)
+		key = j.keyBuf
+	}
+	if len(key) == 0 {
+		return nil, nil
+	}
+	ch, ok := j.chains[string(key)]
+	if !ok {
+		d.internFUIDs(line, v)
+		ch = make(certmodel.Chain, 0, len(d.ssl.CertChainFUIDs))
+		for _, f := range d.ssl.CertChainFUIDs {
+			m, ok := certs[f]
+			if !ok {
+				return nil, fmt.Errorf("zeek: connection %s references unknown certificate %s", d.ssl.UID, f) //certchain:coldpath per-row join-gap error path
+			}
+			ch = append(ch, m)
+		}
+		j.chains[string(key)] = ch
+	}
+	d.fuids = d.fuids[:0]
+	for _, m := range ch {
+		d.fuids = append(d.fuids, string(m.FP))
+	}
+	d.ssl.CertChainFUIDs = d.fuids
+	return ch, nil
+}
+
+// appendJoined appends fuids joined by commas to dst.
+//
+//certchain:coldpath ND-JSON fallback rows only
+func appendJoined(dst []byte, fuids []string) []byte {
+	for i, f := range fuids {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
 		dst = append(dst, f...)
 	}
 	return dst
 }
 
-// chainFor resolves a fuid list against the certificate index, returning
-// the canonical shared Chain for that sequence. The per-row error for an
-// unknown fuid matches JoinRecords exactly.
-func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, uid string, fuids []string) (certmodel.Chain, error) {
-	if len(fuids) == 0 {
-		return nil, nil
-	}
-	j.keyBuf = appendFUIDKey(j.keyBuf[:0], fuids)
-	if ch, ok := j.chains[string(j.keyBuf)]; ok {
-		return ch, nil
-	}
-	ch := make(certmodel.Chain, 0, len(fuids))
-	for _, f := range fuids {
-		m, ok := certs[f]
-		if !ok {
-			return nil, fmt.Errorf("zeek: connection %s references unknown certificate %s", uid, f) //certchain:coldpath per-row join-gap error path
-		}
-		ch = append(ch, m)
-	}
-	j.chains[string(j.keyBuf)] = ch
-	return ch, nil
-}
-
-// joinSSL walks the ssl stream — the joined-row tail of JoinRecords: decode,
-// resolve the chain, route the row or its per-row error to the callback.
-func (j *fastJoiner) joinSSL(s *lineScanner, d *RowDecoder, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
-	for {
-		ok, err := s.scan()
-		if err != nil || !ok {
-			return err
-		}
-		st, rowErr := d.decodeSSL(s.cur)
-		switch st {
-		case rowNone:
-		case rowOK:
-			ch, joinErr := j.chainFor(certs, d.ssl.UID, d.ssl.CertChainFUIDs)
-			if joinErr != nil {
-				err = fn(nil, joinErr)
+// indexX509 reads the whole x509 stream into the certificate index, one
+// block at a time on the calling goroutine — the indexX509Records loop: a
+// row missing ts or id ends the stream, duplicates keep the first record,
+// and DNs are parsed only for first-seen ids.
+func (j *fastJoiner) indexX509(r *blockReader, blk *block, d *RowDecoder) (map[string]*certmodel.Meta, error) {
+	out := make(map[string]*certmodel.Meta)
+	for base := 0; ; {
+		r.fill(blk)
+		w := lineWalk{buf: blk.buf[:blk.n], json: d.json}
+		for {
+			line, st := w.next()
+			if st == rowNone {
 				break
 			}
-			j.conn = Connection{SSL: &d.ssl, Chain: ch}
-			err = fn(&j.conn, nil)
-		case rowRecordErr:
-			err = fn(nil, rowErr)
-		default:
-			err = s.reject(st, rowErr, d)
+			var rowErr error
+			if st == rowOK {
+				st, rowErr = d.decodeX509(line)
+			}
+			switch {
+			case st == rowOK:
+				if _, dup := out[string(d.x509.id)]; dup {
+					continue // Zeek logs a certificate once per observation; first wins
+				}
+				m, err := d.x509.meta(&j.dns)
+				if err != nil {
+					return nil, err
+				}
+				out[string(m.FP)] = m
+			case st == rowRecordErr:
+				return nil, rowErr
+			case w.fatal(st):
+				return nil, d.badLine(&w, st, rowErr).err(base)
+			}
 		}
-		if err != nil {
-			return err
+		if blk.err != nil {
+			return nil, blk.err
 		}
-	}
-}
-
-// indexX509 reads the whole x509 stream into the certificate index — the
-// indexX509Records loop: a row missing ts or id ends the stream, duplicates
-// keep the first record, and DNs are parsed only for first-seen ids.
-func (j *fastJoiner) indexX509(s *lineScanner, d *RowDecoder) (map[string]*certmodel.Meta, error) {
-	out := make(map[string]*certmodel.Meta)
-	for {
-		ok, err := s.scan()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
+		if blk.final {
 			return out, nil
 		}
-		st, rowErr := d.decodeX509(s.cur)
-		switch st {
-		case rowNone:
-		case rowOK:
-			if _, dup := out[string(d.x509.id)]; dup {
-				continue // Zeek logs a certificate once per observation; first wins
-			}
-			m, err := d.x509.meta(&j.dns)
-			if err != nil {
-				return nil, err
-			}
-			out[string(m.FP)] = m
-		case rowRecordErr:
-			return nil, rowErr
-		default:
-			if err := s.reject(st, rowErr, d); err != nil {
-				return nil, err
-			}
-		}
+		base += w.line
 	}
 }

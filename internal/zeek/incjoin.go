@@ -4,6 +4,7 @@ package zeek
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"certchains/internal/certmodel"
@@ -254,6 +255,17 @@ func (j *IncrementalJoiner) index(m *certmodel.Meta) {
 		j.stats.Evictions++
 		j.evictGen++
 	}
+}
+
+// appendFUIDKey appends the chain-cache key of a fuid sequence:
+// length-prefixed, so no two sequences share a key.
+func appendFUIDKey(dst []byte, fuids []string) []byte {
+	for _, f := range fuids {
+		dst = strconv.AppendInt(dst, int64(len(f)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, f...)
+	}
+	return dst
 }
 
 // chainFor resolves a fuid sequence against the index through the chain

@@ -37,28 +37,33 @@ func (t *jsonTok) peek() byte {
 // and only valid UTF-8 (encoding/json would rewrite invalid sequences), and
 // returns its contents as a view into the line.
 func (t *jsonTok) simpleString() ([]byte, bool) {
+	s, ok := t.simpleSpan()
+	return s.of(t.b), ok
+}
+
+// simpleSpan is simpleString as offsets into the line.
+func (t *jsonTok) simpleSpan() (span, bool) {
 	b := t.b
 	if t.i >= len(b) || b[t.i] != '"' {
-		return nil, false
+		return span{}, false
 	}
 	i := t.i + 1
 	start := i
 	for i < len(b) {
 		c := b[i]
 		if c == '"' {
-			s := b[start:i]
-			if !utf8.Valid(s) {
-				return nil, false
+			if !utf8.Valid(b[start:i]) {
+				return span{}, false
 			}
 			t.i = i + 1
-			return s, true
+			return mkSpan(start, i), true
 		}
 		if c == '\\' || c < 0x20 {
-			return nil, false
+			return span{}, false
 		}
 		i++
 	}
-	return nil, false
+	return span{}, false
 }
 
 // number scans a strict-grammar JSON number and converts it exactly as

@@ -20,19 +20,26 @@ import (
 // row out — an SSLRecord or an X509Row — with no I/O of its own. It carries
 // what decoding a stream needs between lines (the TSV #fields column map and
 // #close state) and the scratch it reuses, and nothing about where lines
-// come from or what a bad one means: the batch scanner (lineScanner) wraps it
-// in the legacy readers' fatal-error policy, the Tailer in the daemon's
+// come from or what a bad one means: the batch join (block.go) wraps it in
+// the legacy readers' fatal-error policy, the Tailer in the daemon's
 // count-and-continue policy.
 //
 // The decoded row is pooled: it, its CertChainFUIDs slice and an X509Row's
 // byte views are valid until the next decode call. Field strings are interned
 // or freshly copied, so they may be retained.
 //
-// Both formats decode here. TSV splits the line into byte views and resolves
+// Both formats decode here. TSV splits the line into columns and resolves
 // escapes in place on access; ND-JSON runs the flat-object tokenizer
 // (jsonTok) and re-parses any line outside its subset through encoding/json
 // and the Record parsers — counted per reason in Fallbacks — so every input
 // decodes exactly as the legacy LineDecoder → Parse*Record path would.
+//
+// An ssl.log line decodes in two halves: viewSSL does everything that needs
+// no shared state (split, unescape, validate, number/time/bool parse) and
+// leaves the strings as spans of the line; materializeSSL and internFUIDs
+// intern them into the pooled SSLRecord. decodeSSL runs the halves back to
+// back; the batch join runs the first on worker goroutines and the second,
+// in file order, on its caller (block.go).
 type RowDecoder struct {
 	json bool
 	strs *certmodel.Interner
@@ -42,16 +49,43 @@ type RowDecoder struct {
 	fields   []string
 	gen      int
 	closed   bool
-	cols     [][]byte // field views into the current line
+	line     []byte // the TSV line being decoded
+	cols     []span // its columns
 	sslCols  sslCols
 	x509Cols x509Cols
 
+	view    sslView
 	fuids   []string // backing array of ssl.CertChainFUIDs
 	scratch []byte
 	ssl     SSLRecord
 	x509    X509Row
 
 	fallbacks [len(FallbackReasons)]int64
+}
+
+// span is a field value as byte offsets into the line it was decoded from.
+// Offsets are 32-bit to keep a block's rows small; blockReader keeps every
+// block, so every line, under 4 GiB.
+type span struct{ lo, hi uint32 }
+
+func mkSpan(lo, hi int) span { return span{uint32(lo), uint32(hi)} }
+
+// of returns the bytes s covers in line.
+func (s span) of(line []byte) []byte { return line[s.lo:s.hi] }
+
+// sslView is the stateless half of a decoded ssl.log row: every value parsed,
+// every string still a span of the line. Building one touches neither the
+// interner nor the chain cache, so any goroutine can; materializeSSL turns it
+// into an SSLRecord on the goroutine that owns them.
+type sslView struct {
+	ts                                             float64 // epoch seconds
+	uid, origH, respH, version, cipher, serverName span
+	origP, respP                                   int
+	fuids                                          span // the comma list; see appendVector
+	resumed, established                           bool
+	// legacy is the row of an ND-JSON line outside the tokenizer's subset,
+	// parsed by the legacy path into owned strings.
+	legacy *SSLRecord
 }
 
 // NewRowDecoder returns a decoder for one log stream in TSV (or ND-JSON)
@@ -73,6 +107,7 @@ const (
 	rowNoHeader                    // TSV data before any #fields directive
 	rowFieldCount                  // TSV value count differs from the #fields count
 	rowBadJSON                     // not a JSON object (the error is encoding/json's)
+	rowTooLong                     // ND-JSON line at or past the legacy Scanner's token limit
 )
 
 // FallbackReasons names why an ND-JSON line left the fast tokenizer, indexing
@@ -107,11 +142,21 @@ func (d *RowDecoder) restore(fields []string, closed bool) {
 
 // decodeSSL decodes one ssl.log line into d.ssl.
 func (d *RowDecoder) decodeSSL(line []byte) (rowStatus, error) {
+	st, err := d.viewSSL(line, &d.view)
+	if st == rowOK {
+		d.materializeSSL(line, &d.view)
+		d.internFUIDs(line, &d.view)
+	}
+	return st, err
+}
+
+// viewSSL decodes one ssl.log line into v. It never touches the interner.
+func (d *RowDecoder) viewSSL(line []byte, v *sslView) (rowStatus, error) {
 	if len(line) == 0 {
 		return rowNone, nil
 	}
 	if d.json {
-		return d.sslJSON(line)
+		return d.sslJSON(line, v)
 	}
 	if st := d.splitTSV(line); st != rowOK {
 		return st, nil
@@ -119,7 +164,83 @@ func (d *RowDecoder) decodeSSL(line []byte) (rowStatus, error) {
 	if d.sslCols.gen != d.gen {
 		d.sslCols.refresh(d.fields, d.gen) //certchain:coldpath once per #fields directive
 	}
-	return d.sslTSV()
+	return d.sslTSV(v)
+}
+
+// materializeSSL fills d.ssl from a view of line, CertChainFUIDs aside
+// (internFUIDs): strings interned, the uid copied — it is unique per row.
+func (d *RowDecoder) materializeSSL(line []byte, v *sslView) {
+	if v.legacy != nil {
+		d.ssl = *v.legacy
+		return
+	}
+	d.ssl = SSLRecord{
+		TS:          epochToTime(v.ts),
+		UID:         string(v.uid.of(line)),
+		OrigH:       d.strs.Bytes(v.origH.of(line)),
+		OrigP:       v.origP,
+		RespH:       d.strs.Bytes(v.respH.of(line)),
+		RespP:       v.respP,
+		Version:     d.strs.Bytes(v.version.of(line)),
+		Cipher:      d.strs.Bytes(v.cipher.of(line)),
+		ServerName:  d.strs.Bytes(v.serverName.of(line)),
+		Resumed:     v.resumed,
+		Established: v.established,
+	}
+}
+
+// internFUIDs fills d.ssl.CertChainFUIDs from a view materializeSSL loaded.
+func (d *RowDecoder) internFUIDs(line []byte, v *sslView) {
+	if v.legacy == nil && v.fuids.hi > v.fuids.lo {
+		d.fuids = d.appendVector(d.fuids[:0], v.fuids.of(line))
+		d.ssl.CertChainFUIDs = d.fuids
+	}
+}
+
+// appendVector interns the elements of a non-empty vector value — a comma
+// list, as TSV writes it and compactVector leaves an ND-JSON array — onto
+// dst.
+func (d *RowDecoder) appendVector(dst []string, v []byte) []string {
+	for {
+		i := bytes.IndexByte(v, ',')
+		if i < 0 {
+			return append(dst, d.strs.Bytes(v))
+		}
+		dst = append(dst, d.strs.Bytes(v[:i]))
+		v = v[i+1:]
+	}
+}
+
+// vector is appendVector into a fresh slice a certificate may retain; an
+// empty value is nil.
+func (d *RowDecoder) vector(v []byte) []string {
+	if len(v) == 0 {
+		return nil
+	}
+	return d.appendVector(make([]string, 0, bytes.Count(v, []byte{','})+1), v)
+}
+
+// compactVector rewrites an array jsonVector validated, in place, as the
+// comma list TSV would carry — ["a", "b"] becomes a,b — and returns its span.
+// Its elements are plain strings, so they are exactly the runs between
+// quote pairs. Only a line the fast path has fully accepted may be
+// rewritten: a fallback line is re-parsed as it stood.
+func compactVector(line []byte, s span) span {
+	v, w := s.of(line), s.lo
+	for {
+		i := bytes.IndexByte(v, '"')
+		if i < 0 {
+			return span{s.lo, w}
+		}
+		v = v[i+1:]
+		i = bytes.IndexByte(v, '"')
+		if w > s.lo {
+			line[w] = ','
+			w++
+		}
+		w += uint32(copy(line[w:], v[:i]))
+		v = v[i+1:]
+	}
 }
 
 // decodeX509 decodes one x509.log line into d.x509.
@@ -152,15 +273,15 @@ func (d *RowDecoder) splitTSV(line []byte) rowStatus {
 	if len(d.fields) == 0 {
 		return rowNoHeader
 	}
-	d.cols = d.cols[:0]
-	for {
-		i := bytes.IndexByte(line, '\t')
+	d.line, d.cols = line, d.cols[:0]
+	for lo := 0; ; {
+		i := bytes.IndexByte(line[lo:], '\t')
 		if i < 0 {
-			d.cols = append(d.cols, line)
+			d.cols = append(d.cols, mkSpan(lo, len(line)))
 			break
 		}
-		d.cols = append(d.cols, line[:i])
-		line = line[i+1:]
+		d.cols = append(d.cols, mkSpan(lo, lo+i))
+		lo += i + 1
 	}
 	if len(d.cols) != len(d.fields) {
 		return rowFieldCount
@@ -274,33 +395,49 @@ func (c *x509Cols) refresh(fields []string, gen int) {
 	}
 }
 
-// field returns the unescaped bytes of column c and whether the field is
+// field returns the span of column c, unescaped, and whether the field is
 // set: the unset sentinel maps to absent, the empty sentinel to a present
-// empty value — Record.Get over byte views. Each column must be accessed at
-// most once per row (unescaping rewrites the view in place). c < 0 means
-// the header lacks the field.
-func (d *RowDecoder) field(c int) ([]byte, bool) {
+// empty value — Record.Get over the line's bytes. Each column must be
+// accessed at most once per row (unescaping rewrites the line in place).
+// c < 0 means the header lacks the field.
+func (d *RowDecoder) field(c int) (span, bool) {
 	if c < 0 {
-		return nil, false
+		return span{}, false
 	}
-	v := unescapeInPlace(d.cols[c])
-	d.cols[c] = v
+	s := d.cols[c]
+	v := unescapeInPlace(s.of(d.line))
+	s.hi = s.lo + uint32(len(v))
+	d.cols[c] = s
 	if string(v) == UnsetField {
-		return nil, false
+		return span{}, false
 	}
 	if string(v) == EmptyField {
-		return v[:0], true
+		return span{s.lo, s.lo}, true
 	}
-	return v, true
+	return s, true
+}
+
+// fieldBytes is field as a view of the line: nil when absent.
+func (d *RowDecoder) fieldBytes(c int) []byte {
+	s, ok := d.field(c)
+	if !ok {
+		return nil
+	}
+	return s.of(d.line)
+}
+
+// fieldEpoch parses a Zeek time column into epoch seconds.
+func (d *RowDecoder) fieldEpoch(c int) (float64, bool) {
+	s, ok := d.field(c)
+	if !ok {
+		return 0, false
+	}
+	return parseFloatBytes(s.of(d.line))
 }
 
 // fieldTime parses a Zeek time column — Record.GetTime over byte views.
 func (d *RowDecoder) fieldTime(c int) (time.Time, bool) {
-	v, ok := d.field(c)
-	if !ok {
-		return time.Time{}, false
-	}
-	f, ok := parseFloatBytes(v)
+	f, ok := d.fieldEpoch(c)
 	if !ok {
 		return time.Time{}, false
 	}
@@ -309,77 +446,49 @@ func (d *RowDecoder) fieldTime(c int) (time.Time, bool) {
 
 // fieldInt parses a count/int column — Record.GetInt over byte views.
 func (d *RowDecoder) fieldInt(c int) (int, bool) {
-	v, ok := d.field(c)
+	s, ok := d.field(c)
 	if !ok {
 		return 0, false
 	}
-	return parseIntBytes(v)
+	return parseIntBytes(s.of(d.line))
 }
 
 // fieldBool parses a Zeek bool column — Record.GetBool over byte views.
 func (d *RowDecoder) fieldBool(c int) (value, present bool) {
-	v, ok := d.field(c)
+	s, ok := d.field(c)
 	if !ok {
 		return false, false
 	}
-	return string(v) == "T", true
+	return string(s.of(d.line)) == "T", true
 }
 
 // fieldInterned reads a scalar string column into the interner; absent
 // fields become "" exactly as Record.Get's callers see them.
 func (d *RowDecoder) fieldInterned(c int) string {
-	v, ok := d.field(c)
-	if !ok {
-		return ""
-	}
-	return d.strs.Bytes(v)
+	s, _ := d.field(c)
+	return d.strs.Bytes(s.of(d.line))
 }
 
-// fieldVector splits a vector column into dst (a fresh slice when nil),
-// interning each element — Record.GetVector over byte views.
-func (d *RowDecoder) fieldVector(c int, dst []string) []string {
-	v, ok := d.field(c)
-	if !ok || len(v) == 0 {
-		return nil
-	}
-	if dst == nil {
-		dst = make([]string, 0, bytes.Count(v, []byte{','})+1)
-	}
-	for {
-		i := bytes.IndexByte(v, ',')
-		if i < 0 {
-			return append(dst, d.strs.Bytes(v))
-		}
-		dst = append(dst, d.strs.Bytes(v[:i]))
-		v = v[i+1:]
-	}
-}
-
-func (d *RowDecoder) sslTSV() (rowStatus, error) {
+func (d *RowDecoder) sslTSV(v *sslView) (rowStatus, error) {
 	c := &d.sslCols
-	d.ssl = SSLRecord{}
-	r := &d.ssl
+	*v = sslView{}
 	var ok bool
-	if r.TS, ok = d.fieldTime(c.ts); !ok {
+	if v.ts, ok = d.fieldEpoch(c.ts); !ok {
 		return rowRecordErr, errSSLMissingTS
 	}
-	uid, _ := d.field(c.uid)
-	if len(uid) == 0 {
+	if v.uid, _ = d.field(c.uid); v.uid.hi == v.uid.lo {
 		return rowRecordErr, errSSLMissingUID
 	}
-	r.UID = string(uid)
-	r.OrigH = d.fieldInterned(c.origH)
-	r.OrigP, _ = d.fieldInt(c.origP)
-	r.RespH = d.fieldInterned(c.respH)
-	r.RespP, _ = d.fieldInt(c.respP)
-	r.Version = d.fieldInterned(c.version)
-	r.Cipher = d.fieldInterned(c.cipher)
-	r.ServerName = d.fieldInterned(c.serverName)
-	r.Resumed, _ = d.fieldBool(c.resumed)
-	r.Established, _ = d.fieldBool(c.established)
-	if r.CertChainFUIDs = d.fieldVector(c.chain, d.fuids[:0]); r.CertChainFUIDs != nil {
-		d.fuids = r.CertChainFUIDs
-	}
+	v.origH, _ = d.field(c.origH)
+	v.origP, _ = d.fieldInt(c.origP)
+	v.respH, _ = d.field(c.respH)
+	v.respP, _ = d.fieldInt(c.respP)
+	v.version, _ = d.field(c.version)
+	v.cipher, _ = d.field(c.cipher)
+	v.serverName, _ = d.field(c.serverName)
+	v.resumed, _ = d.fieldBool(c.resumed)
+	v.established, _ = d.fieldBool(c.established)
+	v.fuids, _ = d.field(c.chain)
 	return rowOK, nil
 }
 
@@ -406,17 +515,17 @@ func (d *RowDecoder) x509TSV() {
 	d.x509 = X509Row{}
 	row := &d.x509
 	row.ts, row.tsOK = d.fieldTime(c.ts)
-	row.id, _ = d.field(c.id)
-	row.serial, _ = d.field(c.serial)
-	row.subject, _ = d.field(c.subject)
-	row.issuer, _ = d.field(c.issuer)
+	row.id = d.fieldBytes(c.id)
+	row.serial = d.fieldBytes(c.serial)
+	row.subject = d.fieldBytes(c.subject)
+	row.issuer = d.fieldBytes(c.issuer)
 	row.nvb, _ = d.fieldTime(c.nvb)
 	row.nva, _ = d.fieldTime(c.nva)
 	row.sigAlg = d.fieldInterned(c.sigAlg)
 	row.keyType = d.fieldInterned(c.keyType)
 	row.keyLen, _ = d.fieldInt(c.keyLen)
 	row.bcVal, row.bcSet = d.fieldBool(c.bc)
-	row.san = d.fieldVector(c.san, nil)
+	row.san = d.vector(d.fieldBytes(c.san))
 }
 
 // status is ParseX509Record's verdict on a decoded row.
@@ -530,8 +639,8 @@ var x509JSONKey = map[string]int{
 	"san.dns": jkSAN,
 }
 
-func (d *RowDecoder) sslJSON(line []byte) (rowStatus, error) {
-	rowErr, fastOK := d.sslJSONFast(line)
+func (d *RowDecoder) sslJSON(line []byte, v *sslView) (rowStatus, error) {
+	rowErr, fastOK := d.sslJSONFast(line, v)
 	if !fastOK {
 		rec, err := d.legacyJSONRecord(line) //certchain:coldpath anomalous-line fallback
 		if err != nil {
@@ -541,7 +650,7 @@ func (d *RowDecoder) sslJSON(line []byte) (rowStatus, error) {
 		if err != nil {
 			return rowRecordErr, err
 		}
-		d.ssl = *sr
+		*v = sslView{legacy: sr}
 		return rowOK, nil
 	}
 	if rowErr != nil {
@@ -588,27 +697,30 @@ func (d *RowDecoder) legacyJSONRecord(line []byte) (Record, error) {
 	return rec, nil
 }
 
-// jsonString parses a scalar string value with Record.Get's sentinel
-// semantics: null and the unset sentinel yield "", as does the empty
-// sentinel and the empty string. ok=false sends the line to the fallback.
-func (d *RowDecoder) jsonString(t *jsonTok, intern bool) (string, bool) {
+// jsonSpan parses a scalar string value with Record.Get's sentinel
+// semantics: null, the unset and empty sentinels and the empty string all
+// yield an empty span. ok=false sends the line to the fallback.
+func (t *jsonTok) jsonSpan() (span, bool) {
 	switch t.peek() {
 	case '"':
-		s, ok := t.simpleString()
+		s, ok := t.simpleSpan()
 		if !ok {
-			return "", false
+			return span{}, false
 		}
-		if len(s) == 0 || string(s) == UnsetField || string(s) == EmptyField {
-			return "", true
+		if v := s.of(t.b); string(v) == UnsetField || string(v) == EmptyField {
+			return span{}, true
 		}
-		if intern {
-			return d.strs.Bytes(s), true
-		}
-		return string(s), true
+		return s, true
 	case 'n':
-		return "", t.literal("null")
+		return span{}, t.literal("null")
 	}
-	return "", false
+	return span{}, false
+}
+
+// jsonString is jsonSpan interned.
+func (d *RowDecoder) jsonString(t *jsonTok) (string, bool) {
+	s, ok := t.jsonSpan()
+	return d.strs.Bytes(s.of(t.b)), ok
 }
 
 // jsonRawString parses a string value into a byte view with Record.Get's
@@ -634,19 +746,26 @@ func (t *jsonTok) jsonRawString() ([]byte, bool) {
 	return nil, false
 }
 
-// jsonTime parses a numeric time value; null means absent.
-func (t *jsonTok) jsonTime() (ts time.Time, set, ok bool) {
+// jsonEpoch parses a numeric time value into epoch seconds; null means
+// absent.
+func (t *jsonTok) jsonEpoch() (f float64, set, ok bool) {
 	switch c := t.peek(); {
 	case c == '-' || (c >= '0' && c <= '9'):
-		f, ok := t.number()
-		if !ok {
-			return time.Time{}, false, false
-		}
-		return epochToTime(f), true, true
+		f, ok = t.number()
+		return f, ok, ok
 	case c == 'n':
-		return time.Time{}, false, t.literal("null")
+		return 0, false, t.literal("null")
 	}
-	return time.Time{}, false, false
+	return 0, false, false
+}
+
+// jsonTime is jsonEpoch as a time.
+func (t *jsonTok) jsonTime() (ts time.Time, set, ok bool) {
+	f, set, ok := t.jsonEpoch()
+	if set {
+		ts = epochToTime(f)
+	}
+	return ts, set, ok
 }
 
 // jsonInt parses a numeric value with the legacy float-render/Atoi round
@@ -693,54 +812,52 @@ func (t *jsonTok) jsonBool() (v, ok bool) {
 // jsonVector parses an array of plain strings that survive the legacy
 // join-then-split round trip unchanged: non-empty, comma-free, non-sentinel
 // elements. Anything else (including whole-array sentinel collisions)
-// falls back. dst may be a reused scratch slice.
-func (d *RowDecoder) jsonVector(t *jsonTok, dst []string) ([]string, bool) {
+// falls back. The result spans the array's text — empty for null and [],
+// since the empty vector renders as the empty sentinel: nil.
+func (t *jsonTok) jsonVector() (span, bool) {
 	switch t.peek() {
 	case '[':
 	case 'n':
-		return nil, t.literal("null")
+		return span{}, t.literal("null")
 	default:
-		return nil, false
+		return span{}, false
 	}
+	r := mkSpan(t.i, t.i)
 	t.i++
 	if t.peek() == ']' {
 		t.i++
-		return nil, true // empty vector renders as the empty sentinel: nil
+		return span{}, true
 	}
 	for {
 		t.ws()
 		el, ok := t.simpleString()
-		if !ok {
-			return nil, false
-		}
-		if len(el) == 0 || bytes.IndexByte(el, ',') >= 0 ||
+		if !ok || len(el) == 0 || bytes.IndexByte(el, ',') >= 0 ||
 			string(el) == UnsetField || string(el) == EmptyField {
-			return nil, false
+			return span{}, false
 		}
-		dst = append(dst, d.strs.Bytes(el))
 		switch t.peek() {
 		case ',':
 			t.i++
 		case ']':
 			t.i++
-			return dst, true
+			r.hi = uint32(t.i)
+			return r, true
 		default:
-			return nil, false
+			return span{}, false
 		}
 	}
 }
 
-// sslJSONFast decodes one flat ND-JSON ssl row into the pooled record.
-// fastOK=false means the line is outside the tokenizer's subset and must be
-// re-parsed through the legacy path.
-func (d *RowDecoder) sslJSONFast(line []byte) (rowErr error, fastOK bool) {
+// sslJSONFast decodes one flat ND-JSON ssl row into v. fastOK=false means
+// the line is outside the tokenizer's subset and must be re-parsed through
+// the legacy path.
+func (d *RowDecoder) sslJSONFast(line []byte, v *sslView) (rowErr error, fastOK bool) {
 	t := jsonTok{b: line}
 	if t.peek() != '{' {
 		return nil, false
 	}
 	t.i++
-	d.ssl = SSLRecord{}
-	r := &d.ssl
+	*v = sslView{}
 	tsSet := false
 	if t.peek() == '}' {
 		t.i++
@@ -755,61 +872,34 @@ func (d *RowDecoder) sslJSONFast(line []byte) (rowErr error, fastOK bool) {
 			t.i++
 			switch sslJSONKey[string(k)] {
 			case jkTS:
-				var ok bool
-				if r.TS, tsSet, ok = t.jsonTime(); !ok {
-					return nil, false
-				}
+				v.ts, tsSet, ok = t.jsonEpoch()
 			case jkUID:
-				if r.UID, ok = d.jsonString(&t, false); !ok {
-					return nil, false
-				}
+				v.uid, ok = t.jsonSpan()
 			case jkOrigH:
-				if r.OrigH, ok = d.jsonString(&t, true); !ok {
-					return nil, false
-				}
+				v.origH, ok = t.jsonSpan()
 			case jkOrigP:
-				if r.OrigP, ok = d.jsonInt(&t); !ok {
-					return nil, false
-				}
+				v.origP, ok = d.jsonInt(&t)
 			case jkRespH:
-				if r.RespH, ok = d.jsonString(&t, true); !ok {
-					return nil, false
-				}
+				v.respH, ok = t.jsonSpan()
 			case jkRespP:
-				if r.RespP, ok = d.jsonInt(&t); !ok {
-					return nil, false
-				}
+				v.respP, ok = d.jsonInt(&t)
 			case jkVersion:
-				if r.Version, ok = d.jsonString(&t, true); !ok {
-					return nil, false
-				}
+				v.version, ok = t.jsonSpan()
 			case jkCipher:
-				if r.Cipher, ok = d.jsonString(&t, true); !ok {
-					return nil, false
-				}
+				v.cipher, ok = t.jsonSpan()
 			case jkServerName:
-				if r.ServerName, ok = d.jsonString(&t, true); !ok {
-					return nil, false
-				}
+				v.serverName, ok = t.jsonSpan()
 			case jkResumed:
-				if r.Resumed, ok = t.jsonBool(); !ok {
-					return nil, false
-				}
+				v.resumed, ok = t.jsonBool()
 			case jkEstablished:
-				if r.Established, ok = t.jsonBool(); !ok {
-					return nil, false
-				}
+				v.established, ok = t.jsonBool()
 			case jkChain:
-				if r.CertChainFUIDs, ok = d.jsonVector(&t, d.fuids[:0]); !ok {
-					return nil, false
-				}
-				if r.CertChainFUIDs != nil {
-					d.fuids = r.CertChainFUIDs
-				}
+				v.fuids, ok = t.jsonVector()
 			default:
-				if !t.skipValue() {
-					return nil, false
-				}
+				ok = t.skipValue()
+			}
+			if !ok {
+				return nil, false
 			}
 			switch t.peek() {
 			case ',':
@@ -826,10 +916,11 @@ func (d *RowDecoder) sslJSONFast(line []byte) (rowErr error, fastOK bool) {
 	if t.i != len(t.b) {
 		return nil, false
 	}
+	v.fuids = compactVector(line, v.fuids)
 	if !tsSet {
 		return errSSLMissingTS, true
 	}
-	if r.UID == "" {
+	if v.uid.hi == v.uid.lo {
 		return errSSLMissingUID, true
 	}
 	return nil, true
@@ -845,7 +936,10 @@ func (d *RowDecoder) x509JSONFast(line []byte) bool {
 	t.i++
 	d.x509 = X509Row{}
 	row := &d.x509
-	var ok bool
+	var (
+		ok  bool
+		san span
+	)
 	if t.peek() == '}' {
 		t.i++
 	} else {
@@ -887,15 +981,15 @@ func (d *RowDecoder) x509JSONFast(line []byte) bool {
 					return false
 				}
 			case jkKeyAlg:
-				if _, ok = d.jsonString(&t, true); !ok {
+				if _, ok = d.jsonString(&t); !ok {
 					return false
 				}
 			case jkSigAlg:
-				if row.sigAlg, ok = d.jsonString(&t, true); !ok {
+				if row.sigAlg, ok = d.jsonString(&t); !ok {
 					return false
 				}
 			case jkKeyType:
-				if row.keyType, ok = d.jsonString(&t, true); !ok {
+				if row.keyType, ok = d.jsonString(&t); !ok {
 					return false
 				}
 			case jkKeyLen:
@@ -914,7 +1008,7 @@ func (d *RowDecoder) x509JSONFast(line []byte) bool {
 					row.bcSet = true
 				}
 			case jkSAN:
-				if row.san, ok = d.jsonVector(&t, nil); !ok {
+				if san, ok = t.jsonVector(); !ok {
 					return false
 				}
 			case jkX509Version:
@@ -938,5 +1032,9 @@ func (d *RowDecoder) x509JSONFast(line []byte) bool {
 		}
 	}
 	t.ws()
-	return t.i == len(t.b)
+	if t.i != len(t.b) {
+		return false
+	}
+	row.san = d.vector(compactVector(line, san).of(line))
+	return true
 }

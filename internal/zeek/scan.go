@@ -1,125 +1,12 @@
-//certchain:hotpath — the batch line scanner runs once per log line.
+//certchain:hotpath — the byte-level field parsers run once per log field.
 
 package zeek
 
 import (
-	"bufio"
 	"bytes"
-	"fmt"
-	"io"
 	"strconv"
 	"time"
 )
-
-// maxJSONLine mirrors the legacy JSONReader's bufio.Scanner token limit: a
-// line at or beyond this length (excluding the newline) is the same
-// too-long error the Scanner reports.
-const maxJSONLine = 1 << 24
-
-// lineScanner is the batch half of the fast path: it reads a log stream line
-// by line into a reused buffer and hands each line to a RowDecoder, wrapping
-// it in the legacy readers' policy — a malformed line ends the stream with an
-// error, except the fragment a mid-write truncation leaves at the end. Line
-// accounting, terminator handling, truncation tolerance and every error
-// string are pinned byte-identical to Reader (TSV) and JSONReader (ND-JSON)
-// by the differential fuzzers in equiv_fuzz_test.go.
-type lineScanner struct {
-	br   *bufio.Reader
-	json bool
-	row  []byte // owned copy of the current line; decoded views alias it
-	// cur is the current line (row minus terminators); terminated is whether
-	// a newline ended it.
-	cur        []byte
-	terminated bool
-	line       int
-	eof        bool
-}
-
-func newLineScanner(r io.Reader, json bool) *lineScanner {
-	return &lineScanner{br: bufio.NewReaderSize(r, 1<<16), json: json}
-}
-
-// readLine accumulates one line into s.row and reports whether it was
-// newline-terminated. The row buffer is reused across lines.
-func (s *lineScanner) readLine() (terminated bool, err error) {
-	s.row = s.row[:0]
-	for {
-		chunk, err := s.br.ReadSlice('\n')
-		s.row = append(s.row, chunk...)
-		switch err {
-		case nil:
-			return true, nil
-		case bufio.ErrBufferFull:
-			continue
-		case io.EOF:
-			s.eof = true
-			return false, nil
-		default:
-			s.eof = true
-			return false, err //certchain:coldpath I/O error path
-		}
-	}
-}
-
-// scan advances to the next line worth decoding, left in s.cur. It returns
-// false at end of stream. TSV counts non-empty lines and drops a directive
-// fragment cut mid-write; ND-JSON counts every terminated line, as the
-// legacy Scanner does.
-func (s *lineScanner) scan() (bool, error) {
-	for !s.eof {
-		terminated, err := s.readLine()
-		if err != nil {
-			if s.json {
-				return false, fmt.Errorf("zeek: json scan: %w", err) //certchain:coldpath I/O error path
-			}
-			return false, fmt.Errorf("zeek: read: %w", err) //certchain:coldpath I/O error path
-		}
-		row := s.row
-		if terminated {
-			row = row[:len(row)-1]
-		}
-		// The legacy Scanner rejects the token before stripping its \r.
-		if s.json && len(row) >= maxJSONLine {
-			return false, fmt.Errorf("zeek: json scan: %w", bufio.ErrTooLong) //certchain:coldpath malformed-stream error path
-		}
-		if n := len(row); n > 0 && row[n-1] == '\r' {
-			row = row[:n-1]
-		}
-		if s.json && terminated || len(row) > 0 {
-			s.line++
-		}
-		if len(row) == 0 {
-			continue
-		}
-		if !s.json && row[0] == '#' && !terminated {
-			// A directive fragment cut mid-write: not yet a directive.
-			continue
-		}
-		s.cur, s.terminated = row, terminated
-		return true, nil
-	}
-	return false, nil
-}
-
-// reject is the batch policy for a line the decoder could not turn into a
-// row: the legacy readers' stream error, or nil for the fragment a writer
-// leaves mid-record, which is not data yet.
-//
-//certchain:coldpath malformed-stream error path
-func (s *lineScanner) reject(st rowStatus, cause error, d *RowDecoder) error {
-	switch st {
-	case rowNoHeader:
-		return fmt.Errorf("zeek: line %d: data before #fields header", s.line)
-	case rowFieldCount:
-		if !s.terminated {
-			return nil
-		}
-		return fmt.Errorf("zeek: line %d: %d values for %d fields", s.line, len(d.cols), len(d.fields))
-	case rowBadJSON:
-		return fmt.Errorf("zeek: json line %d: %w", s.line, cause)
-	}
-	return nil
-}
 
 // unescapeInPlace resolves the Zeek writer's escapes, rewriting b in place
 // (the result is never longer than the input). The state machine mirrors
