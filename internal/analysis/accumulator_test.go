@@ -9,11 +9,13 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 
 	"certchains/internal/analysis"
 	"certchains/internal/campus"
 	"certchains/internal/certmodel"
+	"certchains/internal/chain"
 )
 
 // partitionObservations splits the observation slice into n contiguous
@@ -117,6 +119,59 @@ func TestDecodeStateRejectsForeign(t *testing.T) {
 	}
 	if _, err := p.DecodeState([]byte("not json")); err == nil {
 		t.Fatal("garbage bytes decoded without error")
+	}
+}
+
+// stateFixtureObservations is the input of testdata/state-sector-issuers.json:
+// seed 1's first 12 interception observations with a chain and its first 24
+// others, in scenario order.
+func stateFixtureObservations(s *campus.Scenario) []*campus.Observation {
+	var out []*campus.Observation
+	icpt, other := 0, 0
+	for _, o := range s.Observations {
+		n, limit := &other, 24
+		if o.Category == chain.Interception && !o.TLS13 {
+			n, limit = &icpt, 12
+		}
+		if *n < limit {
+			*n++
+			out = append(out, o)
+		}
+	}
+	return out
+}
+
+// TestDecodeStateWithSectorIssuers decodes state encoded before the
+// accumulator dropped its unused sector_issuers sets (the fixture carries a
+// non-empty one): the stale key is ignored and the report is unchanged.
+func TestDecodeStateWithSectorIssuers(t *testing.T) {
+	blob, err := os.ReadFile("testdata/state-sector-issuers.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(blob, []byte(`"sector_issuers"`)) {
+		t.Fatal("fixture lost its sector_issuers key")
+	}
+	s := generate(t, 1)
+	p := analysis.FromScenario(s)
+	fresh := p.NewAccumulator()
+	for _, o := range stateFixtureObservations(s) {
+		fresh.Observe(o)
+	}
+	restored, err := p.DecodeState(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Observations() != fresh.Observations() {
+		t.Fatalf("fixture holds %d observations, fresh pass %d", restored.Observations(), fresh.Observations())
+	}
+	wantText, wantJSON := renderings(t, fresh.Finalize())
+	gotText, gotJSON := renderings(t, restored.Finalize())
+	if gotText != wantText {
+		t.Error("rendered report from legacy state differs from a fresh pass")
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("JSON export from legacy state differs from a fresh pass")
 	}
 }
 

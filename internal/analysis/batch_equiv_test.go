@@ -50,7 +50,7 @@ func feedBatches(obs []*campus.Observation, b int) <-chan []*campus.Observation 
 }
 
 // TestBatchSizeEquivalence drives both batched entry points — RunStream with
-// Pipeline.Batch set (internal re-chunking) and RunStreamBatches over
+// Pipeline.Batch set (internal re-chunking) and AccumulateBatches over
 // pre-chunked slices — across the batch-size axis and checks both renderings
 // against the per-record sequential baseline.
 func TestBatchSizeEquivalence(t *testing.T) {
@@ -79,13 +79,13 @@ func TestBatchSizeEquivalence(t *testing.T) {
 						t.Errorf("seed %d batch=%d workers=%d: RunStream JSON differs", seed, b, w)
 					}
 
-					r = p.RunStreamBatches(feedBatches(s.Observations, b), w)
+					r = p.AccumulateBatches(feedBatches(s.Observations, b), w).Finalize()
 					text, js = renderings(t, r)
 					if text != baseText {
-						t.Errorf("seed %d batch=%d workers=%d: RunStreamBatches report differs from per-record baseline", seed, b, w)
+						t.Errorf("seed %d batch=%d workers=%d: AccumulateBatches report differs from per-record baseline", seed, b, w)
 					}
 					if !bytes.Equal(js, baseJSON) {
-						t.Errorf("seed %d batch=%d workers=%d: RunStreamBatches JSON differs", seed, b, w)
+						t.Errorf("seed %d batch=%d workers=%d: AccumulateBatches JSON differs", seed, b, w)
 					}
 				}
 			}
@@ -195,7 +195,7 @@ func TestBatchChaosShortRead(t *testing.T) {
 
 	for _, b := range batchSizes {
 		p.Batch = b
-		r := p.RunStreamBatches(feedBatches(faulted, b), runtime.GOMAXPROCS(0))
+		r := p.AccumulateBatches(feedBatches(faulted, b), runtime.GOMAXPROCS(0)).Finalize()
 		text, js := renderings(t, r)
 		if text != baseText {
 			t.Errorf("batch=%d: chaos report differs from clean baseline", b)

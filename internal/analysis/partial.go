@@ -36,7 +36,6 @@ type partialReport struct {
 	detected           map[string]bool
 	sectorConns        map[intercept.Category]int64
 	sectorIPs          map[intercept.Category]map[string]bool
-	sectorIssuers      map[intercept.Category]map[string]bool
 	portHist           map[string]map[int]int64
 	hybridServerChains map[string]map[string]bool
 	missingIssuerIPs   map[string]bool
@@ -93,7 +92,6 @@ func (p *Pipeline) newPartial(det *intercept.Detector) *partialReport {
 		detected:       make(map[string]bool),
 		sectorConns:    make(map[intercept.Category]int64),
 		sectorIPs:      make(map[intercept.Category]map[string]bool),
-		sectorIssuers:  make(map[intercept.Category]map[string]bool),
 		portHist: map[string]map[int]int64{
 			"hybrid": {}, "nonpub-single": {}, "nonpub-multi": {}, "interception": {},
 		},
@@ -328,10 +326,6 @@ func (pr *partialReport) accumulateInterception(o *campus.Observation, a *chain.
 			for _, ip := range o.ClientIPs {
 				pr.sectorIPs[iss.Category][ip] = true
 			}
-			if pr.sectorIssuers[iss.Category] == nil {
-				pr.sectorIssuers[iss.Category] = make(map[string]bool)
-			}
-			pr.sectorIssuers[iss.Category][iss.Key()] = true
 			break
 		}
 	}
@@ -420,9 +414,6 @@ func (pr *partialReport) merge(o *partialReport) {
 	}
 	for cat, set := range o.sectorIPs {
 		pr.sectorIPs[cat] = mergeStringSet(pr.sectorIPs[cat], set)
-	}
-	for cat, set := range o.sectorIssuers {
-		pr.sectorIssuers[cat] = mergeStringSet(pr.sectorIssuers[cat], set)
 	}
 
 	// Ports, servers, missing issuers.
@@ -529,7 +520,7 @@ func (pr *partialReport) finalize() *Report {
 	}
 	r.Sec42.MissingIssuerClientIPs = len(pr.missingIssuerIPs)
 
-	r.Table1 = p.buildTable1(pr.sectorConns, pr.sectorIPs, pr.sectorIssuers, pr.detected)
+	r.Table1 = p.buildTable1(pr.sectorConns, pr.sectorIPs, pr.detected)
 	r.Table4 = buildTable4(pr.portHist)
 	r.Figure4 = p.buildFigure4(pr.analyses)
 	r.Figure5 = summarizeGraph(pr.hybridGraph)

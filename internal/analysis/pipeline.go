@@ -136,17 +136,6 @@ func (p *Pipeline) RunStream(observations <-chan *campus.Observation, workers in
 	return rep
 }
 
-// RunStreamBatches is RunStream over a batch-native producer: one channel
-// send per observation slice. Output is byte-identical to RunStream over the
-// flattened stream.
-func (p *Pipeline) RunStreamBatches(batches <-chan []*campus.Observation, workers int) *Report {
-	acc := p.AccumulateBatches(batches, workers)
-	fsp := p.Tracer.Start("finalize", "finalize")
-	rep := acc.Finalize()
-	fsp.End()
-	return rep
-}
-
 // DefaultBatch is the streaming handoff batch size when Pipeline.Batch is
 // unset.
 const DefaultBatch = 64
@@ -300,8 +289,7 @@ func containsFakeLE(ch certmodel.Chain) bool {
 }
 
 func (p *Pipeline) buildTable1(sectorConns map[intercept.Category]int64,
-	sectorIPs map[intercept.Category]map[string]bool,
-	sectorIssuers map[intercept.Category]map[string]bool, detected map[string]bool) Table1 {
+	sectorIPs map[intercept.Category]map[string]bool, detected map[string]bool) Table1 {
 
 	var total int64
 	for _, c := range sectorConns {
@@ -326,7 +314,6 @@ func (p *Pipeline) buildTable1(sectorConns map[intercept.Category]int64,
 		t.Sectors = append(t.Sectors, row)
 		t.TotalIssuers += issuers
 	}
-	_ = sectorIssuers
 	return t
 }
 

@@ -83,7 +83,6 @@ type partialSnapshot struct {
 	Detected           []string                        `json:"detected,omitempty"`
 	SectorConns        map[intercept.Category]int64    `json:"sector_conns,omitempty"`
 	SectorIPs          map[intercept.Category][]string `json:"sector_ips,omitempty"`
-	SectorIssuers      map[intercept.Category][]string `json:"sector_issuers,omitempty"`
 	PortHist           map[string]map[int]int64        `json:"port_hist,omitempty"`
 	HybridServerChains map[string][]string             `json:"hybrid_server_chains,omitempty"`
 	MissingIssuerIPs   []string                        `json:"missing_issuer_ips,omitempty"`
@@ -184,12 +183,6 @@ func (pr *partialReport) snapshot(certs map[certmodel.Fingerprint]*certmodel.Met
 			s.SectorIPs[cat] = stats.SortedSet(set)
 		}
 	}
-	if len(pr.sectorIssuers) > 0 {
-		s.SectorIssuers = make(map[intercept.Category][]string, len(pr.sectorIssuers))
-		for cat, set := range pr.sectorIssuers {
-			s.SectorIssuers[cat] = stats.SortedSet(set)
-		}
-	}
 	s.PortHist = make(map[string]map[int]int64, len(pr.portHist))
 	for group, hist := range pr.portHist {
 		cp := make(map[int]int64, len(hist))
@@ -282,9 +275,6 @@ func (p *Pipeline) restorePartial(s *partialSnapshot, det *intercept.Detector,
 	}
 	for cat, ips := range s.SectorIPs {
 		pr.sectorIPs[cat] = stats.SetFromSlice(ips)
-	}
-	for cat, issuers := range s.SectorIssuers {
-		pr.sectorIssuers[cat] = stats.SetFromSlice(issuers)
 	}
 	for group, hist := range s.PortHist {
 		dst := pr.portHist[group]

@@ -31,9 +31,16 @@ func replayScenario(t *testing.T) *campus.Scenario {
 
 func readAllRecords(t *testing.T, data []byte) []zeek.Record {
 	t.Helper()
-	recs, err := zeek.NewReader(bytes.NewReader(data)).ReadAll()
-	if err != nil {
-		t.Fatal(err)
+	dec := zeek.NewTSVDecoder()
+	var recs []zeek.Record
+	for _, line := range strings.Split(string(data), "\n") {
+		rec, err := dec.Decode(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec != nil {
+			recs = append(recs, rec)
+		}
 	}
 	return recs
 }

@@ -38,9 +38,9 @@ const blockSize = 128 << 10
 // or more is a read error, bufio.ErrTooLong.
 const maxBlock = math.MaxInt32
 
-// maxJSONLine mirrors the legacy JSONReader's bufio.Scanner token limit: a
-// line at or beyond this length (excluding the newline) is the same
-// too-long error the Scanner reports.
+// maxJSONLine is the batch ND-JSON line limit, bufio.Scanner's token limit
+// as the oracle reader sets it: a line at or beyond this length (excluding
+// the newline) is the same too-long error the Scanner reports.
 const maxJSONLine = 1 << 24
 
 // block is a run of whole lines of one stream, with what decoding them
@@ -106,7 +106,7 @@ func newBlockReader(src io.Reader, json bool, size int) *blockReader {
 // line longer than a block grows the block holding it. The partial line
 // after the last newline is carried to the next block; at the stream's end
 // the block keeps it as the unterminated final line, unless a read error
-// ended the stream, which drops it — as the legacy readers drop the line a
+// ended the stream, which drops it — as the batch readers drop the line a
 // failed read cut.
 func (r *blockReader) fill(blk *block) {
 	limit := r.size
@@ -168,7 +168,7 @@ func (r *blockReader) read(blk *block, limit int) bool {
 	return false
 }
 
-// readErr wraps a stream's read error in the legacy readers' text.
+// readErr wraps a stream's read error in the batch readers' text.
 //
 //certchain:coldpath I/O error path
 func readErr(json bool, err error) error {
@@ -213,7 +213,7 @@ func (r *blockReader) header(blk *block) {
 	}
 }
 
-// lineWalk steps through a block's lines with the legacy readers' line
+// lineWalk steps through a block's lines with the batch readers' line
 // accounting: TSV counts non-empty lines and skips a directive fragment cut
 // mid-write; ND-JSON counts every terminated line, as the Scanner does.
 type lineWalk struct {
@@ -237,7 +237,7 @@ func (w *lineWalk) next() ([]byte, rowStatus) {
 		}
 		w.pos = end + 1
 		row := w.buf[start:end]
-		// The legacy Scanner rejects the token before stripping its \r.
+		// bufio.Scanner rejects the token before stripping its \r.
 		if w.json && len(row) >= maxJSONLine {
 			return nil, rowTooLong
 		}
@@ -336,7 +336,7 @@ func (d *RowDecoder) decodeBlock(blk *block) {
 	blk.lines = w.line
 }
 
-// joinSSL walks the ssl stream — the joined-row tail of JoinRecords — with
+// joinSSL walks the ssl stream — the joined-row tail of the map join — with
 // workers decoding goroutines ahead of the caller's replay; spare is a block
 // to start with. It returns only after every goroutine it started has
 // exited, so the stream is never read after it returns.

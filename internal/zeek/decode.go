@@ -11,15 +11,25 @@ import (
 	"certchains/internal/dn"
 )
 
-// FastJoin is the zero-allocation counterpart of Join: it streams ssl.log
-// and x509.log in Zeek's TSV format through byte-slice decoders — no
-// intermediate Record maps, no per-field string allocation — and produces
-// the same joined connections in the same order with the same per-row and
-// stream errors, byte for byte (pinned by the differential fuzzers in
-// equiv_fuzz_test.go).
+// Connection is an ssl.log row joined with its certificate chain, the unit
+// the analysis pipeline consumes.
+type Connection struct {
+	SSL   *SSLRecord
+	Chain certmodel.Chain
+}
+
+// FastJoin is the batch join: it streams ssl.log and x509.log in Zeek's TSV
+// format through byte-slice decoders — no intermediate Record maps, no
+// per-field string allocation — and produces the same joined connections in
+// the same order with the same per-row and stream errors, byte for byte, as
+// the map join over LineDecoder Records it is pinned to (the test oracle in
+// oracle_test.go, checked by the differential fuzzers in equiv_fuzz_test.go).
+// An x509 row the index rejects, or a stream's read or format error, ends the
+// join; an ssl row that is no valid record or references an unknown
+// certificate goes to fn as an error and the join continues.
 //
 // Allocation economy comes from three reuses, which change the retention
-// contract relative to Join:
+// contract relative to the map join:
 //
 //   - The *Connection and its SSL record are pooled: they are only valid
 //     until fn returns, as is the CertChainFUIDs slice. Field string values
@@ -42,7 +52,7 @@ func FastJoin(ssl, x509 io.Reader, fn func(c *Connection, err error) error) erro
 // records decode through a byte-slice tokenizer; any line outside that
 // shape (escapes, nested values, type surprises, malformed JSON) re-parses
 // through the legacy full-line path, so behaviour — including error text —
-// is identical to JoinJSON on every input.
+// is identical to the ND-JSON map join on every input.
 func FastJoinJSON(ssl, x509 io.Reader, fn func(c *Connection, err error) error) error {
 	return fastJoin(true, ssl, x509, fn)
 }
@@ -81,7 +91,7 @@ type fastJoiner struct {
 // sequence and filling d.ssl.CertChainFUIDs. The cache key is the comma
 // list of fuids — no fuid holds a comma — and a chain's fingerprints are
 // its fuids, so a hit interns nothing. The per-row error for an unknown fuid
-// matches JoinRecords exactly.
+// matches the map join's exactly.
 func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, line []byte, v *sslView) (certmodel.Chain, error) {
 	d := j.ssl
 	key := v.fuids.of(line)
@@ -127,7 +137,7 @@ func appendJoined(dst []byte, fuids []string) []byte {
 }
 
 // indexX509 reads the whole x509 stream into the certificate index, one
-// block at a time on the calling goroutine — the indexX509Records loop: a
+// block at a time on the calling goroutine — the map join's index loop: a
 // row missing ts or id ends the stream, duplicates keep the first record,
 // and DNs are parsed only for first-seen ids.
 func (j *fastJoiner) indexX509(r *blockReader, blk *block, d *RowDecoder) (map[string]*certmodel.Meta, error) {

@@ -1,4 +1,4 @@
-//certchain:hotpath — the TSV reader and writer run once per log line.
+//certchain:hotpath — the TSV writer runs once per log line.
 
 // Package zeek implements the Zeek network-monitor log format and the two
 // log streams the paper's pipeline consumes: ssl.log (TLS connection
@@ -41,7 +41,6 @@ type Writer struct {
 	w      *bufio.Writer
 	header Header
 	opened bool
-	nrec   int
 }
 
 // NewWriter creates a writer for the given stream header.
@@ -100,7 +99,6 @@ func (w *Writer) WriteRecord(values []string) error {
 			return err
 		}
 	}
-	w.nrec++
 	return w.w.WriteByte('\n')
 }
 
@@ -128,9 +126,6 @@ func (w *Writer) Flush() error {
 	}
 	return w.w.Flush()
 }
-
-// Records returns the number of records written so far.
-func (w *Writer) Records() int { return w.nrec }
 
 func escapeField(v string) string {
 	if !strings.ContainsAny(v, "\t\n\\") && !strings.HasPrefix(v, "#") {
@@ -244,111 +239,15 @@ func (r Record) GetInt(field string) (int, bool) {
 	return n, true
 }
 
-// Reader parses a Zeek ASCII log stream.
-//
-// The reader tolerates what a log consumer sees on a file that is still being
-// written (or was cut off mid-write): a missing #close footer, a final data
-// line without a trailing newline (parsed normally when its field count is
-// right), and a final line truncated mid-record (dropped silently). Only
-// newline-terminated malformed lines — corruption rather than an in-progress
-// write — surface as errors.
-type Reader struct {
-	br     *bufio.Reader
-	header Header
-	line   int
-	eof    bool
-}
-
-// NewReader wraps an ASCII log stream. The header block is parsed lazily on
-// the first Read.
-func NewReader(r io.Reader) *Reader {
-	return &Reader{br: bufio.NewReaderSize(r, 1<<16)}
-}
-
-// Header returns the parsed header; valid after the first successful Read.
-func (r *Reader) Header() Header { return r.header }
-
-// Read returns the next record or io.EOF.
-func (r *Reader) Read() (Record, error) {
-	for !r.eof {
-		line, rerr := r.br.ReadString('\n')
-		if rerr != nil {
-			if rerr != io.EOF {
-				return nil, fmt.Errorf("zeek: read: %w", rerr) //certchain:coldpath I/O error path
-			}
-			r.eof = true
-		}
-		terminated := strings.HasSuffix(line, "\n")
-		line = strings.TrimSuffix(line, "\n")
-		line = strings.TrimSuffix(line, "\r")
-		if line == "" {
-			continue
-		}
-		r.line++
-		if strings.HasPrefix(line, "#") {
-			if !terminated {
-				// A directive fragment cut mid-write: not yet a directive.
-				continue
-			}
-			parseDirective(&r.header, line)
-			continue
-		}
-		if len(r.header.Fields) == 0 {
-			return nil, fmt.Errorf("zeek: line %d: data before #fields header", r.line) //certchain:coldpath malformed-stream error path
-		}
-		parts := strings.Split(line, Separator)
-		if len(parts) != len(r.header.Fields) {
-			if !terminated {
-				// The writer is mid-record; the fragment is not data yet.
-				continue
-			}
-			return nil, fmt.Errorf("zeek: line %d: %d values for %d fields", r.line, len(parts), len(r.header.Fields)) //certchain:coldpath malformed-line error path
-		}
-		rec := make(Record, len(parts))
-		for i, f := range r.header.Fields {
-			rec[f] = unescapeField(parts[i])
-		}
-		return rec, nil
+// parseDirective returns the column names of a '#fields' header line; ok is
+// false for every other directive (#separator, #path, #close, ...), none of
+// which affects decoding.
+func parseDirective(line string) (fields []string, ok bool) {
+	key, rest, _ := strings.Cut(line, Separator)
+	if key != "#fields" {
+		return nil, false
 	}
-	return nil, io.EOF
-}
-
-// parseDirective folds one '#'-prefixed header line into h. Unknown
-// directives (#separator, #close, ...) are ignored.
-func parseDirective(h *Header, line string) {
-	parts := strings.SplitN(line, Separator, 2)
-	key := parts[0]
-	rest := ""
-	if len(parts) > 1 {
-		rest = parts[1]
-	}
-	switch key {
-	case "#path":
-		h.Path = rest
-	case "#fields":
-		h.Fields = strings.Split(rest, Separator)
-	case "#types":
-		h.Types = strings.Split(rest, Separator)
-	case "#open":
-		if t, err := time.Parse("2006-01-02-15-04-05", rest); err == nil {
-			h.Open = t
-		}
-	}
-}
-
-// ReadAll drains the reader.
-func (r *Reader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
-	}
+	return strings.Split(rest, Separator), true
 }
 
 // FormatTime renders a Zeek time value (epoch with microsecond precision).

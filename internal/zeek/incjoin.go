@@ -14,7 +14,7 @@ import (
 
 // IncrementalJoiner joins the two live log streams — ssl.log connections and
 // x509.log certificates — as records arrive, without reading either file to
-// the end first (the batch Join cannot start until x509.log is complete).
+// the end first (FastJoin cannot start until x509.log is complete).
 //
 // Determinism is the design constraint: the daemon's analysis must not depend
 // on how poll cycles interleave the two files. The joiner therefore emits

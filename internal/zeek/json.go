@@ -1,4 +1,4 @@
-//certchain:hotpath — the ND-JSON reader and writers run once per log line.
+//certchain:hotpath — the ND-JSON writers and Record conversion run once per log line.
 
 package zeek
 
@@ -17,8 +17,7 @@ import (
 
 // JSONSSLWriter writes ssl.log records as ND-JSON.
 type JSONSSLWriter struct {
-	w    *bufio.Writer
-	nrec int
+	w *bufio.Writer
 }
 
 // NewJSONSSLWriter creates an ND-JSON ssl.log writer.
@@ -77,7 +76,6 @@ func (w *JSONSSLWriter) Write(r *SSLRecord) error {
 	if _, err := w.w.Write(data); err != nil {
 		return err
 	}
-	w.nrec++
 	return w.w.WriteByte('\n')
 }
 
@@ -87,13 +85,9 @@ func (w *JSONSSLWriter) Close() error { return w.w.Flush() }
 // Flush pushes buffered records without closing the stream.
 func (w *JSONSSLWriter) Flush() error { return w.w.Flush() }
 
-// Records returns the number of records written.
-func (w *JSONSSLWriter) Records() int { return w.nrec }
-
 // JSONX509Writer writes x509.log records as ND-JSON.
 type JSONX509Writer struct {
-	w    *bufio.Writer
-	nrec int
+	w *bufio.Writer
 }
 
 // NewJSONX509Writer creates an ND-JSON x509.log writer.
@@ -143,7 +137,6 @@ func (w *JSONX509Writer) Write(r *X509Record) error {
 	if _, err := w.w.Write(data); err != nil {
 		return err
 	}
-	w.nrec++
 	return w.w.WriteByte('\n')
 }
 
@@ -153,47 +146,21 @@ func (w *JSONX509Writer) Close() error { return w.w.Flush() }
 // Flush pushes buffered records without closing the stream.
 func (w *JSONX509Writer) Flush() error { return w.w.Flush() }
 
-// Records returns the number of records written.
-func (w *JSONX509Writer) Records() int { return w.nrec }
-
-// JSONReader parses an ND-JSON Zeek log stream into generic Records so the
-// typed parsers (ParseSSLRecord / ParseX509Record) work on both formats.
-type JSONReader struct {
-	s    *bufio.Scanner
-	line int
-}
-
-// NewJSONReader wraps an ND-JSON log stream.
-func NewJSONReader(r io.Reader) *JSONReader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	return &JSONReader{s: s}
-}
-
-// Read returns the next record or io.EOF. JSON values are rendered back to
-// the string forms the typed parsers expect (bools as T/F, vectors joined
-// with the set separator, numbers via strconv).
-func (r *JSONReader) Read() (Record, error) {
-	for r.s.Scan() {
-		r.line++
-		line := r.s.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var raw map[string]any
-		if err := json.Unmarshal(line, &raw); err != nil {
-			return nil, fmt.Errorf("zeek: json line %d: %w", r.line, err) //certchain:coldpath malformed-line error path
-		}
-		rec := make(Record, len(raw))
-		for k, v := range raw {
-			rec[k] = jsonValueToField(v)
-		}
-		return rec, nil
+// jsonRecord is the one ND-JSON → Record conversion: one line, parsed by
+// encoding/json, with every value rendered back to the string form the TSV
+// format carries (bools as T/F, vectors joined with the set separator,
+// numbers via strconv), so the Record parsers work on both formats. The
+// error is encoding/json's own; callers add their line context.
+func jsonRecord(line []byte) (Record, error) {
+	var raw map[string]any
+	if err := json.Unmarshal(line, &raw); err != nil {
+		return nil, err
 	}
-	if err := r.s.Err(); err != nil {
-		return nil, fmt.Errorf("zeek: json scan: %w", err) //certchain:coldpath I/O error path
+	rec := make(Record, len(raw))
+	for k, v := range raw {
+		rec[k] = jsonValueToField(v)
 	}
-	return nil, io.EOF
+	return rec, nil
 }
 
 func jsonValueToField(v any) string {
@@ -225,20 +192,5 @@ func jsonValueToField(v any) string {
 		// Unmarshal into `any` only yields this for JSON objects, which the
 		// Zeek schemas never emit.
 		return fmt.Sprint(t) //certchain:coldpath unexpected-type fallback
-	}
-}
-
-// ReadAll drains the reader.
-func (r *JSONReader) ReadAll() ([]Record, error) {
-	var out []Record
-	for {
-		rec, err := r.Read()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, err
-		}
-		out = append(out, rec)
 	}
 }

@@ -29,9 +29,6 @@ func TestJSONSSLRoundTrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Records() != 1 {
-		t.Errorf("Records = %d", w.Records())
-	}
 	if !strings.Contains(buf.String(), `"id.orig_h":"10.9.8.7"`) {
 		t.Errorf("wire format: %s", buf.String())
 	}
@@ -89,9 +86,6 @@ func TestJSONX509RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	if w.Records() != 1 {
-		t.Errorf("Records = %d", w.Records())
-	}
 	rec, err := NewJSONReader(&buf).Read()
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,6 @@
 package zeek
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 )
@@ -10,7 +9,9 @@ import (
 // runs: string lines in, generic Record maps out. The daemon does not use it
 // (its tailers decode typed rows through RowDecoder); it stays as the
 // benchmark's per-layer probe surface and as the independent oracle the
-// typed path is fuzzed against (FuzzStreamDecodeEquivalence).
+// typed path is fuzzed against: line by line (FuzzStreamDecodeEquivalence),
+// and under the batch readers and map join of oracle_test.go, which is why
+// its errors carry the batch readers' text.
 
 // LineDecoder turns raw log lines into generic Records. Implementations keep
 // whatever per-file state the format needs (the TSV header block); the tailer
@@ -26,7 +27,7 @@ type LineDecoder interface {
 
 // TSVDecoder decodes Zeek ASCII (TSV) log lines.
 type TSVDecoder struct {
-	header Header
+	fields []string // the current #fields directive
 	closed bool
 	line   int
 }
@@ -50,18 +51,20 @@ func (d *TSVDecoder) Decode(line string) (Record, error) {
 			// A writer reopening the same file after #close resumes the stream.
 			d.closed = false
 		}
-		parseDirective(&d.header, line)
+		if fields, ok := parseDirective(line); ok {
+			d.fields = fields
+		}
 		return nil, nil
 	}
-	if len(d.header.Fields) == 0 {
-		return nil, fmt.Errorf("zeek: tail line %d: data before #fields header", d.line)
+	if len(d.fields) == 0 {
+		return nil, fmt.Errorf("zeek: line %d: data before #fields header", d.line)
 	}
 	parts := strings.Split(line, Separator)
-	if len(parts) != len(d.header.Fields) {
-		return nil, fmt.Errorf("zeek: tail line %d: %d values for %d fields", d.line, len(parts), len(d.header.Fields))
+	if len(parts) != len(d.fields) {
+		return nil, fmt.Errorf("zeek: line %d: %d values for %d fields", d.line, len(parts), len(d.fields))
 	}
 	rec := make(Record, len(parts))
-	for i, f := range d.header.Fields {
+	for i, f := range d.fields {
 		rec[f] = unescapeField(parts[i])
 	}
 	return rec, nil
@@ -70,20 +73,17 @@ func (d *TSVDecoder) Decode(line string) (Record, error) {
 // Closed implements LineDecoder.
 func (d *TSVDecoder) Closed() bool { return d.closed }
 
-// Header returns the header parsed so far.
-func (d *TSVDecoder) Header() Header { return d.header }
-
 // restore reinstates header state from a snapshot, so a tailer resuming
 // mid-file does not need to re-read the header block.
 func (d *TSVDecoder) restore(fields []string, closed bool) {
 	if len(fields) > 0 {
-		d.header.Fields = fields
+		d.fields = fields
 	}
 	d.closed = closed
 }
 
-// JSONDecoder decodes ND-JSON log lines. It is stateless: every line is a
-// self-contained object.
+// JSONDecoder decodes ND-JSON log lines. It is stateless but for the line
+// count: every line is a self-contained object.
 type JSONDecoder struct {
 	line int
 }
@@ -91,19 +91,15 @@ type JSONDecoder struct {
 // NewJSONDecoder returns an ND-JSON line decoder.
 func NewJSONDecoder() *JSONDecoder { return &JSONDecoder{} }
 
-// Decode implements LineDecoder.
+// Decode implements LineDecoder. Blank lines count, as bufio.Scanner's do.
 func (d *JSONDecoder) Decode(line string) (Record, error) {
+	d.line++
 	if line == "" {
 		return nil, nil
 	}
-	d.line++
-	var raw map[string]any
-	if err := json.Unmarshal([]byte(line), &raw); err != nil {
-		return nil, fmt.Errorf("zeek: tail json line %d: %w", d.line, err)
-	}
-	rec := make(Record, len(raw))
-	for k, v := range raw {
-		rec[k] = jsonValueToField(v)
+	rec, err := jsonRecord([]byte(line))
+	if err != nil {
+		return nil, fmt.Errorf("zeek: json line %d: %w", d.line, err)
 	}
 	return rec, nil
 }

@@ -4,14 +4,12 @@ package zeek
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"strconv"
 	"strings"
 	"time"
 
 	"certchains/internal/certmodel"
-	"certchains/internal/dn"
 )
 
 // Static parse errors: these fire per malformed record on the decode hot
@@ -85,9 +83,6 @@ func (s *SSLWriter) Close(at time.Time) error { return s.w.Close(at) }
 
 // Flush pushes buffered records without closing the stream.
 func (s *SSLWriter) Flush() error { return s.w.Flush() }
-
-// Records returns the number of records written.
-func (s *SSLWriter) Records() int { return s.w.Records() }
 
 // ParseSSLRecord converts a generic record from an ssl.log stream.
 func ParseSSLRecord(rec Record) (*SSLRecord, error) {
@@ -190,9 +185,6 @@ func (x *X509Writer) Close(at time.Time) error { return x.w.Close(at) }
 // Flush pushes buffered records without closing the stream.
 func (x *X509Writer) Flush() error { return x.w.Flush() }
 
-// Records returns the number of records written.
-func (x *X509Writer) Records() int { return x.w.Records() }
-
 // ParseX509Record converts a generic record from an x509.log stream.
 func ParseX509Record(rec Record) (*X509Record, error) {
 	r := &X509Record{}
@@ -220,41 +212,6 @@ func ParseX509Record(rec Record) (*X509Record, error) {
 	}
 	r.SANDNS = rec.GetVector("san.dns")
 	return r, nil
-}
-
-// ToMeta converts an x509.log record to the pipeline certificate model. The
-// record ID becomes the fingerprint, exactly how the paper cross-references
-// certificates without raw DER.
-func (r *X509Record) ToMeta() (*certmodel.Meta, error) {
-	issuer, err := dn.Parse(r.Issuer)
-	if err != nil {
-		return nil, fmt.Errorf("zeek: x509 %s: bad issuer: %w", r.ID, err) //certchain:coldpath malformed-record error path
-	}
-	subject, err := dn.Parse(r.Subject)
-	if err != nil {
-		return nil, fmt.Errorf("zeek: x509 %s: bad subject: %w", r.ID, err) //certchain:coldpath malformed-record error path
-	}
-	m := &certmodel.Meta{
-		FP:        certmodel.Fingerprint(r.ID),
-		Issuer:    issuer,
-		Subject:   subject,
-		SerialHex: strings.ToLower(r.Serial),
-		NotBefore: r.NotValidBefore,
-		NotAfter:  r.NotValidAfter,
-		KeyAlg:    certmodel.KeyAlgorithm(r.KeyType),
-		KeyBits:   r.KeyLength,
-		SigAlg:    r.SigAlg,
-		SAN:       r.SANDNS,
-	}
-	switch {
-	case r.BasicConstraintsCA == nil:
-		m.BC = certmodel.BCAbsent
-	case *r.BasicConstraintsCA:
-		m.BC = certmodel.BCTrue
-	default:
-		m.BC = certmodel.BCFalse
-	}
-	return m, nil
 }
 
 // FromMeta renders a certificate model as an x509.log record with the given

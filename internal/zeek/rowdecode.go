@@ -4,7 +4,6 @@ package zeek
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
 	"strconv"
@@ -21,7 +20,7 @@ import (
 // what decoding a stream needs between lines (the TSV #fields column map and
 // #close state) and the scratch it reuses, and nothing about where lines
 // come from or what a bad one means: the batch join (block.go) wraps it in
-// the legacy readers' fatal-error policy, the Tailer in the daemon's
+// the batch readers' fatal-error policy, the Tailer in the daemon's
 // count-and-continue policy.
 //
 // The decoded row is pooled: it, its CertChainFUIDs slice and an X509Row's
@@ -107,7 +106,7 @@ const (
 	rowNoHeader                    // TSV data before any #fields directive
 	rowFieldCount                  // TSV value count differs from the #fields count
 	rowBadJSON                     // not a JSON object (the error is encoding/json's)
-	rowTooLong                     // ND-JSON line at or past the legacy Scanner's token limit
+	rowTooLong                     // ND-JSON line at or past maxJSONLine
 )
 
 // FallbackReasons names why an ND-JSON line left the fast tokenizer, indexing
@@ -557,8 +556,8 @@ func (r *X509Row) fromRecord(x *X509Record) {
 }
 
 // meta builds the certificate model of a row whose id is new to the caller's
-// index — X509Record.ToMeta over byte views, error text included, with DN
-// parsing memoized in dns.
+// index — the test oracle's X509Record.ToMeta over byte views, error text
+// included, with DN parsing memoized in dns.
 func (r *X509Row) meta(dns *dn.Interner) (*certmodel.Meta, error) {
 	issuer, err := dns.Parse(r.issuer)
 	if err != nil {
@@ -674,27 +673,21 @@ func (d *RowDecoder) x509JSON(line []byte) (rowStatus, error) {
 	return d.x509.status()
 }
 
-// legacyJSONRecord is the exact fallback: the legacy readers' per-line
-// conversion, counted by why the fast tokenizer gave the line up. The error
-// is encoding/json's own; callers add their line context.
+// legacyJSONRecord is the exact fallback: the Record conversion of
+// JSONDecoder, counted by why the fast tokenizer gave the line up.
 //
 //certchain:coldpath anomalous-line fallback
 func (d *RowDecoder) legacyJSONRecord(line []byte) (Record, error) {
-	var raw map[string]any
-	if err := json.Unmarshal(line, &raw); err != nil {
+	rec, err := jsonRecord(line)
+	switch {
+	case err != nil:
 		d.fallbacks[fallbackMalformed]++
-		return nil, err
-	}
-	if bytes.IndexByte(line, '\\') >= 0 {
+	case bytes.IndexByte(line, '\\') >= 0:
 		d.fallbacks[fallbackEscape]++
-	} else {
+	default:
 		d.fallbacks[fallbackShape]++
 	}
-	rec := make(Record, len(raw))
-	for k, v := range raw {
-		rec[k] = jsonValueToField(v)
-	}
-	return rec, nil
+	return rec, err
 }
 
 // jsonSpan parses a scalar string value with Record.Get's sentinel

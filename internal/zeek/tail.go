@@ -80,7 +80,7 @@ func (h *recordLines) Closed() bool { return h.dec.Closed() }
 
 func (h *recordLines) header() ([]string, bool) {
 	if d, ok := h.dec.(*TSVDecoder); ok {
-		return d.header.Fields, d.closed
+		return d.fields, d.closed
 	}
 	return nil, false
 }
@@ -381,7 +381,7 @@ func (t *Tailer) Finish(emit func(Record) error) error {
 // FinishRows is Finish for a typed tailer. It decodes a dangling
 // unterminated final line, for a file that has reached its definite end
 // (rotation or shutdown). Mid-record truncation shows up as a parse error
-// and is counted, matching the Reader's tolerance.
+// and is counted, matching the batch readers' tolerance.
 func (t *Tailer) FinishRows() error {
 	if t.held == 0 {
 		return nil

@@ -29,9 +29,6 @@ func TestWriterHeaderAndClose(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
-	if w.Records() != 1 {
-		t.Errorf("Records = %d", w.Records())
-	}
 }
 
 func TestWriterFieldCountMismatch(t *testing.T) {
@@ -82,21 +79,6 @@ func TestUnsetAndEmpty(t *testing.T) {
 	}
 	if v, ok := rec.Get("b"); !ok || v != "" {
 		t.Error("(empty) should read as present empty string")
-	}
-}
-
-func TestReaderHeader(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, Header{Path: "conn", Fields: []string{"x"}, Types: []string{"string"}, Open: ts0})
-	w.WriteRecord([]string{"1"})
-	w.Close(ts0)
-	r := NewReader(&buf)
-	if _, err := r.Read(); err != nil {
-		t.Fatal(err)
-	}
-	h := r.Header()
-	if h.Path != "conn" || len(h.Fields) != 1 || !h.Open.Equal(ts0.Truncate(time.Second)) {
-		t.Errorf("header = %+v", h)
 	}
 }
 
@@ -495,21 +477,6 @@ func TestIndexX509Direct(t *testing.T) {
 	// Malformed stream.
 	if _, err := IndexX509(strings.NewReader("#fields\tts\n#types\ttime\nnotanumber\textra\n")); err == nil {
 		t.Error("bad x509 stream must error")
-	}
-}
-
-func TestWriterRecordsCounters(t *testing.T) {
-	var ssl, x509 bytes.Buffer
-	sw := NewSSLWriter(&ssl, ts0)
-	sw.Write(&SSLRecord{TS: ts0, UID: "C", OrigH: "10.0.0.1", RespH: "1.1.1.1", RespP: 443})
-	if sw.Records() != 1 {
-		t.Errorf("ssl Records = %d", sw.Records())
-	}
-	xw := NewX509Writer(&x509, ts0)
-	xw.Write(&X509Record{TS: ts0, ID: "F", Subject: "CN=a", Issuer: "CN=b",
-		NotValidBefore: ts0, NotValidAfter: ts0.AddDate(1, 0, 0)})
-	if xw.Records() != 1 {
-		t.Errorf("x509 Records = %d", xw.Records())
 	}
 }
 
