@@ -128,6 +128,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTSVDecodeEquivalence -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzJSONDecodeEquivalence -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzFastJoinBlockCuts -fuzztime 30s ./internal/zeek/
+	$(GO) test -fuzz FuzzGroupedLoadBlockCuts -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzStreamDecodeEquivalence -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzShardMerge -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzRegistryMerge -fuzztime 20s ./internal/obs/

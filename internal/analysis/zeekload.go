@@ -81,37 +81,39 @@ func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observ
 	if x509, err = maybeGunzip(x509); err != nil {
 		return err
 	}
+	return FoldConnGroups(func(fn func(*zeek.ConnGroup) error) error {
+		return zeek.FastJoinGroups(format == FormatJSON, ssl, x509, fn)
+	}, emit)
+}
+
+// FoldConnGroups is LoadFormatFunc's reduction over the connection groups a
+// zeek.FastJoinGroups pass hands to join's fn: one aggregate per identity,
+// opened by the identity's first group, emitted in first-seen order once
+// join returns. A group whose chain names an unknown certificate is dropped,
+// as real log pipelines tolerate x509 rotation gaps; the next group of its
+// identity tries again. The aggregates retain only what a pooled group may
+// hand out: the canonical Chain, interned strings and times.
+func FoldConnGroups(join func(fn func(*zeek.ConnGroup) error) error, emit func(*campus.Observation) error) error {
 	byKey := make(map[string]*ConnAggregate)
 	var order []*ConnAggregate
-	var keyBuf []byte
-
-	// FastJoin pools the Connection and SSL record between callbacks; the
-	// fold retains only safe values — the canonical Chain, immutable field
-	// strings, and the TS value.
-	join := zeek.FastJoin
-	if format == FormatJSON {
-		join = zeek.FastJoinJSON
-	}
-	err = join(ssl, x509, func(c *zeek.Connection, err error) error {
-		if err != nil {
-			// Tolerate per-row join gaps (x509 rotation) like real log
-			// pipelines; the row is dropped.
-			return nil
-		}
-		keyBuf = AppendConnKey(keyBuf[:0], c.Chain, c.SSL.RespH, c.SSL.RespP)
-		a := byKey[string(keyBuf)]
+	err := join(func(g *zeek.ConnGroup) error {
+		a := byKey[string(g.Key())]
 		if a == nil {
-			a = NewConnAggregate(c)
-			byKey[string(keyBuf)] = a
+			ch, err := g.Chain()
+			if err != nil {
+				return nil
+			}
+			ip, port := g.Server()
+			a = openConnAggregate(ch, ip, port, g.First)
+			byKey[string(g.Key())] = a
 			order = append(order, a)
 		}
-		a.Fold(c)
+		a.foldGroup(g)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-
 	for _, a := range order {
 		if err := emit(a.Finalize()); err != nil {
 			return err
@@ -121,15 +123,24 @@ func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observ
 }
 
 // AppendConnKey appends the observation identity connections aggregate
-// under — (delivered chain, server address, server port) — to dst.
-// Aggregators probe their maps with m[string(buf)] and materialize a key
-// only for a new observation.
+// under — (delivered chain, server address, server port) — to dst. Each
+// fingerprint and the address are length-prefixed, so no two identities
+// share a key whatever bytes they hold. Aggregators probe their maps with
+// m[string(buf)] and materialize a key only for a new observation.
 func AppendConnKey(dst []byte, ch certmodel.Chain, serverIP string, port int) []byte {
-	dst = ch.AppendKey(dst)
+	for _, m := range ch {
+		dst = appendLenPrefixed(dst, string(m.FP))
+	}
 	dst = append(dst, '|')
-	dst = append(dst, serverIP...)
-	dst = append(dst, '|')
+	dst = appendLenPrefixed(dst, serverIP)
 	return strconv.AppendInt(dst, int64(port), 10)
+}
+
+// appendLenPrefixed appends s to dst as its decimal length, ':' and s.
+func appendLenPrefixed(dst []byte, s string) []byte {
+	dst = strconv.AppendInt(dst, int64(len(s)), 10)
+	dst = append(dst, ':')
+	return append(dst, s...)
 }
 
 // ConnAggregate folds the joined connections of one observation identity
@@ -143,14 +154,14 @@ type ConnAggregate struct {
 // NewConnAggregate opens an aggregate at c's identity; c itself still has to
 // be folded. Only values safe to retain past a pooled Connection are kept.
 func NewConnAggregate(c *zeek.Connection) *ConnAggregate {
+	return openConnAggregate(c.Chain, c.SSL.RespH, c.SSL.RespP, c.SSL.TS)
+}
+
+// openConnAggregate opens an aggregate at an identity, its time bounds at
+// ts.
+func openConnAggregate(ch certmodel.Chain, serverIP string, port int, ts time.Time) *ConnAggregate {
 	return &ConnAggregate{
-		o: &campus.Observation{
-			Chain:    c.Chain,
-			ServerIP: c.SSL.RespH,
-			Port:     c.SSL.RespP,
-			First:    c.SSL.TS,
-			Last:     c.SSL.TS,
-		},
+		o:   &campus.Observation{Chain: ch, ServerIP: serverIP, Port: port, First: ts, Last: ts},
 		ips: make(map[string]bool),
 	}
 }
@@ -184,6 +195,27 @@ func (a *ConnAggregate) Fold(c *zeek.Connection) {
 	}
 	if c.SSL.TS.After(a.o.Last) {
 		a.o.Last = c.SSL.TS
+	}
+}
+
+// foldGroup accumulates a block's connections of the aggregate's identity:
+// Fold over each of g's rows in file order.
+func (a *ConnAggregate) foldGroup(g *zeek.ConnGroup) {
+	a.o.Conns += g.Conns
+	a.o.Established += g.Established
+	a.o.NoSNI += g.NoSNI
+	if a.o.Domain == "" {
+		a.o.Domain = g.SNI()
+	}
+	if len(a.o.Chain) == 0 {
+		a.o.TLS13 = true
+	}
+	g.AddClients(a.ips)
+	if g.First.Before(a.o.First) {
+		a.o.First = g.First
+	}
+	if g.Last.After(a.o.Last) {
+		a.o.Last = g.Last
 	}
 }
 

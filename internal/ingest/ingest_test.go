@@ -27,6 +27,7 @@ import (
 	"certchains/internal/certmodel"
 	"certchains/internal/ingest"
 	"certchains/internal/lint"
+	"certchains/internal/zeek"
 )
 
 // equivScale matches the analysis equivalence suite: small enough to be
@@ -217,6 +218,57 @@ func TestIngestorMatchesBatch(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestIngestorMatchesBatchOnSeparatorBytes: three connections whose chains
+// or server address hold '|' — chain [x|y] and chain [x, y] at 10.0.0.2,
+// chain [x] at "y|10.0.0.2" — are three observations in the daemon, whose
+// window aggregator keys by AppendConnKey, as in the batch load, and the two
+// reports match.
+func TestIngestorMatchesBatchOnSeparatorBytes(t *testing.T) {
+	now := time.Unix(1700000000, 0).UTC()
+	var sslBuf, x509Buf bytes.Buffer
+	xw := zeek.NewX509Writer(&x509Buf, now)
+	for _, id := range []string{"x|y", "x", "y"} {
+		if err := xw.Write(&zeek.X509Record{TS: now, ID: id, Subject: "CN=" + id, Issuer: "CN=Root"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sw := zeek.NewSSLWriter(&sslBuf, now)
+	for i, c := range []struct {
+		fuids  []string
+		server string
+	}{{[]string{"x|y"}, "10.0.0.2"}, {[]string{"x", "y"}, "10.0.0.2"}, {[]string{"x"}, "y|10.0.0.2"}} {
+		err := sw.Write(&zeek.SSLRecord{TS: now.Add(time.Duration(i) * time.Second), UID: fmt.Sprintf("C%d", i),
+			OrigH: "10.1.0.1", RespH: c.server, RespP: 443, Established: true, CertChainFUIDs: c.fuids})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := xw.Close(now.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sw.Close(now.Add(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	s := scenario(t, 1)
+	ssl, x509 := sslBuf.Bytes(), x509Buf.Bytes()
+	wantText, wantJS := renderings(t, batchReport(t, newPipeline(s), analysis.FormatTSV, ssl, x509))
+	sslPath, x509Path := writeLogs(t, t.TempDir(), ssl, x509)
+	ing := ingest.New(newPipeline(s), ingest.Config{
+		SSLPath:  sslPath,
+		X509Path: x509Path,
+		Window:   analysis.WindowConfig{Interval: giantInterval, Buckets: 4, Workers: 1},
+	})
+	defer ing.Close()
+	drain(t, ing)
+	if n := ing.Stats().Observations; n != 3 {
+		t.Errorf("daemon folded %d observations, want 3", n)
+	}
+	gotText, gotJS := renderings(t, ing.Report(0))
+	if gotText != wantText || !bytes.Equal(gotJS, wantJS) {
+		t.Errorf("streamed report diverges from batch")
 	}
 }
 

@@ -19,11 +19,12 @@ import (
 //   - one reader goroutine cuts the stream into blocks of whole lines and
 //     stamps each with the TSV header in effect at its first line;
 //   - workers decode every line of a block into an sslView — split,
-//     unescape, number and time parse — with no shared state;
+//     unescape, number and time parse — with no shared state, and for
+//     FastJoinGroups also fold the block's rows into groups (group.go);
 //   - the calling goroutine replays the blocks in file order: it interns
-//     each view through the join's one interner, resolves its chain through
-//     the one chain cache, applies the batch error policy with stream line
-//     numbers and calls fn.
+//     each view (or group) through the join's one interner, resolves its
+//     chain through the one chain cache, applies the batch error policy with
+//     stream line numbers and calls fn.
 //
 // A block belongs to one stage at a time and moves by channel: the reader
 // fills it, a worker rewrites it (in-place unescapes) and appends its views,
@@ -61,6 +62,9 @@ type block struct {
 	lines int
 	bad   badLine
 	done  chan struct{}
+	// Grouping output: the groups in first-row order, and their identities.
+	groups []ConnGroup
+	keys   []byte
 }
 
 // sslRow is one decoded data line of a block: its view, or the record error
@@ -68,6 +72,7 @@ type block struct {
 type sslRow struct {
 	view sslView
 	off  uint32 // the line's offset in the block
+	next int32  // the next row of the row's group, or -1
 	err  error
 }
 
@@ -336,11 +341,20 @@ func (d *RowDecoder) decodeBlock(blk *block) {
 	blk.lines = w.line
 }
 
-// joinSSL walks the ssl stream — the joined-row tail of the map join — with
-// workers decoding goroutines ahead of the caller's replay; spare is a block
-// to start with. It returns only after every goroutine it started has
+// joinBlocks indexes the x509 stream, then walks the ssl stream — the
+// joined-row tail of the map join — with workers decoding, and grouping when
+// grouped, goroutines ahead of the caller's replay, which hands each block to
+// each in file order. It returns only after every goroutine it started has
 // exited, so the stream is never read after it returns.
-func (j *fastJoiner) joinSSL(r *blockReader, spare *block, workers int, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
+func joinBlocks(json bool, ssl, x509 io.Reader, size, workers int, grouped bool, each func(*fastJoiner, *block) error) error {
+	j := &fastJoiner{chains: make(map[string]certmodel.Chain)}
+	j.ssl = NewRowDecoder(json, &j.strs)
+	spare := newBlock(size)
+	var err error
+	if j.certs, err = j.indexX509(newBlockReader(x509, json, size), spare, NewRowDecoder(json, &j.strs)); err != nil {
+		return err
+	}
+	r := newBlockReader(ssl, json, size)
 	// Every queue can hold every block there will be, so no send blocks.
 	nblocks := workers + 2
 	free := make(chan *block, nblocks)
@@ -356,10 +370,10 @@ func (j *fastJoiner) joinSSL(r *blockReader, spare *block, workers int, certs ma
 	for range workers {
 		go func() {
 			defer wg.Done()
-			decodeBlocks(NewRowDecoder(r.json, nil), work, quit)
+			decodeBlocks(NewRowDecoder(r.json, nil), grouped, work, quit)
 		}()
 	}
-	err := j.replay(ordered, free, certs, fn)
+	err = j.replay(ordered, free, each)
 	close(quit)
 	wg.Wait()
 	return err
@@ -397,9 +411,10 @@ func (r *blockReader) cut(blk *block, nblocks int, free <-chan *block, work, ord
 	}
 }
 
-// decodeBlocks is a worker: decode blocks until the queue closes or the
-// replay quits.
-func decodeBlocks(d *RowDecoder, work <-chan *block, quit <-chan struct{}) {
+// decodeBlocks is a worker: decode blocks, and group their rows when
+// grouped, until the queue closes or the replay quits.
+func decodeBlocks(d *RowDecoder, grouped bool, work <-chan *block, quit <-chan struct{}) {
+	var t groupTable
 	for {
 		select {
 		case blk, ok := <-work:
@@ -407,6 +422,9 @@ func decodeBlocks(d *RowDecoder, work <-chan *block, quit <-chan struct{}) {
 				return
 			}
 			d.decodeBlock(blk)
+			if grouped {
+				t.group(blk)
+			}
 			blk.done <- struct{}{}
 		case <-quit:
 			return
@@ -414,31 +432,14 @@ func decodeBlocks(d *RowDecoder, work <-chan *block, quit <-chan struct{}) {
 	}
 }
 
-// replay is the calling goroutine's half: each block's rows in file order —
-// intern, resolve the chain, call fn — then the block's stream error, if
-// any, and the block back to the reader.
-func (j *fastJoiner) replay(ordered <-chan *block, free chan<- *block, certs map[string]*certmodel.Meta, fn func(*Connection, error) error) error {
-	d, base := j.ssl, 0
+// replay is the calling goroutine's half: each block in file order to each,
+// then the block's stream error, if any, and the block back to the reader.
+func (j *fastJoiner) replay(ordered <-chan *block, free chan<- *block, each func(*fastJoiner, *block) error) error {
+	base := 0
 	for blk := range ordered {
 		<-blk.done
-		for i := range blk.rows {
-			row := &blk.rows[i]
-			var err error
-			if row.err != nil {
-				err = fn(nil, row.err)
-			} else {
-				line := blk.buf[row.off:]
-				d.materializeSSL(line, &row.view)
-				if ch, joinErr := j.chainFor(certs, line, &row.view); joinErr != nil {
-					err = fn(nil, joinErr)
-				} else {
-					j.conn = Connection{SSL: &d.ssl, Chain: ch}
-					err = fn(&j.conn, nil)
-				}
-			}
-			if err != nil {
-				return err
-			}
+		if err := each(j, blk); err != nil {
+			return err
 		}
 		if blk.bad.st != rowNone {
 			return blk.bad.err(base)

@@ -147,22 +147,33 @@ func TestFastJoinFatalBeforeDecodedBlock(t *testing.T) {
 	if want == "" {
 		t.Fatal("legacy join accepted the bad line")
 	}
+	// Give the workers time to decode past the bad line; the assertions
+	// below hold however far they got.
+	pause := func(seen int64) {
+		if seen == 0 {
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
 	for workers := 1; workers <= 4; workers++ {
-		seen := 0
+		var seen, grouped int64
 		err := fastJoinBlocks(false, strings.NewReader(ssl), strings.NewReader(x509), func(c *Connection, err error) error {
-			if seen == 0 {
-				// Give the workers time to decode past the bad line; the
-				// assertions below hold however far they got.
-				time.Sleep(20 * time.Millisecond)
-			}
+			pause(seen)
 			seen++
 			return err
 		}, 512, workers)
 		if err == nil || err.Error() != want {
 			t.Fatalf("workers=%d: stream error %v, want %q", workers, err, want)
 		}
-		if seen != bad {
-			t.Fatalf("workers=%d: callback saw %d rows, want the %d before the bad line", workers, seen, bad)
+		err = groupBlocks(false, strings.NewReader(ssl), strings.NewReader(x509), func(g *ConnGroup) error {
+			pause(grouped)
+			grouped += g.Conns
+			return nil
+		}, 512, workers)
+		if err == nil || err.Error() != want {
+			t.Fatalf("workers=%d: grouped stream error %v, want %q", workers, err, want)
+		}
+		if seen != bad || grouped != bad {
+			t.Fatalf("workers=%d: callbacks saw %d rows and %d grouped, want the %d before the bad line", workers, seen, grouped, bad)
 		}
 	}
 }
@@ -179,8 +190,8 @@ func settle(t *testing.T, n int) {
 }
 
 // TestFastJoinAbortLeavesNoGoroutine is TestJoinCallbackAbort on the block
-// pipeline: the callback's error comes back promptly and every goroutine
-// the join started has exited.
+// pipeline, row by row and grouped: the callback's error comes back promptly
+// and every goroutine the join started has exited.
 func TestFastJoinAbortLeavesNoGoroutine(t *testing.T) {
 	ssl, x509 := manyRows(2000), tsvX509Header+tsvSeedX509Row
 	before := runtime.NumGoroutine()
@@ -195,13 +206,22 @@ func TestFastJoinAbortLeavesNoGoroutine(t *testing.T) {
 			t.Fatalf("workers=%d: got %v after %d calls, want the callback's error after 1", workers, err, calls)
 		}
 		settle(t, before)
+		calls = 0
+		err = groupBlocks(false, strings.NewReader(ssl), strings.NewReader(x509), func(*ConnGroup) error {
+			calls++
+			return abort
+		}, 256, workers)
+		if err != abort || calls != 1 {
+			t.Fatalf("workers=%d: grouped, got %v after %d calls, want the callback's error after 1", workers, err, calls)
+		}
+		settle(t, before)
 	}
 }
 
 // TestFastJoinReadFaultLeavesNoGoroutine injects a read error mid-stream
 // through the resilience fault reader: a proper prefix of the rows arrives,
-// the error carries the legacy readers' text, and no goroutine is left
-// behind.
+// row by row or grouped, the error carries the legacy readers' text, and no
+// goroutine is left behind.
 func TestFastJoinReadFaultLeavesNoGoroutine(t *testing.T) {
 	fault := func(attempt int) *resilience.Plan {
 		return resilience.NewPlan(resilience.Fault{Op: "ssl", Attempt: attempt, Kind: resilience.ReadErr})
@@ -238,6 +258,20 @@ func TestFastJoinReadFaultLeavesNoGoroutine(t *testing.T) {
 				if uid != clean[i].SSL.UID {
 					t.Fatalf("json=%v workers=%d: row %d is %s, want %s", json, workers, i, uid, clean[i].SSL.UID)
 				}
+			}
+			settle(t, before)
+
+			plan = fault(6)
+			var grouped int64
+			err = groupBlocks(json, plan.Reader("ssl", strings.NewReader(ssl)), strings.NewReader(x509), func(g *ConnGroup) error {
+				grouped += g.Conns
+				return nil
+			}, 1024, workers)
+			if err == nil || err.Error() != want || plan.InjectedCount() != 1 {
+				t.Fatalf("json=%v workers=%d: grouped, stream error %v after %d faults, want %q after 1", json, workers, err, plan.InjectedCount(), want)
+			}
+			if grouped == 0 || grouped >= int64(len(clean)) {
+				t.Fatalf("json=%v workers=%d: %d grouped rows before the fault, want a proper prefix of %d", json, workers, grouped, len(clean))
 			}
 			settle(t, before)
 		}

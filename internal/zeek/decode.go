@@ -32,8 +32,9 @@ type Connection struct {
 // contract relative to the map join:
 //
 //   - The *Connection and its SSL record are pooled: they are only valid
-//     until fn returns, as is the CertChainFUIDs slice. Field string values
-//     (and the Chain) may be retained freely.
+//     until fn returns, as is the CertChainFUIDs slice — and so are
+//     FastJoinGroups' *ConnGroup and its Key. Field string values (and the
+//     Chain) may be retained freely.
 //   - Chain values are canonical: every connection delivering the same
 //     certificate sequence shares one Chain slice (read-only by contract,
 //     like the *Meta values it holds).
@@ -62,64 +63,90 @@ func fastJoin(json bool, ssl, x509 io.Reader, fn func(c *Connection, err error) 
 }
 
 // fastJoinBlocks is fastJoin with its block size and worker count explicit —
-// the seam tests use to put block boundaries anywhere.
+// the seam tests use to put block boundaries anywhere. Its replay hands each
+// block's rows to fn in file order: intern, resolve the chain, call fn.
 func fastJoinBlocks(json bool, ssl, x509 io.Reader, fn func(c *Connection, err error) error, size, workers int) error {
-	j := &fastJoiner{chains: make(map[string]certmodel.Chain)}
-	j.ssl = NewRowDecoder(json, &j.strs)
-	blk := newBlock(size)
-	certs, err := j.indexX509(newBlockReader(x509, json, size), blk, NewRowDecoder(json, &j.strs))
-	if err != nil {
-		return err
-	}
-	return j.joinSSL(newBlockReader(ssl, json, size), blk, workers, certs, fn)
+	return joinBlocks(json, ssl, x509, size, workers, false, func(j *fastJoiner, blk *block) error {
+		d := j.ssl
+		for i := range blk.rows {
+			row := &blk.rows[i]
+			if row.err != nil {
+				if err := fn(nil, row.err); err != nil {
+					return err
+				}
+				continue
+			}
+			line := blk.buf[row.off:]
+			d.materializeSSL(line, &row.view)
+			ch, err := j.chain(line, &row.view)
+			if err != nil {
+				err = fn(nil, err)
+			} else {
+				if ch != nil { // a chain's fingerprints are its fuids
+					d.fuids = d.fuids[:0]
+					for _, m := range ch {
+						d.fuids = append(d.fuids, string(m.FP))
+					}
+					d.ssl.CertChainFUIDs = d.fuids
+				}
+				j.conn = Connection{SSL: &d.ssl, Chain: ch}
+				err = fn(&j.conn, nil)
+			}
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // fastJoiner carries the per-call join state: the interners the two
-// streams' decoders share, the canonical chain cache, the decoder that
-// materializes ssl rows and the pooled connection.
+// streams' decoders share, the certificate index, the canonical chain cache,
+// the decoder that materializes ssl rows and the pooled connection.
 type fastJoiner struct {
 	strs   certmodel.Interner
 	dns    dn.Interner
+	certs  map[string]*certmodel.Meta
 	chains map[string]certmodel.Chain
 	keyBuf []byte
 	ssl    *RowDecoder
 	conn   Connection
 }
 
-// chainFor resolves the fuids of the row just materialized from v against
-// the certificate index, returning the canonical shared Chain for that
-// sequence and filling d.ssl.CertChainFUIDs. The cache key is the comma
-// list of fuids — no fuid holds a comma — and a chain's fingerprints are
-// its fuids, so a hit interns nothing. The per-row error for an unknown fuid
-// matches the map join's exactly.
-func (j *fastJoiner) chainFor(certs map[string]*certmodel.Meta, line []byte, v *sslView) (certmodel.Chain, error) {
-	d := j.ssl
-	key := v.fuids.of(line)
+// chain resolves the fuids of a row view of line against the certificate
+// index, returning the canonical shared Chain for that sequence. The cache
+// key is the comma list of fuids — no fuid holds a comma — so a hit interns
+// nothing. The error for an unknown fuid matches the map join's exactly.
+func (j *fastJoiner) chain(line []byte, v *sslView) (certmodel.Chain, error) {
+	key, fuids := v.fuids.of(line), []string(nil)
 	if v.legacy != nil {
 		j.keyBuf = appendJoined(j.keyBuf[:0], v.legacy.CertChainFUIDs)
-		key = j.keyBuf
+		key, fuids = j.keyBuf, v.legacy.CertChainFUIDs
 	}
 	if len(key) == 0 {
 		return nil, nil
 	}
-	ch, ok := j.chains[string(key)]
-	if !ok {
-		d.internFUIDs(line, v)
-		ch = make(certmodel.Chain, 0, len(d.ssl.CertChainFUIDs))
-		for _, f := range d.ssl.CertChainFUIDs {
-			m, ok := certs[f]
-			if !ok {
-				return nil, fmt.Errorf("zeek: connection %s references unknown certificate %s", d.ssl.UID, f) //certchain:coldpath per-row join-gap error path
+	if ch, ok := j.chains[string(key)]; ok {
+		return ch, nil
+	}
+	if v.legacy == nil {
+		d := j.ssl
+		d.fuids = d.appendVector(d.fuids[:0], key)
+		fuids = d.fuids
+	}
+	ch := make(certmodel.Chain, 0, len(fuids))
+	for _, f := range fuids {
+		m, ok := j.certs[f]
+		if !ok {
+			uid := string(v.uid.of(line))
+			if v.legacy != nil {
+				uid = v.legacy.UID
 			}
-			ch = append(ch, m)
+			return nil, fmt.Errorf("zeek: connection %s references unknown certificate %s", uid, f) //certchain:coldpath per-row join-gap error path
 		}
-		j.chains[string(key)] = ch
+		ch = append(ch, m)
 	}
-	d.fuids = d.fuids[:0]
-	for _, m := range ch {
-		d.fuids = append(d.fuids, string(m.FP))
-	}
-	d.ssl.CertChainFUIDs = d.fuids
+	j.chains[string(key)] = ch
 	return ch, nil
 }
 

@@ -35,10 +35,10 @@ import (
 //
 // An ssl.log line decodes in two halves: viewSSL does everything that needs
 // no shared state (split, unescape, validate, number/time/bool parse) and
-// leaves the strings as spans of the line; materializeSSL and internFUIDs
-// intern them into the pooled SSLRecord. decodeSSL runs the halves back to
-// back; the batch join runs the first on worker goroutines and the second,
-// in file order, on its caller (block.go).
+// leaves the strings as spans of the line; materializeSSL interns them into
+// the pooled SSLRecord. decodeSSL runs the halves back to back; the batch
+// join runs the first on worker goroutines and the second, in file order,
+// on its caller (block.go) — or, grouped, interns per group (group.go).
 type RowDecoder struct {
 	json bool
 	strs *certmodel.Interner
@@ -49,6 +49,7 @@ type RowDecoder struct {
 	gen      int
 	closed   bool
 	line     []byte // the TSV line being decoded
+	escaped  bool   // whether it holds a backslash, so a field may need unescaping
 	cols     []span // its columns
 	sslCols  sslCols
 	x509Cols x509Cols
@@ -144,7 +145,10 @@ func (d *RowDecoder) decodeSSL(line []byte) (rowStatus, error) {
 	st, err := d.viewSSL(line, &d.view)
 	if st == rowOK {
 		d.materializeSSL(line, &d.view)
-		d.internFUIDs(line, &d.view)
+		if v := &d.view; v.legacy == nil && v.fuids.hi > v.fuids.lo {
+			d.fuids = d.appendVector(d.fuids[:0], v.fuids.of(line))
+			d.ssl.CertChainFUIDs = d.fuids
+		}
 	}
 	return st, err
 }
@@ -166,8 +170,8 @@ func (d *RowDecoder) viewSSL(line []byte, v *sslView) (rowStatus, error) {
 	return d.sslTSV(v)
 }
 
-// materializeSSL fills d.ssl from a view of line, CertChainFUIDs aside
-// (internFUIDs): strings interned, the uid copied — it is unique per row.
+// materializeSSL fills d.ssl from a view of line, CertChainFUIDs aside:
+// strings interned, the uid copied — it is unique per row.
 func (d *RowDecoder) materializeSSL(line []byte, v *sslView) {
 	if v.legacy != nil {
 		d.ssl = *v.legacy
@@ -185,14 +189,6 @@ func (d *RowDecoder) materializeSSL(line []byte, v *sslView) {
 		ServerName:  d.strs.Bytes(v.serverName.of(line)),
 		Resumed:     v.resumed,
 		Established: v.established,
-	}
-}
-
-// internFUIDs fills d.ssl.CertChainFUIDs from a view materializeSSL loaded.
-func (d *RowDecoder) internFUIDs(line []byte, v *sslView) {
-	if v.legacy == nil && v.fuids.hi > v.fuids.lo {
-		d.fuids = d.appendVector(d.fuids[:0], v.fuids.of(line))
-		d.ssl.CertChainFUIDs = d.fuids
 	}
 }
 
@@ -273,6 +269,7 @@ func (d *RowDecoder) splitTSV(line []byte) rowStatus {
 		return rowNoHeader
 	}
 	d.line, d.cols = line, d.cols[:0]
+	d.escaped = bytes.IndexByte(line, '\\') >= 0
 	for lo := 0; ; {
 		i := bytes.IndexByte(line[lo:], '\t')
 		if i < 0 {
@@ -404,9 +401,12 @@ func (d *RowDecoder) field(c int) (span, bool) {
 		return span{}, false
 	}
 	s := d.cols[c]
-	v := unescapeInPlace(s.of(d.line))
-	s.hi = s.lo + uint32(len(v))
-	d.cols[c] = s
+	v := s.of(d.line)
+	if d.escaped {
+		v = unescapeInPlace(v)
+		s.hi = s.lo + uint32(len(v))
+		d.cols[c] = s
+	}
 	if string(v) == UnsetField {
 		return span{}, false
 	}
