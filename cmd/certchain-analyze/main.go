@@ -51,7 +51,6 @@ func run() error {
 		dotDir  = flag.String("dot", "", "also write figure5/7/8 Graphviz files into this directory")
 		verify  = flag.Bool("verify", false, "check every measured value against the paper's reported targets")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker count; any value produces an identical report")
-		batch   = flag.Int("batch", 0, "streaming handoff batch size (0 = default); any value produces an identical report")
 		lintPro = flag.String("lint", "", "lint every chain and append a corpus prevalence table; value is the check profile (paper, strict, all)")
 
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON file of the run's stage spans (view in chrome://tracing or Perfetto)")
@@ -124,7 +123,6 @@ func run() error {
 
 	pipeline := analysis.FromScenario(scenario)
 	pipeline.Workers = *workers
-	pipeline.Batch = *batch
 	pipeline.Tracer = tracer
 	if *lintPro != "" {
 		// The scenario's collection end is the deterministic reference time:

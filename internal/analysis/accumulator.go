@@ -144,35 +144,21 @@ func (p *Pipeline) DecodeState(data []byte) (*Accumulator, error) {
 	return &Accumulator{pr: pr, n: st.Observations}, nil
 }
 
-// AccumulateStream consumes a producer channel through a dispatcher and
-// worker pool and returns the merged (unfinalized) accumulator — RunStream
-// without the finalize, which is what a distributed worker ships upstream.
-// Sequence tags follow producer order, so the result finalizes
-// byte-identically at any worker count. Spans go to the pipeline's tracer.
+// AccumulateStream consumes a producer channel through the worker pool and
+// returns the merged (unfinalized) accumulator — RunStream without the
+// finalize, which is what a distributed worker ships upstream. The stream is
+// re-chunked into DefaultBatch-sized handoffs; sequence tags follow producer
+// order, so the result finalizes byte-identically at any worker count. Spans
+// go to the pipeline's tracer.
 func (p *Pipeline) AccumulateStream(observations <-chan *campus.Observation, workers int) *Accumulator {
-	return p.AccumulateStreamTracer(observations, workers, p.Tracer)
-}
-
-// AccumulateStreamTracer is AccumulateStream with an explicit tracer: a
-// distributed worker ingesting several partitions concurrently gives each
-// one its own tracer (its span set ships upstream per partition), which a
-// shared Pipeline.Tracer could not keep apart. A nil tracer disables
-// tracing without touching the accumulation path.
-//
-// Internally the stream is re-chunked into batches of Pipeline.Batch
-// observations per worker handoff; batching only amortizes channel sends and
-// never changes output (the equivalence suite pins every batch size
-// byte-identical).
-func (p *Pipeline) AccumulateStreamTracer(observations <-chan *campus.Observation, workers int, tracer *obs.Tracer) *Accumulator {
-	size := p.normalizeBatch()
 	batches := make(chan []*campus.Observation, 2)
 	go func() {
-		buf := make([]*campus.Observation, 0, size)
+		buf := make([]*campus.Observation, 0, DefaultBatch)
 		for o := range observations {
 			buf = append(buf, o)
-			if len(buf) == size {
+			if len(buf) == DefaultBatch {
 				batches <- buf
-				buf = make([]*campus.Observation, 0, size)
+				buf = make([]*campus.Observation, 0, DefaultBatch)
 			}
 		}
 		if len(buf) > 0 {
@@ -180,7 +166,23 @@ func (p *Pipeline) AccumulateStreamTracer(observations <-chan *campus.Observatio
 		}
 		close(batches)
 	}()
-	return p.AccumulateBatchesTracer(batches, workers, tracer)
+	return p.AccumulateBatches(batches, workers)
+}
+
+// sliceBatches feeds a materialized slice to the pool as DefaultBatch-sized
+// sub-slices of its backing array. The goroutine exits once the pool has
+// drained the channel, which AccumulateBatches always does.
+func sliceBatches(observations []*campus.Observation) <-chan []*campus.Observation {
+	// The depth matches AccumulateStream's re-chunker, so both feed the
+	// dispatcher alike.
+	batches := make(chan []*campus.Observation, 2)
+	go func() {
+		for lo := 0; lo < len(observations); lo += DefaultBatch {
+			batches <- observations[lo:min(lo+DefaultBatch, len(observations))]
+		}
+		close(batches)
+	}()
+	return batches
 }
 
 // obsBatch is one worker handoff: a run of observations starting at global
@@ -190,15 +192,20 @@ type obsBatch struct {
 	obs   []*campus.Observation
 }
 
-// AccumulateBatchesTracer is the batch-native accumulation path: producers
-// that already hold observation slices hand them over whole, one channel
-// send per batch instead of per record. Sequence tags follow the
-// concatenation order of the incoming batches, so the result finalizes
-// byte-identically to the per-record stream over the same observations.
-func (p *Pipeline) AccumulateBatchesTracer(batches <-chan []*campus.Observation, workers int, tracer *obs.Tracer) *Accumulator {
-	workers = normalizeWorkers(workers, -1)
+// AccumulateBatches is the one in-process observe pool, behind every batch
+// entry point: producers that already hold observation slices hand them over
+// whole, one channel send per batch instead of per record. A dispatcher tags
+// each batch with its global sequence offset and hands it to whichever worker
+// is free; each worker folds into a private partialReport, and the partials
+// merge into one accumulator. Sequence tags follow the concatenation order of
+// the incoming batches, so the result finalizes byte-identically to the
+// per-record stream over the same observations, whatever the batch sizes and
+// worker count. Shard spans start in shard order before the workers launch,
+// so the span sequence — though not the durations — is deterministic.
+func (p *Pipeline) AccumulateBatches(batches <-chan []*campus.Observation, workers int) *Accumulator {
+	workers = normalizeWorkers(workers)
 	det := intercept.NewDetector(p.DB, p.CT)
-	stage := tracer.Start("observe", "observe")
+	stage := p.Tracer.Start("observe", "observe")
 
 	work := make(chan obsBatch, 4*workers)
 	// total is written only by the dispatcher, which exits before close(work);
@@ -221,7 +228,7 @@ func (p *Pipeline) AccumulateBatchesTracer(batches <-chan []*campus.Observation,
 	partials := make([]*partialReport, workers)
 	spans := make([]*obs.Span, workers)
 	for w := 0; w < workers; w++ {
-		spans[w] = tracer.Start("observe-shard", fmt.Sprintf("observe/shard%d", w)).SetTID(w) //certchain:coldpath once per shard at stage setup
+		spans[w] = p.Tracer.Start("observe-shard", fmt.Sprintf("observe/shard%d", w)).SetTID(w) //certchain:coldpath once per shard at stage setup
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -243,17 +250,11 @@ func (p *Pipeline) AccumulateBatchesTracer(batches <-chan []*campus.Observation,
 	stage.SetRecords(total)
 	stage.End()
 
-	msp := tracer.Start("merge", "merge").Arg("partials", int64(len(partials)))
+	msp := p.Tracer.Start("merge", "merge").Arg("partials", int64(len(partials)))
 	merged := partials[0]
 	for _, pr := range partials[1:] {
 		merged.merge(pr)
 	}
 	msp.End()
 	return &Accumulator{pr: merged, n: total}
-}
-
-// AccumulateBatches is AccumulateBatchesTracer under the pipeline's own
-// tracer.
-func (p *Pipeline) AccumulateBatches(batches <-chan []*campus.Observation, workers int) *Accumulator {
-	return p.AccumulateBatchesTracer(batches, workers, p.Tracer)
 }

@@ -1,8 +1,9 @@
-// Batch-axis equivalence suite: the batched handoff (Pipeline.Batch and the
-// batch-native accumulation entry points) must reproduce the per-record
-// sequential report byte for byte — rendered text, JSON export, and the
-// deterministic manifest subset — at every batch size, worker width, and
-// seed, including under injected read faults that cut batches mid-read.
+// Batch-axis equivalence suite: the batched handoff (caller-chosen batches
+// through AccumulateBatches, and the internal DefaultBatch re-chunking behind
+// RunParallel and RunStream) must reproduce the sequential report byte for
+// byte — rendered text, JSON export, and the deterministic manifest subset —
+// at every batch size, worker width, and seed, including under injected read
+// faults that cut batches mid-read.
 package analysis_test
 
 import (
@@ -49,10 +50,43 @@ func feedBatches(obs []*campus.Observation, b int) <-chan []*campus.Observation 
 	return ch
 }
 
-// TestBatchSizeEquivalence drives both batched entry points — RunStream with
-// Pipeline.Batch set (internal re-chunking) and AccumulateBatches over
-// pre-chunked slices — across the batch-size axis and checks both renderings
-// against the per-record sequential baseline.
+// accumulateBatches feeds a slice to AccumulateBatches in caller-chosen
+// size-b batches and finalizes under the pipeline's tracer, as RunStream
+// does, so a traced run carries the full pipeline stage set.
+func accumulateBatches(p *analysis.Pipeline, observations []*campus.Observation, b, w int) *analysis.Report {
+	acc := p.AccumulateBatches(feedBatches(observations, b), w)
+	fsp := p.Tracer.Start("finalize", "finalize")
+	defer fsp.End()
+	return acc.Finalize()
+}
+
+// tracedRun runs one entry point under a fresh tracer and returns the
+// report's renderings and the run's deterministic manifest subset, failing
+// the test if the trace lacks any pipeline stage.
+func tracedRun(t *testing.T, p *analysis.Pipeline, seed int64, w int, run func() *analysis.Report) (string, []byte, []byte) {
+	t.Helper()
+	tracer := obs.NewTracer()
+	p.Tracer = tracer
+	defer func() { p.Tracer = nil }()
+	text, js := renderings(t, run())
+	sub, err := manifestFor(t, seed, w, tracer, js).DeterministicSubset()
+	if err != nil {
+		t.Fatalf("workers=%d: subset: %v", w, err)
+	}
+	var trace bytes.Buffer
+	if err := tracer.WriteChromeTrace(&trace); err != nil {
+		t.Fatal(err)
+	}
+	if err := obs.ValidateChromeTrace(trace.Bytes(), "observe", "observe-shard", "merge", "finalize"); err != nil {
+		t.Errorf("workers=%d trace: %v", w, err)
+	}
+	return text, js, sub
+}
+
+// TestBatchSizeEquivalence drives AccumulateBatches over caller-chosen
+// batches across the batch-size axis, and RunStream over a per-record feed,
+// at every width, and checks both renderings against the sequential
+// baseline.
 func TestBatchSizeEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -66,73 +100,90 @@ func TestBatchSizeEquivalence(t *testing.T) {
 			p := lintingPipeline(s)
 			baseline := p.RunParallel(s.Observations, 1)
 			baseText, baseJSON := renderings(t, baseline)
-
-			for _, b := range batchSizes {
-				for _, w := range widths {
-					p.Batch = b
-					r := p.RunStream(feedObservations(s.Observations), w)
-					text, js := renderings(t, r)
-					if text != baseText {
-						t.Errorf("seed %d batch=%d workers=%d: RunStream report differs from per-record baseline", seed, b, w)
-					}
-					if !bytes.Equal(js, baseJSON) {
-						t.Errorf("seed %d batch=%d workers=%d: RunStream JSON differs", seed, b, w)
-					}
-
-					r = p.AccumulateBatches(feedBatches(s.Observations, b), w).Finalize()
-					text, js = renderings(t, r)
-					if text != baseText {
-						t.Errorf("seed %d batch=%d workers=%d: AccumulateBatches report differs from per-record baseline", seed, b, w)
-					}
-					if !bytes.Equal(js, baseJSON) {
-						t.Errorf("seed %d batch=%d workers=%d: AccumulateBatches JSON differs", seed, b, w)
-					}
+			check := func(r *analysis.Report, what string) {
+				text, js := renderings(t, r)
+				if text != baseText {
+					t.Errorf("seed %d %s: report differs from sequential baseline", seed, what)
+				}
+				if !bytes.Equal(js, baseJSON) {
+					t.Errorf("seed %d %s: JSON differs from sequential baseline", seed, what)
 				}
 			}
-			p.Batch = 0
+
+			for _, w := range widths {
+				check(p.RunStream(feedObservations(s.Observations), w), fmt.Sprintf("RunStream workers=%d", w))
+				for _, b := range batchSizes {
+					check(accumulateBatches(p, s.Observations, b, w), fmt.Sprintf("AccumulateBatches batch=%d workers=%d", b, w))
+				}
+			}
 		})
 	}
 }
 
 // TestBatchManifestSubsetEquivalence extends the manifest byte-identity
 // contract across the batch axis: the deterministic subset of a traced
-// batched run must match the per-record sequential run, and every trace must
-// validate with the full pipeline stage set.
+// batched run at every width must match the sequential run, and every trace
+// must validate with the full pipeline stage set.
 func TestBatchManifestSubsetEquivalence(t *testing.T) {
 	const seed = int64(1)
 	s := generate(t, seed)
 	p := lintingPipeline(s)
 
-	run := func(b, w int) []byte {
-		tracer := obs.NewTracer()
-		p.Tracer = tracer
-		p.Batch = b
-		defer func() { p.Tracer = nil; p.Batch = 0 }()
-		var r *analysis.Report
-		if b == 0 {
-			r = p.RunParallel(s.Observations, w)
-		} else {
-			r = p.RunStream(feedObservations(s.Observations), w)
-		}
-		_, js := renderings(t, r)
-		sub, err := manifestFor(t, seed, w, tracer, js).DeterministicSubset()
-		if err != nil {
-			t.Fatalf("batch=%d workers=%d: subset: %v", b, w, err)
-		}
-		var trace bytes.Buffer
-		if err := tracer.WriteChromeTrace(&trace); err != nil {
-			t.Fatal(err)
-		}
-		if err := obs.ValidateChromeTrace(trace.Bytes(), "observe", "observe-shard", "merge", "finalize"); err != nil {
-			t.Errorf("batch=%d workers=%d trace: %v", b, w, err)
-		}
-		return sub
-	}
-
-	baseSub := run(0, 1)
+	_, _, baseSub := tracedRun(t, p, seed, 1, func() *analysis.Report { return p.RunParallel(s.Observations, 1) })
 	for _, b := range batchSizes {
-		if sub := run(b, 1); !bytes.Equal(sub, baseSub) {
-			t.Errorf("batch=%d: deterministic manifest subset differs:\n%s\nvs\n%s", b, sub, baseSub)
+		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
+			_, _, sub := tracedRun(t, p, seed, w, func() *analysis.Report { return accumulateBatches(p, s.Observations, b, w) })
+			if !bytes.Equal(sub, baseSub) {
+				t.Errorf("batch=%d workers=%d: deterministic manifest subset differs:\n%s\nvs\n%s", b, w, sub, baseSub)
+			}
+		}
+	}
+}
+
+// TestSurplusWorkersEquivalence pins the pool with more workers than
+// observations — including none at all — on every entry point: the workers
+// without a batch contribute empty partials, and text, JSON and manifest
+// subset still equal the width-1 run.
+func TestSurplusWorkersEquivalence(t *testing.T) {
+	const seed = int64(1)
+	s := generate(t, seed)
+	p := lintingPipeline(s)
+	entries := []struct {
+		name string
+		run  func(observations []*campus.Observation, w int) *analysis.Report
+	}{
+		{"RunParallel", func(observations []*campus.Observation, w int) *analysis.Report {
+			return p.RunParallel(observations, w)
+		}},
+		{"RunStream", func(observations []*campus.Observation, w int) *analysis.Report {
+			return p.RunStream(feedObservations(observations), w)
+		}},
+		{"AccumulateBatches", func(observations []*campus.Observation, w int) *analysis.Report {
+			return accumulateBatches(p, observations, analysis.DefaultBatch, w)
+		}},
+	}
+	for _, tc := range []struct {
+		name    string
+		obs     []*campus.Observation
+		workers int
+	}{
+		{"0obs-8workers", nil, 8},
+		{"3obs-8workers", s.Observations[:3], 8},
+	} {
+		for _, e := range entries {
+			t.Run(tc.name+"/"+e.name, func(t *testing.T) {
+				baseText, baseJSON, baseSub := tracedRun(t, p, seed, 1, func() *analysis.Report { return e.run(tc.obs, 1) })
+				text, js, sub := tracedRun(t, p, seed, tc.workers, func() *analysis.Report { return e.run(tc.obs, tc.workers) })
+				if text != baseText {
+					t.Errorf("rendered report differs from width 1")
+				}
+				if !bytes.Equal(js, baseJSON) {
+					t.Errorf("JSON export differs from width 1")
+				}
+				if !bytes.Equal(sub, baseSub) {
+					t.Errorf("deterministic manifest subset differs from width 1:\n%s\nvs\n%s", sub, baseSub)
+				}
+			})
 		}
 	}
 }
@@ -194,8 +245,7 @@ func TestBatchChaosShortRead(t *testing.T) {
 	}
 
 	for _, b := range batchSizes {
-		p.Batch = b
-		r := p.AccumulateBatches(feedBatches(faulted, b), runtime.GOMAXPROCS(0)).Finalize()
+		r := accumulateBatches(p, faulted, b, runtime.GOMAXPROCS(0))
 		text, js := renderings(t, r)
 		if text != baseText {
 			t.Errorf("batch=%d: chaos report differs from clean baseline", b)
@@ -204,5 +254,4 @@ func TestBatchChaosShortRead(t *testing.T) {
 			t.Errorf("batch=%d: chaos JSON differs from clean baseline", b)
 		}
 	}
-	p.Batch = 0
 }

@@ -1,7 +1,7 @@
-// In-package tests of the sharding machinery: shardRange partitioning,
-// worker normalization, and the merge property the whole design rests on —
-// any partition of the observations into shards, merged in any order,
-// finalizes to the same report as the unpartitioned run.
+// In-package tests of the sharding machinery: worker normalization and the
+// merge property the whole design rests on — any partition of the
+// observations into shards, merged in any order, finalizes to the same
+// report as the unpartitioned run.
 package analysis
 
 import (
@@ -16,45 +16,17 @@ import (
 	"certchains/internal/lint"
 )
 
-func TestShardRange(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 1}, {1, 1}, {5, 2}, {7, 3}, {8, 8}, {1879, 8}, {100, 7},
-	} {
-		prev := 0
-		total := 0
-		for w := 0; w < tc.workers; w++ {
-			lo, hi := shardRange(tc.n, tc.workers, w)
-			if lo != prev {
-				t.Errorf("n=%d workers=%d shard %d: lo=%d, want contiguous %d", tc.n, tc.workers, w, lo, prev)
-			}
-			if hi < lo {
-				t.Errorf("n=%d workers=%d shard %d: hi=%d < lo=%d", tc.n, tc.workers, w, hi, lo)
-			}
-			if sz := hi - lo; sz > tc.n/tc.workers+1 {
-				t.Errorf("n=%d workers=%d shard %d: size %d exceeds near-equal bound", tc.n, tc.workers, w, sz)
-			}
-			prev = hi
-			total += hi - lo
-		}
-		if prev != tc.n || total != tc.n {
-			t.Errorf("n=%d workers=%d: shards cover %d observations, want %d", tc.n, tc.workers, total, tc.n)
-		}
-	}
-}
-
 func TestNormalizeWorkers(t *testing.T) {
 	gmp := runtime.GOMAXPROCS(0)
-	for _, tc := range []struct{ workers, n, want int }{
-		{0, 100, min(gmp, 100)},
-		{-3, 100, min(gmp, 100)},
-		{4, 100, 4},
-		{4, 2, 2},
-		{4, 0, 1},
-		{4, -1, 4},   // unknown n (streaming): keep the request
-		{0, -1, gmp}, // unknown n, default width
+	for _, tc := range []struct{ workers, want int }{
+		{0, gmp},
+		{-3, gmp},
+		{1, 1},
+		{4, 4},
+		{64, 64}, // no clamp to the input size: surplus workers fold nothing
 	} {
-		if got := normalizeWorkers(tc.workers, tc.n); got != tc.want {
-			t.Errorf("normalizeWorkers(%d, %d) = %d, want %d", tc.workers, tc.n, got, tc.want)
+		if got := normalizeWorkers(tc.workers); got != tc.want {
+			t.Errorf("normalizeWorkers(%d) = %d, want %d", tc.workers, got, tc.want)
 		}
 	}
 }
@@ -113,7 +85,11 @@ func runPartitioned(s *campus.Scenario, p *Pipeline, cuts []int, reverse bool) *
 			partials[i], partials[j] = partials[j], partials[i]
 		}
 	}
-	return mergePartials(partials)
+	merged := partials[0]
+	for _, pr := range partials[1:] {
+		merged.merge(pr)
+	}
+	return merged.finalize()
 }
 
 // checkPartition asserts a partitioned run reproduces the unpartitioned

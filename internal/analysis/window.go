@@ -80,7 +80,7 @@ func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
 	if cfg.Buckets <= 0 {
 		cfg.Buckets = DefaultWindowBuckets
 	}
-	cfg.Workers = normalizeWorkers(cfg.Workers, -1)
+	cfg.Workers = normalizeWorkers(cfg.Workers)
 	det := intercept.NewDetector(p.DB, p.CT)
 	return &WindowRing{
 		p:       p,

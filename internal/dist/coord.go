@@ -587,7 +587,11 @@ func ingestPartition(ctx context.Context, p *analysis.Pipeline, fs resilience.FS
 			return nil
 		})
 	}()
-	acc := p.AccumulateStreamTracer(obsCh, goroutines, tracer)
+	// Partitions ingest concurrently on one Pipeline; a shallow copy gives
+	// this one its own tracer and shares the read-only components.
+	traced := *p
+	traced.Tracer = tracer
+	acc := traced.AccumulateStream(obsCh, goroutines)
 	if err := <-loadErr; err != nil {
 		return nil, nil, fmt.Errorf("dist: load partition %s: %w", part.ID, err)
 	}

@@ -80,6 +80,7 @@ var nondeterministicFlags = map[string]bool{
 	"workers":      true,
 	"trace":        true,
 	"manifest":     true,
+	"dot":          true,
 	"cpuprofile":   true,
 	"memprofile":   true,
 	"metrics-addr": true,

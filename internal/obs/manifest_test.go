@@ -48,6 +48,7 @@ func TestDeterministicSubsetWidthInvariant(t *testing.T) {
 	b.Flags["workers"] = "1"
 	b.Flags["trace"] = "/elsewhere/trace.json"
 	b.Flags["cpuprofile"] = "/tmp/cpu.out"
+	b.Flags["dot"] = "/elsewhere/figs"
 	b.Build = BuildInfo{GoVersion: "go1.24", VCSRevision: "deadbeef"}
 	// Scramble orders and operational stage data.
 	b.Inputs[0], b.Inputs[1] = b.Inputs[1], b.Inputs[0]
