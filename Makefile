@@ -45,10 +45,13 @@ race:
 	$(GO) test -race ./...
 
 # End-to-end smoke over the streaming ingest daemon: the batch-equivalence
-# suite, the in-process daemon lifecycle, and the process-level SIGINT tests
-# (real binaries, real signals, final snapshot on disk).
+# suite, the in-process daemon lifecycle, readers beside a paced feeder under
+# the race detector (every /report body equals a lock-held reference at a
+# poll boundary), and the process-level SIGINT tests (real binaries, real
+# signals, final snapshot on disk).
 ingest-smoke:
 	$(GO) test -count=1 -run 'TestIngestorMatchesBatch|TestDaemonGracefulShutdown' ./internal/ingest/
+	$(GO) test -race -count=1 -run 'TestReportBesideIngest' ./internal/ingest/
 	$(GO) test -count=1 -run 'TestSignalShutdownWritesSnapshot' ./cmd/certchain-ingestd/
 	$(GO) test -count=1 -run 'TestServeShutsDownOnInterrupt' ./cmd/ctlog/
 

@@ -31,6 +31,12 @@ import (
 // When the ring exceeds its configured depth, the oldest bucket is folded
 // into the spill accumulator: all-time reports stay exact while live memory
 // is bounded by Buckets x Workers accumulators.
+//
+// Concurrency: Report, ReportWith, Snapshot, Seq, CategoryTotals and
+// ConnTotals only read the ring. Any number of them may run at once, but none
+// may run beside ObserveBatch, the one method that changes it; the caller
+// provides that exclusion (the ingest daemon holds a read lock for readers
+// and the write lock for a fold).
 type WindowRing struct {
 	p   *Pipeline
 	det *intercept.Detector
@@ -123,7 +129,8 @@ func (w *WindowRing) bucket(idx int64) *windowBucket {
 // ObserveBatch folds a batch of observations into their buckets, sharded
 // across the configured workers. Observations are bucketed by their Last
 // timestamp (the daemon's aggregator emits one observation per window, so
-// First and Last fall in the same bucket). Not safe for concurrent use.
+// First and Last fall in the same bucket). It is the ring's only writer: it
+// must not run beside another ObserveBatch or any of the reading methods.
 func (w *WindowRing) ObserveBatch(obs []*campus.Observation) {
 	if len(obs) == 0 {
 		return
@@ -199,18 +206,30 @@ func (w *WindowRing) Report(window time.Duration) *Report {
 	return w.ReportWith(nil, window)
 }
 
+// Span is the number of trailing intervals a window covers,
+// ceil(window/Interval), and 0 for all time (window <= 0). It is all
+// ReportWith reads of its window, so two windows with the same span report
+// the same bytes.
+func (w *WindowRing) Span(window time.Duration) int64 {
+	if window <= 0 {
+		return 0
+	}
+	return int64((window + w.cfg.Interval - 1) / w.cfg.Interval)
+}
+
 // ReportWith is Report extended with provisional observations that have not
 // been folded into the ring — the ingest daemon's still-open per-window
 // aggregates — so a live report includes the current, partially observed
 // interval. The extras are observed into the throwaway accumulator with
 // sequence numbers continuing after the ring's, and live state is never
-// touched.
+// touched: concurrent ReportWith calls are safe (see WindowRing).
 func (w *WindowRing) ReportWith(extra []*campus.Observation, window time.Duration) *Report {
 	sp := w.p.Tracer.Start("window-report", "window/report").
 		Arg("live_buckets", int64(len(w.order)))
 	defer sp.End()
 	out := w.p.newPartial(w.det)
-	all := window <= 0
+	n := w.Span(window)
+	all := n == 0
 	if all {
 		out.merge(w.spill)
 	}
@@ -225,7 +244,6 @@ func (w *WindowRing) ReportWith(extra []*campus.Observation, window time.Duratio
 	}
 	minIdx := int64(0)
 	if !all {
-		n := int64((window + w.cfg.Interval - 1) / w.cfg.Interval)
 		minIdx = floorDiv(wm.UnixNano(), int64(w.cfg.Interval)) - n + 1
 	}
 	for _, idx := range w.order {

@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,6 +119,54 @@ func TestWindowRingTrailingWindow(t *testing.T) {
 	if !bytes.Equal(js, wantJSON) {
 		t.Error("trailing window JSON differs from filtered batch")
 	}
+}
+
+// TestWindowRingConcurrentReports pins the ring's reader contract: on a
+// populated ring (spilled history, live buckets, provisional extras),
+// concurrent ReportWith calls, all-time and windowed, render the same bytes
+// as a sequential call. Under -race it also shows that the readers write
+// nothing they share.
+func TestWindowRingConcurrentReports(t *testing.T) {
+	s := generate(t, 1)
+	p := lintingPipeline(s)
+	lo, hi := obsSpan(s.Observations)
+	interval := hi.Sub(lo)/16 + 1
+	ring := analysis.NewWindowRing(p, analysis.WindowConfig{Interval: interval, Buckets: 4, Workers: 2})
+	cut := len(s.Observations) * 9 / 10
+	feedChunks(ring, s.Observations[:cut], 37)
+	extra := s.Observations[cut:]
+
+	windows := []time.Duration{0, 2 * interval}
+	wantText := make([]string, len(windows))
+	wantJSON := make([][]byte, len(windows))
+	for i, w := range windows {
+		wantText[i], wantJSON[i] = renderings(t, ring.ReportWith(extra, w))
+	}
+	if wantText[0] == wantText[1] {
+		t.Fatal("degenerate ring: the trailing window covers all time")
+	}
+
+	const readers, rounds = 4, 3
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(windows); i++ {
+				k := (r + i) % len(windows)
+				rep := ring.ReportWith(extra, windows[k])
+				js, err := rep.JSON()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if rep.Render() != wantText[k] || !bytes.Equal(js, wantJSON[k]) {
+					t.Errorf("reader %d: concurrent report of window %v differs from the sequential one", r, windows[k])
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
 }
 
 // TestWindowSnapshotEquivalence is the satellite #4 guarantee: ingest N,

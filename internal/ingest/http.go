@@ -58,28 +58,33 @@ func parseWindow(q string) (time.Duration, error) {
 	return d, nil
 }
 
+// handleReport validates both parameters before it builds anything, so a
+// bad request costs no report build.
 func (ing *Ingestor) handleReport(w http.ResponseWriter, r *http.Request) {
-	window, err := parseWindow(r.URL.Query().Get("window"))
+	q := r.URL.Query()
+	window, err := parseWindow(q.Get("window"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	format := strings.ToLower(q.Get("format"))
+	if format != "" && format != "text" && format != "json" {
+		http.Error(w, "bad format: use text or json", http.StatusBadRequest)
+		return
+	}
 	rep := ing.Report(window)
-	switch strings.ToLower(r.URL.Query().Get("format")) {
-	case "", "text":
+	if format != "json" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprint(w, rep.Render())
-	case "json":
-		js, err := rep.JSON()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(js)
-	default:
-		http.Error(w, "bad format: use text or json", http.StatusBadRequest)
+		return
 	}
+	js, err := rep.JSON()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(js)
 }
 
 // handleHealthz reports liveness. Build revision and snapshot age are read

@@ -27,6 +27,7 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"time"
 
@@ -64,12 +65,16 @@ type Config struct {
 }
 
 // Ingestor owns the tail → join → aggregate → ring chain. All methods are
-// safe for concurrent use (one mutex guards the whole chain; the admin
-// surface reads under the same lock).
+// safe for concurrent use. Two locks, always taken in the order mu → ringMu:
+// mu guards the whole chain, and ringMu guards the ring alone. A fold, the
+// ring's only writer, holds both; a report build holds only ringMu's read
+// lock (report.go), so tail → join → aggregate never waits for a reader, and
+// a poll waits only when it has a window to fold while a build runs.
 type Ingestor struct {
-	mu  sync.Mutex
-	cfg Config
-	p   *analysis.Pipeline
+	mu     sync.Mutex
+	ringMu sync.RWMutex //certchain:nosnapshot lock, not state
+	cfg    Config
+	p      *analysis.Pipeline
 
 	// strs interns the field values both row decoders produce; bounded, like
 	// the joiner's caches, because the daemon runs for months.
@@ -86,6 +91,18 @@ type Ingestor struct {
 	// Windows whose end it has passed are complete and fold into the ring.
 	wm    time.Time
 	wmSet bool
+
+	// version counts PollOnce and Finish calls: the ingest state a report
+	// reads is a function of it. It keys the report flights.
+	version uint64 //certchain:nosnapshot process-local flight key; a restart starts over with no flights
+	// flights are the report builds in progress, keyed by (version, window
+	// span); buildSlots bounds how many run at once (report.go).
+	flights    map[flightKey]*reportFlight //certchain:nosnapshot in-flight builds only; nothing outlives its build
+	buildSlots chan struct{}               //certchain:nosnapshot semaphore sized by GOMAXPROCS
+	// reportBuilds counts report builds; reportShared counts Report calls
+	// that joined a build already in flight instead.
+	reportBuilds int64 //certchain:nosnapshot process-lifetime counter, like the caches'
+	reportShared int64 //certchain:nosnapshot process-lifetime counter, like the caches'
 
 	// recordErrs counts records the tailers decoded but the join layer
 	// rejected (bad field values); the daemon outlives them.
@@ -125,10 +142,12 @@ func New(p *analysis.Pipeline, cfg Config) *Ingestor {
 	return ing
 }
 
-// wire builds the metrics plumbing and the tail → decode → join chain of a
-// fresh or about-to-be-restored Ingestor.
+// wire builds the metrics plumbing, the report flights and the tail →
+// decode → join chain of a fresh or about-to-be-restored Ingestor.
 func (ing *Ingestor) wire() {
 	cfg := ing.cfg
+	ing.flights = make(map[flightKey]*reportFlight)
+	ing.buildSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 	obs.RegisterBuildInfo(ing.reg, "certchain-ingestd")
 	ing.resMetrics = resilience.NewMetrics(ing.reg)
 	cfg.Faults.SetMetrics(ing.resMetrics)
@@ -158,6 +177,9 @@ func (ing *Ingestor) observeConn(c *zeek.Connection) error {
 func (ing *Ingestor) PollOnce() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
+	// Everything below runs under mu, so bumping first is the same to a
+	// report as bumping last — and it counts a poll that fails part way.
+	ing.version++
 	if err := ing.x509Tail.PollRows(); err != nil {
 		return err
 	}
@@ -194,6 +216,7 @@ func (ing *Ingestor) feedSSL(r *zeek.SSLRecord, err error) error {
 func (ing *Ingestor) Finish() error {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
+	ing.version++
 	if err := ing.x509Tail.FinishRows(); err != nil {
 		return err
 	}
@@ -209,22 +232,16 @@ func (ing *Ingestor) Finish() error {
 
 // foldReady folds completed windows (all when force) into the ring, in
 // window order, preserving first-seen observation order within each window —
-// the same order the batch loader emits.
+// the same order the batch loader emits. Called under mu; the fold is the
+// ring's only change, so it alone takes ringMu for writing.
 func (ing *Ingestor) foldReady(force bool) {
 	obs, n := ing.agg.closeReady(ing.wm, ing.wmSet, force)
 	if n > 0 {
+		ing.ringMu.Lock()
 		ing.ring.ObserveBatch(obs)
+		ing.ringMu.Unlock()
 		ing.foldedWindows += int64(n)
 	}
-}
-
-// Report renders the trailing window (<= 0 means all time). Open, not yet
-// folded aggregates are included as provisional observations so the current
-// interval is visible live.
-func (ing *Ingestor) Report(window time.Duration) *analysis.Report {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	return ing.ring.ReportWith(ing.agg.provisional(), window)
 }
 
 // Closed reports whether both tailed streams have announced their end.

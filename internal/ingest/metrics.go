@@ -58,6 +58,12 @@ type Stats struct {
 	// lines of either log that left the fast tokenizer for the legacy parser.
 	Format          string           `json:"format,omitempty"`
 	DecodeFallbacks map[string]int64 `json:"decode_fallbacks,omitempty"`
+
+	// ReportBuilds counts report builds; ReportShared counts Report calls
+	// that joined a build already in flight for the same state and window
+	// span instead of building their own. Process-lifetime.
+	ReportBuilds int64 `json:"report_builds"`
+	ReportShared int64 `json:"report_shared"`
 }
 
 func tailStats(t *zeek.Tailer) TailStats {
@@ -112,6 +118,9 @@ func (ing *Ingestor) Stats() Stats {
 		ChainCacheMisses: cache.ChainMisses,
 		Format:           format,
 		DecodeFallbacks:  fallbacks,
+
+		ReportBuilds: ing.reportBuilds,
+		ReportShared: ing.reportShared,
 	}
 	if !ing.lastSnapshot.IsZero() {
 		s.SnapshotAge = time.Since(ing.lastSnapshot).Seconds()
@@ -178,6 +187,8 @@ func (s Stats) Fill(reg *obs.Registry) {
 			fallback.With(s.Format, reason).Set(float64(n))
 		}
 	}
+	set(reg.Counter("certchain_ingest_report_builds_total", "Report builds run."), float64(s.ReportBuilds))
+	set(reg.Counter("certchain_ingest_report_shared_total", "Report requests that joined a build already in flight."), float64(s.ReportShared))
 
 	lag := reg.Gauge("certchain_tail_lag_bytes", "Bytes appended but not yet processed.", "log")
 	rot := reg.Counter("certchain_tail_rotations_total", "Detected rotations and truncations.", "log")

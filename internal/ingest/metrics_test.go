@@ -44,6 +44,9 @@ func TestStatsPrometheusConformance(t *testing.T) {
 		ChainCacheMisses: 4,
 		Format:           "json",
 		DecodeFallbacks:  map[string]int64{"escape": 2, "shape": 0, "malformed": 1},
+
+		ReportBuilds: 5,
+		ReportShared: 13,
 	}
 	text := st.PrometheusText()
 	if err := obs.ValidateExposition([]byte(text)); err != nil {
@@ -62,6 +65,8 @@ func TestStatsPrometheusConformance(t *testing.T) {
 		`certchain_decode_fallback_total{format="json",reason="escape"} 2`,
 		`certchain_decode_fallback_total{format="json",reason="shape"} 0`,
 		`certchain_decode_fallback_total{format="json",reason="malformed"} 1`,
+		"certchain_ingest_report_builds_total 5",
+		"certchain_ingest_report_shared_total 13",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)
