@@ -37,7 +37,8 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector — exercises the sharded pipeline, the
-# classifier/registry locks, and the detector's verdict cache concurrently.
+# classifier/registry locks, and a CT-mismatch detector shared across
+# goroutines.
 # The serving-telemetry tests (HTTP middleware families, access logs,
 # concurrent scrapes, route parsing) have no smoke target of their own: they
 # run here and under `make test`.

@@ -8,7 +8,6 @@ import (
 
 	"certchains/internal/campus"
 	"certchains/internal/certmodel"
-	"certchains/internal/intercept"
 	"certchains/internal/obs"
 )
 
@@ -50,12 +49,9 @@ type accumState struct {
 }
 
 // NewAccumulator creates an empty accumulator over the pipeline's
-// components. Each accumulator carries its own CT-mismatch detector;
-// detection is a pure function of the pipeline's DB and CT log, so separate
-// detectors agree with a shared one.
+// components.
 func (p *Pipeline) NewAccumulator() *Accumulator {
-	det := intercept.NewDetector(p.DB, p.CT)
-	return &Accumulator{pr: p.newPartial(det)}
+	return &Accumulator{pr: p.newPartial()}
 }
 
 // Observe folds one observation in. Observations are sequence-tagged in
@@ -134,8 +130,7 @@ func (p *Pipeline) DecodeState(data []byte) (*Accumulator, error) {
 		}
 		table[m.FP] = m
 	}
-	det := intercept.NewDetector(p.DB, p.CT)
-	pr, err := p.restorePartial(st.Partial, det, func(fp certmodel.Fingerprint) *certmodel.Meta {
+	pr, err := p.restorePartial(st.Partial, func(fp certmodel.Fingerprint) *certmodel.Meta {
 		return table[fp]
 	})
 	if err != nil {
@@ -204,7 +199,6 @@ type obsBatch struct {
 // so the span sequence — though not the durations — is deterministic.
 func (p *Pipeline) AccumulateBatches(batches <-chan []*campus.Observation, workers int) *Accumulator {
 	workers = normalizeWorkers(workers)
-	det := intercept.NewDetector(p.DB, p.CT)
 	stage := p.Tracer.Start("observe", "observe")
 
 	work := make(chan obsBatch, 4*workers)
@@ -235,7 +229,7 @@ func (p *Pipeline) AccumulateBatches(batches <-chan []*campus.Observation, worke
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			pr := p.newPartial(det)
+			pr := p.newPartial()
 			for b := range work {
 				for i, o := range b.obs {
 					pr.observe(b.start+i, o)

@@ -21,8 +21,7 @@ import (
 // sequence-tagged (excluded outliers), so merging shard partials in any
 // order and finalizing reproduces the single sequential pass byte for byte.
 type partialReport struct {
-	p        *Pipeline           //certchain:nomerge shared read-only pipeline config, identical across shards
-	detector *intercept.Detector //certchain:nomerge shared read-only sector classifier, identical across shards
+	p *Pipeline //certchain:nomerge shared read-only pipeline config, identical across shards
 
 	// rep carries the Report fields that accumulate additively during the
 	// observation pass; derived fields are filled by finalize.
@@ -68,8 +67,8 @@ type excludedLength struct {
 }
 
 // newPartial creates an empty shard accumulator sharing the pipeline's
-// read-only components and the (concurrency-safe) CT-mismatch detector.
-func (p *Pipeline) newPartial(det *intercept.Detector) *partialReport {
+// read-only components.
+func (p *Pipeline) newPartial() *partialReport {
 	var lintReport *lint.CorpusReport
 	if p.Linter != nil {
 		lintReport = lint.NewCorpusReport(p.Linter)
@@ -82,7 +81,6 @@ func (p *Pipeline) newPartial(det *intercept.Detector) *partialReport {
 	r.Figure6.Hist = stats.NewHistogram(0, 1, 10)
 	return &partialReport{
 		p:              p,
-		detector:       det,
 		rep:            r,
 		ipSets:         make(map[chain.Category]map[string]bool),
 		estByVerdict:   make(map[chain.Verdict][2]int64),
@@ -310,7 +308,8 @@ func (pr *partialReport) accumulateInterception(o *campus.Observation, a *chain.
 
 	// Independent CT cross-reference detection (§3.2.1).
 	if o.Domain != "" {
-		if pr.detector.Examine(o.Chain[0], o.Domain, o.First) == intercept.IssuerMismatch {
+		det := intercept.Detector{DB: pr.p.DB, CT: pr.p.CT}
+		if det.Examine(o.Chain[0], o.Domain, o.First) == intercept.IssuerMismatch {
 			pr.detected[o.Chain[0].IssuerKey()] = true
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"certchains/internal/campus"
-	"certchains/internal/intercept"
 	"certchains/internal/lint"
 )
 
@@ -69,12 +68,11 @@ func shardSetup(tb testing.TB) (*campus.Scenario, *Pipeline) {
 // accumulates each shard into its own partial, merges them in the order
 // given by reverse, and finalizes.
 func runPartitioned(s *campus.Scenario, p *Pipeline, cuts []int, reverse bool) *Report {
-	det := intercept.NewDetector(p.DB, p.CT)
 	bounds := append([]int{0}, cuts...)
 	bounds = append(bounds, len(s.Observations))
 	var partials []*partialReport
 	for i := 0; i+1 < len(bounds); i++ {
-		pr := p.newPartial(det)
+		pr := p.newPartial()
 		for j := bounds[i]; j < bounds[i+1]; j++ {
 			pr.observe(j, s.Observations[j])
 		}

@@ -225,10 +225,10 @@ func (pr *partialReport) snapshot(certs map[certmodel.Fingerprint]*certmodel.Met
 
 // restorePartial rebuilds an accumulator from its serialized form; resolve
 // maps fingerprints back to the snapshot-wide certificate table.
-func (p *Pipeline) restorePartial(s *partialSnapshot, det *intercept.Detector,
+func (p *Pipeline) restorePartial(s *partialSnapshot,
 	resolve func(certmodel.Fingerprint) *certmodel.Meta) (*partialReport, error) {
 
-	pr := p.newPartial(det)
+	pr := p.newPartial()
 	if s == nil {
 		return pr, nil
 	}

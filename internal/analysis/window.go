@@ -9,7 +9,6 @@ import (
 	"certchains/internal/campus"
 	"certchains/internal/certmodel"
 	"certchains/internal/chain"
-	"certchains/internal/intercept"
 )
 
 // WindowRing folds observations incrementally into a ring of per-interval
@@ -39,7 +38,6 @@ import (
 // and the write lock for a fold).
 type WindowRing struct {
 	p   *Pipeline
-	det *intercept.Detector
 	cfg WindowConfig
 
 	buckets map[int64]*windowBucket
@@ -87,13 +85,11 @@ func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
 		cfg.Buckets = DefaultWindowBuckets
 	}
 	cfg.Workers = normalizeWorkers(cfg.Workers)
-	det := intercept.NewDetector(p.DB, p.CT)
 	return &WindowRing{
 		p:       p,
-		det:     det,
 		cfg:     cfg,
 		buckets: make(map[int64]*windowBucket),
-		spill:   p.newPartial(det),
+		spill:   p.newPartial(),
 	}
 }
 
@@ -164,7 +160,7 @@ func (w *WindowRing) ObserveBatch(obs []*campus.Observation) {
 				it := items[i]
 				pr := it.b.shards[wk]
 				if pr == nil {
-					pr = w.p.newPartial(w.det)
+					pr = w.p.newPartial()
 					it.b.shards[wk] = pr
 				}
 				pr.observe(it.seq, it.o)
@@ -227,7 +223,7 @@ func (w *WindowRing) ReportWith(extra []*campus.Observation, window time.Duratio
 	sp := w.p.Tracer.Start("window-report", "window/report").
 		Arg("live_buckets", int64(len(w.order)))
 	defer sp.End()
-	out := w.p.newPartial(w.det)
+	out := w.p.newPartial()
 	n := w.Span(window)
 	all := n == 0
 	if all {
@@ -265,9 +261,6 @@ func (w *WindowRing) ReportWith(extra []*campus.Observation, window time.Duratio
 // Seq is the number of observations folded so far (and the next sequence
 // number).
 func (w *WindowRing) Seq() int { return w.seq }
-
-// Watermark returns the latest observation timestamp seen, if any.
-func (w *WindowRing) Watermark() (time.Time, bool) { return w.wm, w.wmSet }
 
 // LiveBuckets is the current number of live (unspilled) buckets.
 func (w *WindowRing) LiveBuckets() int { return len(w.order) }
@@ -357,7 +350,7 @@ func (w *WindowRing) Snapshot() *WindowRingSnapshot {
 	}
 	s.Spill = w.spill.snapshot(certs)
 	for _, idx := range w.order {
-		collapsed := w.p.newPartial(w.det)
+		collapsed := w.p.newPartial()
 		w.foldInto(collapsed, w.buckets[idx])
 		s.Buckets = append(s.Buckets, windowBucketSnapshot{Idx: idx, Partial: collapsed.snapshot(certs)})
 	}
@@ -391,11 +384,11 @@ func RestoreWindowRing(p *Pipeline, cfg WindowConfig, s *WindowRingSnapshot) (*W
 	}
 	resolve := func(fp certmodel.Fingerprint) *certmodel.Meta { return table[fp] }
 	var err error
-	if w.spill, err = p.restorePartial(s.Spill, w.det, resolve); err != nil {
+	if w.spill, err = p.restorePartial(s.Spill, resolve); err != nil {
 		return nil, fmt.Errorf("analysis: restore spill: %w", err)
 	}
 	for _, bs := range s.Buckets {
-		base, err := p.restorePartial(bs.Partial, w.det, resolve)
+		base, err := p.restorePartial(bs.Partial, resolve)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: restore bucket %d: %w", bs.Idx, err)
 		}

@@ -243,42 +243,6 @@ type WriteOptions struct {
 	Format Format
 }
 
-// recordSink abstracts the two writer formats.
-type recordSink struct {
-	writeSSL  func(*zeek.SSLRecord) error
-	writeX509 func(*zeek.X509Record) error
-	close     func(at time.Time) error
-}
-
-func newSink(format Format, ssl, x509 io.Writer, open time.Time) *recordSink {
-	if format == FormatJSON {
-		sslW := zeek.NewJSONSSLWriter(ssl)
-		x509W := zeek.NewJSONX509Writer(x509)
-		return &recordSink{
-			writeSSL:  sslW.Write,
-			writeX509: x509W.Write,
-			close: func(time.Time) error {
-				if err := sslW.Close(); err != nil {
-					return err
-				}
-				return x509W.Close()
-			},
-		}
-	}
-	sslW := zeek.NewSSLWriter(ssl, open)
-	x509W := zeek.NewX509Writer(x509, open)
-	return &recordSink{
-		writeSSL:  sslW.Write,
-		writeX509: x509W.Write,
-		close: func(at time.Time) error {
-			if err := sslW.Close(at); err != nil {
-				return err
-			}
-			return x509W.Close(at)
-		},
-	}
-}
-
 // Write expands observations into Zeek ssl.log and x509.log streams — the
 // inverse of Load, used to materialize a scenario as the log files the
 // paper's pipeline starts from.
@@ -289,7 +253,7 @@ func Write(observations []*campus.Observation, ssl, x509 io.Writer, opts WriteOp
 			open = o.First
 		}
 	}
-	sink := newSink(opts.Format, ssl, x509, open)
+	sink := zeek.NewLogWriter(opts.Format == FormatJSON, ssl, x509, open)
 	seenCert := make(map[string]bool)
 	uid := 0
 
@@ -299,12 +263,12 @@ func Write(observations []*campus.Observation, ssl, x509 io.Writer, opts WriteOp
 			fuids[i] = string(m.FP)
 			if !seenCert[fuids[i]] {
 				seenCert[fuids[i]] = true
-				if err := sink.writeX509(zeek.FromMeta(m, o.First)); err != nil {
+				if err := sink.WriteX509(zeek.FromMeta(m, o.First)); err != nil {
 					return fmt.Errorf("analysis: write x509 record: %w", err)
 				}
 			}
 		}
-		if err := campus.ExpandConns(o, fuids, opts.MaxConnsPerObservation, &uid, sink.writeSSL); err != nil {
+		if err := campus.ExpandConns(o, fuids, opts.MaxConnsPerObservation, &uid, sink.WriteSSL); err != nil {
 			return fmt.Errorf("analysis: write ssl record: %w", err)
 		}
 	}
@@ -314,5 +278,5 @@ func Write(observations []*campus.Observation, ssl, x509 io.Writer, opts WriteOp
 			closeAt = o.Last
 		}
 	}
-	return sink.close(closeAt)
+	return sink.Close(closeAt)
 }

@@ -49,55 +49,6 @@ type replayRecord struct {
 	s   *zeek.SSLRecord
 }
 
-// replaySink pairs the two format writers with their flush hooks.
-type replaySink struct {
-	writeSSL  func(*zeek.SSLRecord) error
-	writeX509 func(*zeek.X509Record) error
-	flush     func() error
-	close     func(at time.Time) error
-}
-
-func newReplaySink(json bool, ssl, x509 io.Writer, open time.Time) *replaySink {
-	if json {
-		sslW := zeek.NewJSONSSLWriter(ssl)
-		x509W := zeek.NewJSONX509Writer(x509)
-		return &replaySink{
-			writeSSL:  sslW.Write,
-			writeX509: x509W.Write,
-			flush: func() error {
-				if err := sslW.Flush(); err != nil {
-					return err
-				}
-				return x509W.Flush()
-			},
-			close: func(time.Time) error {
-				if err := sslW.Close(); err != nil {
-					return err
-				}
-				return x509W.Close()
-			},
-		}
-	}
-	sslW := zeek.NewSSLWriter(ssl, open)
-	x509W := zeek.NewX509Writer(x509, open)
-	return &replaySink{
-		writeSSL:  sslW.Write,
-		writeX509: x509W.Write,
-		flush: func() error {
-			if err := sslW.Flush(); err != nil {
-				return err
-			}
-			return x509W.Flush()
-		},
-		close: func(at time.Time) error {
-			if err := sslW.Close(at); err != nil {
-				return err
-			}
-			return x509W.Close(at)
-		},
-	}
-}
-
 // ExpandConns emits the ssl.log rows one observation stands for, in
 // connection order: at most maxConns of them (0 means all o.Conns), their
 // timestamps spread evenly over [o.First, o.Last], client addresses rotating
@@ -217,7 +168,7 @@ func Replay(observations []*Observation, ssl, x509 io.Writer, opts ReplayOptions
 	if len(recs) > 0 {
 		open, closeAt = recs[0].ts, recs[len(recs)-1].ts
 	}
-	sink := newReplaySink(opts.JSON, ssl, x509, open)
+	sink := zeek.NewLogWriter(opts.JSON, ssl, x509, open)
 	for i, r := range recs {
 		if opts.Pace != nil {
 			if err := opts.Pace(r.ts); err != nil {
@@ -226,18 +177,18 @@ func Replay(observations []*Observation, ssl, x509 io.Writer, opts ReplayOptions
 		}
 		var err error
 		if r.x != nil {
-			err = sink.writeX509(r.x)
+			err = sink.WriteX509(r.x)
 		} else {
-			err = sink.writeSSL(r.s)
+			err = sink.WriteSSL(r.s)
 		}
 		if err != nil {
 			return fmt.Errorf("campus: replay record: %w", err)
 		}
 		if (i+1)%opts.BatchRecords == 0 {
-			if err := sink.flush(); err != nil {
+			if err := sink.Flush(); err != nil {
 				return err
 			}
 		}
 	}
-	return sink.close(closeAt)
+	return sink.Close(closeAt)
 }

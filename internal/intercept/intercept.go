@@ -156,52 +156,23 @@ func (v Verdict) String() string {
 	}
 }
 
-// Detector performs the CT cross-reference. A single detector may be shared
-// by concurrent pipeline workers: the verdict cache is lock-protected, and
+// Detector performs the CT cross-reference. It holds no state of its own:
 // Examine is a pure function of its inputs over the immutable trust database
-// and CT log, so cached and freshly computed verdicts never diverge.
+// and CT log, so a single detector may be shared by concurrent callers and
+// separately built detectors always agree.
 type Detector struct {
 	DB *trustdb.DB
 	CT *ctlog.Log
-
-	// mu guards cache. Repeated observations of the same (leaf, SNI, time)
-	// triple — common once observations are aggregated per chain — skip the
-	// CT queries entirely.
-	mu    sync.RWMutex
-	cache map[examineKey]Verdict
-}
-
-// examineKey identifies one Examine input triple. A comparable struct key
-// avoids the string concatenation the cache previously paid per probe.
-type examineKey struct {
-	fp  certmodel.Fingerprint
-	sni string
-	at  int64
 }
 
 // NewDetector builds a detector over the trust database and CT log.
 func NewDetector(db *trustdb.DB, ct *ctlog.Log) *Detector {
-	return &Detector{DB: db, CT: ct, cache: make(map[examineKey]Verdict)}
+	return &Detector{DB: db, CT: ct}
 }
 
 // Examine applies the §3.2.1 procedure to one observation: the delivered
 // leaf certificate, the connection SNI, and the observation time.
 func (d *Detector) Examine(leaf *certmodel.Meta, sni string, at time.Time) Verdict {
-	key := examineKey{fp: leaf.FP, sni: sni, at: at.UnixNano()}
-	d.mu.RLock()
-	v, ok := d.cache[key]
-	d.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = d.examine(leaf, sni, at)
-	d.mu.Lock()
-	d.cache[key] = v
-	d.mu.Unlock()
-	return v
-}
-
-func (d *Detector) examine(leaf *certmodel.Meta, sni string, at time.Time) Verdict {
 	if d.DB.Classify(leaf) == trustdb.IssuedByPublicDB {
 		return NotCandidate
 	}

@@ -1,6 +1,6 @@
-// Concurrency regression tests: a single Registry and a single Detector are
-// shared across all pipeline workers, so registration, lookup, and the
-// verdict cache must survive the race detector.
+// Concurrency regression tests: a single Registry is shared across all
+// pipeline workers, so registration and lookup must survive the race
+// detector, and a Detector shared by concurrent callers must stay race-free.
 package intercept
 
 import (
@@ -45,8 +45,8 @@ func TestRegistryConcurrent(t *testing.T) {
 }
 
 // TestDetectorConcurrentExamine shares one detector across goroutines
-// examining an overlapping set of leaves, exercising the verdict cache under
-// contention; every goroutine must see the same verdicts.
+// examining an overlapping set of leaves, exercising the trust database and
+// CT log reads under contention; every goroutine must see the same verdicts.
 func TestDetectorConcurrentExamine(t *testing.T) {
 	d, _ := testDetector(t)
 	public := meta("CN=Public Root", "CN=www.ok.com", "www.ok.com")

@@ -403,7 +403,9 @@ func (j *IncrementalJoiner) State() *JoinerState {
 }
 
 // RestoreState reinstates a snapshotted joiner. Must be called on a fresh
-// joiner before any records are fed.
+// joiner before any records are fed. Certificates are re-indexed oldest
+// first, so a joiner built with a smaller cap than the snapshot's evicts the
+// oldest down to its cap, counted in Stats().Evictions.
 func (j *IncrementalJoiner) RestoreState(s *JoinerState) error {
 	if s == nil {
 		return nil
@@ -414,14 +416,12 @@ func (j *IncrementalJoiner) RestoreState(s *JoinerState) error {
 	if s.WMSet {
 		j.wm, j.wmSet = s.WM.Time(), true
 	}
+	j.stats = s.Stats
 	for _, ms := range s.Certs {
-		m := ms.Meta()
-		j.certs[string(m.FP)] = m
-		*j.fifo.push() = string(m.FP)
+		j.index(ms.Meta())
 	}
 	for _, r := range s.Pending {
 		j.hold(r)
 	}
-	j.stats = s.Stats
 	return nil
 }

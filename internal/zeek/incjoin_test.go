@@ -275,6 +275,52 @@ func TestIncrementalJoinStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIncrementalJoinRestoreHonorsSmallerCap restarts a joiner with a smaller
+// certificate cap than the one that wrote its snapshot: the restore must
+// evict the oldest certificates down to the new cap, count them, and keep
+// the index there as more certificates arrive.
+func TestIncrementalJoinRestoreHonorsSmallerCap(t *testing.T) {
+	at := func(s int) time.Time { return ts0.Add(time.Duration(s) * time.Second) }
+	cert := func(j *IncrementalJoiner, i int) {
+		t.Helper()
+		x := &X509Record{TS: at(i), ID: fmt.Sprintf("F%03d", i), Subject: "CN=s", Issuer: "CN=i"}
+		if err := j.AddX509(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nop := func(*Connection) error { return nil }
+	big := NewIncrementalJoiner(100, 0, nop)
+	for i := 0; i < 50; i++ {
+		cert(big, i)
+	}
+	small := NewIncrementalJoiner(10, 0, nop)
+	if err := small.RestoreState(big.State()); err != nil {
+		t.Fatal(err)
+	}
+	if got := small.CertIndexSize(); got != 10 {
+		t.Fatalf("cert index after restore = %d, want 10", got)
+	}
+	if got := small.Stats().Evictions; got != 40 {
+		t.Errorf("evictions after restore = %d, want 40", got)
+	}
+	// The newest certificates survive: F040 is indexed, F039 is not.
+	if err := small.AddSSL(&SSLRecord{TS: at(48), UID: "Ckept", CertChainFUIDs: []string{"F040"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := small.AddSSL(&SSLRecord{TS: at(48), UID: "Cgone", CertChainFUIDs: []string{"F039"}}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 50; i < 100; i++ {
+		cert(small, i)
+	}
+	if got := small.CertIndexSize(); got != 10 {
+		t.Errorf("cert index after 50 more = %d, want 10", got)
+	}
+	if st := small.Stats(); st.Joined != 1 || st.Orphans != 1 || st.Evictions != 90 {
+		t.Errorf("stats = %+v, want 1 joined, 1 orphan, 90 evictions", st)
+	}
+}
+
 // TestIncrementalJoinHeldRowsSurviveDecoding is the pooled-row retention
 // test: the decoder reuses one SSLRecord and one fuid array for every line,
 // so a connection parked in the hold queue (watermark not yet past it) must

@@ -146,6 +146,66 @@ func (w *JSONX509Writer) Close() error { return w.w.Flush() }
 // Flush pushes buffered records without closing the stream.
 func (w *JSONX509Writer) Flush() error { return w.w.Flush() }
 
+// LogWriter writes one capture's ssl.log and x509.log pair in either format:
+// Zeek's TSV layout (headers stamped with open) or ND-JSON. Exactly one of
+// the two writer pairs is set.
+type LogWriter struct {
+	ssl      *SSLWriter
+	x509     *X509Writer
+	jsonSSL  *JSONSSLWriter
+	jsonX509 *JSONX509Writer
+}
+
+// NewLogWriter creates a writer pair: ND-JSON when ndjson is set, TSV opened
+// at open otherwise.
+func NewLogWriter(ndjson bool, ssl, x509 io.Writer, open time.Time) *LogWriter {
+	if ndjson {
+		return &LogWriter{jsonSSL: NewJSONSSLWriter(ssl), jsonX509: NewJSONX509Writer(x509)}
+	}
+	return &LogWriter{ssl: NewSSLWriter(ssl, open), x509: NewX509Writer(x509, open)}
+}
+
+// WriteSSL emits one connection record.
+func (l *LogWriter) WriteSSL(r *SSLRecord) error {
+	if l.jsonSSL != nil {
+		return l.jsonSSL.Write(r)
+	}
+	return l.ssl.Write(r)
+}
+
+// WriteX509 emits one certificate record.
+func (l *LogWriter) WriteX509(r *X509Record) error {
+	if l.jsonX509 != nil {
+		return l.jsonX509.Write(r)
+	}
+	return l.x509.Write(r)
+}
+
+// Flush pushes both streams' buffered records without closing them.
+func (l *LogWriter) Flush() error {
+	if l.jsonSSL != nil {
+		if err := l.jsonSSL.Flush(); err != nil {
+			return err
+		}
+		return l.jsonX509.Flush()
+	}
+	if err := l.ssl.Flush(); err != nil {
+		return err
+	}
+	return l.x509.Flush()
+}
+
+// Close ends both streams; TSV logs get a #close line stamped at.
+func (l *LogWriter) Close(at time.Time) error {
+	if l.jsonSSL != nil {
+		return l.Flush()
+	}
+	if err := l.ssl.Close(at); err != nil {
+		return err
+	}
+	return l.x509.Close(at)
+}
+
 // jsonRecord is the one ND-JSON → Record conversion: one line, parsed by
 // encoding/json, with every value rendered back to the string form the TSV
 // format carries (bools as T/F, vectors joined with the set separator,
