@@ -3,7 +3,6 @@ package analysis
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"certchains/internal/campus"
@@ -90,19 +89,12 @@ func (a *Accumulator) Finalize() *Report { return a.pr.finalize() }
 // The encoding is canonical — equal accumulators encode byte-identically —
 // so digests over shipped partials are stable.
 func (a *Accumulator) EncodeState() ([]byte, error) {
-	certs := make(map[certmodel.Fingerprint]*certmodel.Meta)
+	certs := certmodel.CertTable{}
 	st := accumState{
 		Observations: a.n,
 		Partial:      a.pr.snapshot(certs),
 	}
-	fps := make([]string, 0, len(certs))
-	for fp := range certs {
-		fps = append(fps, string(fp))
-	}
-	sort.Strings(fps)
-	for _, fp := range fps {
-		st.Certs = append(st.Certs, certs[certmodel.Fingerprint(fp)].Snapshot())
-	}
+	st.Certs = certs.Snapshot()
 	return certmodel.Seal(StateSchema, StateVersion, st)
 }
 
@@ -122,17 +114,11 @@ func (p *Pipeline) DecodeState(data []byte) (*Accumulator, error) {
 	if st.Observations < 0 {
 		return nil, fmt.Errorf("analysis: decode state: negative observation count %d", st.Observations)
 	}
-	table := make(map[certmodel.Fingerprint]*certmodel.Meta, len(st.Certs))
-	for _, ms := range st.Certs {
-		m := ms.Meta()
-		if m.FP == "" {
-			return nil, fmt.Errorf("analysis: decode state: certificate with empty fingerprint")
-		}
-		table[m.FP] = m
+	certs, err := certmodel.RestoreCertTable(st.Certs)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: decode state: %w", err)
 	}
-	pr, err := p.restorePartial(st.Partial, func(fp certmodel.Fingerprint) *certmodel.Meta {
-		return table[fp]
-	})
+	pr, err := p.restorePartial(st.Partial, certs)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: decode state: %w", err)
 	}

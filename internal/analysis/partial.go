@@ -27,23 +27,23 @@ type partialReport struct {
 	// observation pass; derived fields are filled by finalize.
 	rep *Report
 
-	ipSets             map[chain.Category]map[string]bool
+	ipSets             stats.Sets[chain.Category, string]
 	estByVerdict       map[chain.Verdict][2]int64 // established, total
 	hybridGraph        *graph.Graph
 	nonPubGraph        *graph.Graph
 	interceptGraph     *graph.Graph
-	detected           map[string]bool
+	detected           stats.Set[string]
 	sectorConns        map[intercept.Category]int64
-	sectorIPs          map[intercept.Category]map[string]bool
+	sectorIPs          stats.Sets[intercept.Category, string]
 	portHist           map[string]map[int]int64
-	hybridServerChains map[string]map[string]bool
-	missingIssuerIPs   map[string]bool
+	hybridServerChains stats.Sets[string, string]
+	missingIssuerIPs   stats.Set[string]
 	dgaStats           *dga.ClusterStats
 	// bcSeen/bcAbsent hold distinct certificates per delivery position
 	// ("first"/"sub"), as §4.3 counts them; the absent subset tracks
 	// basicConstraints omission. Set sizes yield the sequential counters.
-	bcSeen      map[string]map[certmodel.Fingerprint]bool
-	bcAbsent    map[string]map[certmodel.Fingerprint]bool
+	bcSeen      stats.Sets[string, certmodel.Fingerprint]
+	bcAbsent    stats.Sets[string, certmodel.Fingerprint]
 	singleConns int64
 	singleNoSNI int64
 	// excluded records pathological outliers with their global observation
@@ -82,22 +82,22 @@ func (p *Pipeline) newPartial() *partialReport {
 	return &partialReport{
 		p:              p,
 		rep:            r,
-		ipSets:         make(map[chain.Category]map[string]bool),
+		ipSets:         stats.Sets[chain.Category, string]{},
 		estByVerdict:   make(map[chain.Verdict][2]int64),
 		hybridGraph:    graph.New(),
 		nonPubGraph:    graph.New(),
 		interceptGraph: graph.New(),
-		detected:       make(map[string]bool),
+		detected:       stats.Set[string]{},
 		sectorConns:    make(map[intercept.Category]int64),
-		sectorIPs:      make(map[intercept.Category]map[string]bool),
+		sectorIPs:      stats.Sets[intercept.Category, string]{},
 		portHist: map[string]map[int]int64{
 			"hybrid": {}, "nonpub-single": {}, "nonpub-multi": {}, "interception": {},
 		},
-		hybridServerChains: make(map[string]map[string]bool),
-		missingIssuerIPs:   make(map[string]bool),
+		hybridServerChains: stats.Sets[string, string]{},
+		missingIssuerIPs:   stats.Set[string]{},
 		dgaStats:           dga.NewClusterStats(),
-		bcSeen:             map[string]map[certmodel.Fingerprint]bool{"first": {}, "sub": {}},
-		bcAbsent:           map[string]map[certmodel.Fingerprint]bool{"first": {}, "sub": {}},
+		bcSeen:             stats.Sets[string, certmodel.Fingerprint]{"first": {}, "sub": {}},
+		bcAbsent:           stats.Sets[string, certmodel.Fingerprint]{"first": {}, "sub": {}},
 		analyses:           make(map[string]*chain.Analysis),
 		lintReport:         lintReport,
 	}
@@ -143,14 +143,7 @@ func (pr *partialReport) observe(seq int, o *campus.Observation) {
 	cs.Chains++
 	cs.Conns += o.Conns
 	cs.Established += o.Established
-	set := pr.ipSets[cat]
-	if set == nil {
-		set = make(map[string]bool)
-		pr.ipSets[cat] = set
-	}
-	for _, ip := range o.ClientIPs {
-		set[ip] = true
-	}
+	pr.ipSets.Add(cat, o.ClientIPs...)
 
 	// ---- Figure 1 ---------------------------------------------------
 	if len(o.Chain) > pathologicalLength {
@@ -193,7 +186,7 @@ func (pr *partialReport) accumulateHybrid(o *campus.Observation, a *chain.Analys
 	pr.keyBuf = append(pr.keyBuf, o.Domain...)
 	set := pr.hybridServerChains[string(pr.keyBuf)]
 	if set == nil {
-		set = make(map[string]bool)
+		set = make(stats.Set[string])
 		pr.hybridServerChains[string(pr.keyBuf)] = set
 	}
 	pr.keyBuf = o.Chain.AppendKey(pr.keyBuf[:0])
@@ -319,26 +312,10 @@ func (pr *partialReport) accumulateInterception(o *campus.Observation, a *chain.
 	for _, m := range o.Chain {
 		if iss, ok := pr.p.Registry.LookupKey(m.IssuerKey()); ok {
 			pr.sectorConns[iss.Category] += o.Conns
-			if pr.sectorIPs[iss.Category] == nil {
-				pr.sectorIPs[iss.Category] = make(map[string]bool)
-			}
-			for _, ip := range o.ClientIPs {
-				pr.sectorIPs[iss.Category][ip] = true
-			}
+			pr.sectorIPs.Add(iss.Category, o.ClientIPs...)
 			break
 		}
 	}
-}
-
-// mergeStringSet unions src into dst, allocating dst on first use.
-func mergeStringSet(dst map[string]bool, src map[string]bool) map[string]bool {
-	if dst == nil {
-		dst = make(map[string]bool, len(src))
-	}
-	for k := range src {
-		dst[k] = true
-	}
-	return dst
 }
 
 // merge folds another shard's accumulator into this one. Every operation is
@@ -360,17 +337,11 @@ func (pr *partialReport) merge(o *partialReport) {
 		cs.Conns += ocs.Conns
 		cs.Established += ocs.Established
 	}
-	for cat, set := range o.ipSets {
-		pr.ipSets[cat] = mergeStringSet(pr.ipSets[cat], set)
-	}
+	pr.ipSets.Union(o.ipSets)
 
 	// Table 3 / Table 7 counts and establishment pairs.
-	for hc, n := range or.Table3.Counts {
-		r.Table3.Counts[hc] += n
-	}
-	for nc, n := range or.Table7.Counts {
-		r.Table7.Counts[nc] += n
-	}
+	addCounts(r.Table3.Counts, or.Table3.Counts)
+	addCounts(r.Table7.Counts, or.Table7.Counts)
 	for v, oet := range o.estByVerdict {
 		et := pr.estByVerdict[v]
 		et[0] += oet[0]
@@ -407,37 +378,20 @@ func (pr *partialReport) merge(o *partialReport) {
 	pr.interceptGraph.Merge(o.interceptGraph)
 
 	// Interception attribution and CT detection.
-	pr.detected = mergeStringSet(pr.detected, o.detected)
-	for cat, c := range o.sectorConns {
-		pr.sectorConns[cat] += c
-	}
-	for cat, set := range o.sectorIPs {
-		pr.sectorIPs[cat] = mergeStringSet(pr.sectorIPs[cat], set)
-	}
+	pr.detected.Union(o.detected)
+	addCounts(pr.sectorConns, o.sectorConns)
+	pr.sectorIPs.Union(o.sectorIPs)
 
 	// Ports, servers, missing issuers.
 	for group, hist := range o.portHist {
-		dst := pr.portHist[group]
-		for port, c := range hist {
-			dst[port] += c
-		}
+		addCounts(pr.portHist[group], hist)
 	}
-	for srv, chains := range o.hybridServerChains {
-		pr.hybridServerChains[srv] = mergeStringSet(pr.hybridServerChains[srv], chains)
-	}
-	pr.missingIssuerIPs = mergeStringSet(pr.missingIssuerIPs, o.missingIssuerIPs)
+	pr.hybridServerChains.Union(o.hybridServerChains)
+	pr.missingIssuerIPs.Union(o.missingIssuerIPs)
 
 	// §4.3 distinct-certificate sets and single-cert aggregates.
-	for pos, set := range o.bcSeen {
-		for fp := range set {
-			pr.bcSeen[pos][fp] = true
-		}
-	}
-	for pos, set := range o.bcAbsent {
-		for fp := range set {
-			pr.bcAbsent[pos][fp] = true
-		}
-	}
+	pr.bcSeen.Union(o.bcSeen)
+	pr.bcAbsent.Union(o.bcAbsent)
 	pr.singleConns += o.singleConns
 	pr.singleNoSNI += o.singleNoSNI
 	pr.dgaStats.Merge(o.dgaStats)
@@ -451,6 +405,13 @@ func (pr *partialReport) merge(o *partialReport) {
 
 	if pr.lintReport != nil {
 		pr.lintReport.Merge(o.lintReport)
+	}
+}
+
+// addCounts adds src's counters into dst.
+func addCounts[K comparable, V int | int64](dst, src map[K]V) {
+	for k, n := range src {
+		dst[k] += n
 	}
 }
 

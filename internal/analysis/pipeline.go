@@ -191,7 +191,7 @@ func containsFakeLE(ch certmodel.Chain) bool {
 }
 
 func (p *Pipeline) buildTable1(sectorConns map[intercept.Category]int64,
-	sectorIPs map[intercept.Category]map[string]bool, detected map[string]bool) Table1 {
+	sectorIPs stats.Sets[intercept.Category, string], detected stats.Set[string]) Table1 {
 
 	var total int64
 	for _, c := range sectorConns {

@@ -179,17 +179,27 @@ func (w *WindowRing) evict() {
 		w.order = w.order[1:]
 		b := w.buckets[idx]
 		delete(w.buckets, idx)
-		w.foldInto(w.spill, b)
+		b.each(w.spill.merge)
 	}
 }
 
-func (w *WindowRing) foldInto(dst *partialReport, b *windowBucket) {
+// each calls fn on every accumulator holding folded state: the spill, then
+// each live bucket's base and shards, in bucket order.
+func (w *WindowRing) each(fn func(*partialReport)) {
+	fn(w.spill)
+	for _, idx := range w.order {
+		w.buckets[idx].each(fn)
+	}
+}
+
+// each calls fn on the bucket's restored base and its live shards.
+func (b *windowBucket) each(fn func(*partialReport)) {
 	if b.base != nil {
-		dst.merge(b.base)
+		fn(b.base)
 	}
 	for _, pr := range b.shards {
 		if pr != nil {
-			dst.merge(pr)
+			fn(pr)
 		}
 	}
 }
@@ -246,7 +256,7 @@ func (w *WindowRing) ReportWith(extra []*campus.Observation, window time.Duratio
 		if !all && idx < minIdx {
 			continue
 		}
-		w.foldInto(out, w.buckets[idx])
+		w.buckets[idx].each(out.merge)
 	}
 	seq := w.seq
 	for _, o := range extra {
@@ -272,10 +282,7 @@ func (w *WindowRing) LiveBuckets() int { return len(w.order) }
 // zero here.
 func (w *WindowRing) CategoryTotals() map[chain.Category]CategoryStats {
 	out := make(map[chain.Category]CategoryStats)
-	add := func(pr *partialReport) {
-		if pr == nil {
-			return
-		}
+	w.each(func(pr *partialReport) {
 		for cat, cs := range pr.rep.Table2.PerCategory {
 			t := out[cat]
 			t.Chains += cs.Chains
@@ -283,36 +290,17 @@ func (w *WindowRing) CategoryTotals() map[chain.Category]CategoryStats {
 			t.Established += cs.Established
 			out[cat] = t
 		}
-	}
-	add(w.spill)
-	for _, idx := range w.order {
-		b := w.buckets[idx]
-		add(b.base)
-		for _, pr := range b.shards {
-			add(pr)
-		}
-	}
+	})
 	return out
 }
 
 // ConnTotals sums the all-time §6.3 connection counters (TLS 1.3-hidden and
 // certificate-visible) across every accumulator.
 func (w *WindowRing) ConnTotals() (tls13, visible int64) {
-	add := func(pr *partialReport) {
-		if pr == nil {
-			return
-		}
+	w.each(func(pr *partialReport) {
 		tls13 += pr.rep.Sec63.TLS13Conns
 		visible += pr.rep.Sec63.VisibleConns
-	}
-	add(w.spill)
-	for _, idx := range w.order {
-		b := w.buckets[idx]
-		add(b.base)
-		for _, pr := range b.shards {
-			add(pr)
-		}
-	}
+	})
 	return tls13, visible
 }
 
@@ -339,7 +327,7 @@ type windowBucketSnapshot struct {
 // are collapsed into a throwaway accumulator (merge is non-destructive) and
 // encoded as one partial.
 func (w *WindowRing) Snapshot() *WindowRingSnapshot {
-	certs := make(map[certmodel.Fingerprint]*certmodel.Meta)
+	certs := certmodel.CertTable{}
 	s := &WindowRingSnapshot{
 		IntervalNS: int64(w.cfg.Interval),
 		Seq:        w.seq,
@@ -351,17 +339,10 @@ func (w *WindowRing) Snapshot() *WindowRingSnapshot {
 	s.Spill = w.spill.snapshot(certs)
 	for _, idx := range w.order {
 		collapsed := w.p.newPartial()
-		w.foldInto(collapsed, w.buckets[idx])
+		w.buckets[idx].each(collapsed.merge)
 		s.Buckets = append(s.Buckets, windowBucketSnapshot{Idx: idx, Partial: collapsed.snapshot(certs)})
 	}
-	fps := make([]string, 0, len(certs))
-	for fp := range certs {
-		fps = append(fps, string(fp))
-	}
-	sort.Strings(fps)
-	for _, fp := range fps {
-		s.Certs = append(s.Certs, certs[certmodel.Fingerprint(fp)].Snapshot())
-	}
+	s.Certs = certs.Snapshot()
 	return s
 }
 
@@ -377,18 +358,15 @@ func RestoreWindowRing(p *Pipeline, cfg WindowConfig, s *WindowRingSnapshot) (*W
 		cfg.Interval = time.Duration(s.IntervalNS)
 	}
 	w := NewWindowRing(p, cfg)
-	table := make(map[certmodel.Fingerprint]*certmodel.Meta, len(s.Certs))
-	for _, ms := range s.Certs {
-		m := ms.Meta()
-		table[m.FP] = m
+	certs, err := certmodel.RestoreCertTable(s.Certs)
+	if err != nil {
+		return nil, fmt.Errorf("analysis: restore ring: %w", err)
 	}
-	resolve := func(fp certmodel.Fingerprint) *certmodel.Meta { return table[fp] }
-	var err error
-	if w.spill, err = p.restorePartial(s.Spill, resolve); err != nil {
+	if w.spill, err = p.restorePartial(s.Spill, certs); err != nil {
 		return nil, fmt.Errorf("analysis: restore spill: %w", err)
 	}
 	for _, bs := range s.Buckets {
-		base, err := p.restorePartial(bs.Partial, resolve)
+		base, err := p.restorePartial(bs.Partial, certs)
 		if err != nil {
 			return nil, fmt.Errorf("analysis: restore bucket %d: %w", bs.Idx, err)
 		}

@@ -331,15 +331,6 @@ func (c Chain) AppendKey(dst []byte) []byte {
 	return dst
 }
 
-// Fingerprints returns the ordered member fingerprints.
-func (c Chain) Fingerprints() []Fingerprint {
-	out := make([]Fingerprint, len(c))
-	for i, m := range c {
-		out[i] = m.FP
-	}
-	return out
-}
-
 // Clone returns a shallow copy of the chain slice (members shared).
 func (c Chain) Clone() Chain {
 	return append(Chain(nil), c...)

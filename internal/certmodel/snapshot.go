@@ -1,6 +1,9 @@
 package certmodel
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"time"
 
 	"certchains/internal/dn"
@@ -91,4 +94,62 @@ func (s MetaSnapshot) Meta() *Meta {
 		OCSPServers:  s.OCSPServers,
 		CAIssuerURLs: s.CAIssuerURLs,
 	}
+}
+
+// CertTable is the deduplicated certificate table of a state snapshot: the
+// state references chains by fingerprint key, and the table carries each
+// distinct certificate once, sorted by fingerprint, so equal states encode
+// identically.
+type CertTable map[Fingerprint]*Meta
+
+// Key registers the chain's certificates and returns its key.
+func (t CertTable) Key(ch Chain) string {
+	for _, m := range ch {
+		t[m.FP] = m
+	}
+	return ch.Key()
+}
+
+// Snapshot serializes the table in fingerprint order.
+func (t CertTable) Snapshot() []MetaSnapshot {
+	fps := make([]Fingerprint, 0, len(t))
+	for fp := range t {
+		fps = append(fps, fp)
+	}
+	slices.Sort(fps)
+	out := make([]MetaSnapshot, len(fps))
+	for i, fp := range fps {
+		out[i] = t[fp].Snapshot()
+	}
+	return out
+}
+
+// RestoreCertTable rebuilds a table from its serialized form. The bytes may
+// come off the wire, so an entry without a fingerprint is an error.
+func RestoreCertTable(certs []MetaSnapshot) (CertTable, error) {
+	t := make(CertTable, len(certs))
+	for _, ms := range certs {
+		if ms.FP == "" {
+			return nil, fmt.Errorf("certmodel: certificate with empty fingerprint")
+		}
+		t[Fingerprint(ms.FP)] = ms.Meta()
+	}
+	return t, nil
+}
+
+// Chain resolves a chain key against the table; "" is the empty chain.
+func (t CertTable) Chain(key string) (Chain, error) {
+	if key == "" {
+		return nil, nil
+	}
+	fps := strings.Split(key, "|")
+	ch := make(Chain, len(fps))
+	for i, fp := range fps {
+		m := t[Fingerprint(fp)]
+		if m == nil {
+			return nil, fmt.Errorf("certmodel: snapshot references unknown certificate %s", fp)
+		}
+		ch[i] = m
+	}
+	return ch, nil
 }

@@ -74,3 +74,37 @@ func TestMetaSnapshotZeroValues(t *testing.T) {
 		t.Fatal("zero times do not round trip by Unix seconds")
 	}
 }
+
+func TestCertTableRoundTrip(t *testing.T) {
+	a := mkMeta("CN=ca", "CN=leaf")
+	b := mkMeta("CN=root", "CN=ca")
+	certs := CertTable{}
+	key := certs.Key(Chain{a, b})
+	if key != (Chain{a, b}).Key() || certs.Key(Chain{b}) != string(b.FP) {
+		t.Fatal("Key must return the chain key")
+	}
+	snap := certs.Snapshot()
+	if len(snap) != 2 || snap[0].FP > snap[1].FP {
+		t.Fatalf("Snapshot = %d entries, want 2 in fingerprint order", len(snap))
+	}
+	restored, err := RestoreCertTable(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch, err := restored.Chain(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ch.Key() != key {
+		t.Fatalf("Chain(%q) resolved to %q", key, ch.Key())
+	}
+	if ch, err := restored.Chain(""); err != nil || len(ch) != 0 {
+		t.Fatalf(`Chain("") = %v, %v; want the empty chain`, ch, err)
+	}
+	if _, err := restored.Chain(key + "|nope"); err == nil {
+		t.Fatal("a key naming an unknown certificate resolved")
+	}
+	if _, err := RestoreCertTable([]MetaSnapshot{{FP: ""}}); err == nil {
+		t.Fatal("a certificate without a fingerprint restored")
+	}
+}

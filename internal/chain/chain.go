@@ -171,11 +171,6 @@ func (c *Classifier) InterceptionIssuerCount() int {
 	return len(c.interceptIssuers)
 }
 
-// CertClass classifies one certificate per §3.2.1.
-func (c *Classifier) CertClass(m *certmodel.Meta) trustdb.Class {
-	return c.DB.Classify(m)
-}
-
 // Categorize assigns the §3.2.2 chain category. Interception takes
 // precedence: a chain containing any certificate issued by an interception
 // entity is an interception chain regardless of its other members.

@@ -172,16 +172,13 @@ func (g *aggregator) snapshot() *aggSnapshot {
 		LateConns: g.lateConns,
 		Total:     g.totalConns,
 	}
-	certs := make(map[string]*certmodel.Meta)
+	certs := certmodel.CertTable{}
 	for _, idx := range g.order {
 		ws := aggWindowSnap{Idx: idx}
 		for _, a := range g.windows[idx].order {
 			o := a.Finalize()
-			for _, m := range o.Chain {
-				certs[string(m.FP)] = m
-			}
 			ws.Aggs = append(ws.Aggs, aggSnap{
-				ChainKey:    o.Chain.Key(),
+				ChainKey:    certs.Key(o.Chain),
 				ServerIP:    o.ServerIP,
 				Port:        o.Port,
 				Domain:      o.Domain,
@@ -196,14 +193,7 @@ func (g *aggregator) snapshot() *aggSnapshot {
 		}
 		s.Windows = append(s.Windows, ws)
 	}
-	fps := make([]string, 0, len(certs))
-	for fp := range certs {
-		fps = append(fps, fp)
-	}
-	sort.Strings(fps)
-	for _, fp := range fps {
-		s.Certs = append(s.Certs, certs[fp].Snapshot())
-	}
+	s.Certs = certs.Snapshot()
 	return s
 }
 
@@ -214,17 +204,16 @@ func restoreAggregator(interval time.Duration, s *aggSnapshot) (*aggregator, err
 	}
 	g.maxFolded, g.foldedAny = s.MaxFolded, s.FoldedAny
 	g.lateConns, g.totalConns = s.LateConns, s.Total
-	table := make(map[string]*certmodel.Meta, len(s.Certs))
-	for _, ms := range s.Certs {
-		m := ms.Meta()
-		table[string(m.FP)] = m
+	certs, err := certmodel.RestoreCertTable(s.Certs)
+	if err != nil {
+		return nil, fmt.Errorf("ingest: restore aggregator: %w", err) //certchain:coldpath corrupt-snapshot error path
 	}
 	for _, ws := range s.Windows {
 		w := g.window(ws.Idx)
 		for _, as := range ws.Aggs {
-			ch, err := chainFromSnapKey(as.ChainKey, table)
+			ch, err := certs.Chain(as.ChainKey)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("ingest: restore aggregator: %w", err) //certchain:coldpath corrupt-snapshot error path
 			}
 			g.keyBuf = analysis.AppendConnKey(g.keyBuf[:0], ch, as.ServerIP, as.Port)
 			w.put(string(g.keyBuf), analysis.RestoreConnAggregate(&campus.Observation{
@@ -243,24 +232,4 @@ func restoreAggregator(interval time.Duration, s *aggSnapshot) (*aggregator, err
 		}
 	}
 	return g, nil
-}
-
-func chainFromSnapKey(key string, table map[string]*certmodel.Meta) (certmodel.Chain, error) {
-	if key == "" {
-		return nil, nil
-	}
-	var ch certmodel.Chain
-	start := 0
-	for i := 0; i <= len(key); i++ {
-		if i == len(key) || key[i] == '|' {
-			fp := key[start:i]
-			m := table[fp]
-			if m == nil {
-				return nil, fmt.Errorf("ingest: snapshot references unknown certificate %s", fp) //certchain:coldpath corrupt-snapshot error path
-			}
-			ch = append(ch, m)
-			start = i + 1
-		}
-	}
-	return ch, nil
 }

@@ -413,6 +413,77 @@ func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 	}
 }
 
+// TestSnapshotBeforeReopenKeepsOffsets pins the restart-before-reopen
+// hazard: a restored daemon whose logs cannot be opened yet (here ssl.log is
+// renamed away) must still snapshot the tail offsets it restored, or its next
+// restart re-reads the whole file and counts every record twice.
+func TestSnapshotBeforeReopenKeepsOffsets(t *testing.T) {
+	s := scenario(t, 1)
+	ssl, x509 := replayBytes(t, s, false)
+	window := analysis.WindowConfig{Interval: span(s)/10 + time.Nanosecond, Buckets: 6, Workers: 1}
+
+	sslPath, x509Path := writeLogs(t, t.TempDir(), ssl, x509)
+	oracle := ingest.New(newPipeline(s), ingest.Config{SSLPath: sslPath, X509Path: x509Path, Window: window})
+	defer oracle.Close()
+	drain(t, oracle)
+	wantText, _ := renderings(t, oracle.Report(0))
+
+	dir := t.TempDir()
+	sslCut, x509Cut := len(ssl)*55/100, len(x509)*70/100
+	sslPath, x509Path = writeLogs(t, dir, ssl[:sslCut], x509[:x509Cut])
+	cfg := ingest.Config{SSLPath: sslPath, X509Path: x509Path, Window: window}
+	first := ingest.New(newPipeline(s), cfg)
+	if err := first.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := first.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Close()
+
+	// Restart while ssl.log is away: the poll cannot reopen it, and the
+	// snapshot taken then must equal the one restored from.
+	away := filepath.Join(dir, "ssl.log.away")
+	if err := os.Rename(sslPath, away); err != nil {
+		t.Fatal(err)
+	}
+	second, err := ingest.Restore(newPipeline(s), cfg, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := second.PollOnce(); err != nil {
+		t.Fatal(err)
+	}
+	snap2, err := second.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second.Close()
+	if !bytes.Equal(maskSaved(snap2), maskSaved(snap)) {
+		t.Error("snapshot of a restored daemon that could not reopen ssl.log differs from the one it restored")
+	}
+
+	// The next restart finds the log back, with the rest appended.
+	if err := os.Rename(away, sslPath); err != nil {
+		t.Fatal(err)
+	}
+	third, err := ingest.Restore(newPipeline(s), cfg, snap2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Close()
+	appendFile(t, sslPath, ssl[sslCut:])
+	appendFile(t, x509Path, x509[x509Cut:])
+	drain(t, third)
+	if got, want := third.Stats().Observations, oracle.Stats().Observations; got != want {
+		t.Errorf("restarted run folded %d observations, uninterrupted %d", got, want)
+	}
+	if gotText, _ := renderings(t, third.Report(0)); gotText != wantText {
+		t.Error("restarted report diverges from uninterrupted run")
+	}
+}
+
 // TestRestoreRejectsForeignSnapshot pins the cross-version restore hazard:
 // state files sealed under a different schema revision — or written before
 // envelopes existed at all — must be refused with the typed schema error,

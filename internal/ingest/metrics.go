@@ -7,7 +7,6 @@ import (
 	"certchains/internal/analysis"
 	"certchains/internal/chain"
 	"certchains/internal/obs"
-	"certchains/internal/resilience"
 	"certchains/internal/zeek"
 )
 
@@ -135,10 +134,6 @@ func (ing *Ingestor) Stats() Stats {
 // it and /healthz reads build and snapshot state back out of it, so the two
 // surfaces never disagree.
 func (ing *Ingestor) Registry() *obs.Registry { return ing.reg }
-
-// ResilienceMetrics returns the retry/fault instrumentation bound to the
-// ingestor's registry, for the daemon's poll retry loop and chaos tests.
-func (ing *Ingestor) ResilienceMetrics() *resilience.Metrics { return ing.resMetrics }
 
 // Fill refreshes a registry from this stats snapshot. Counters use the
 // scrape-refresh pattern — the snapshot is the source of truth, taken under

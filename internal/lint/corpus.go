@@ -30,7 +30,7 @@ type CorpusReport struct {
 	// serialCerts maps normalized issuer + serial -> distinct certificates,
 	// for the corpus-level serial-reuse clusters the in-chain check cannot
 	// see (§4.3 non-compliant private issuance).
-	serialCerts map[string]map[certmodel.Fingerprint]bool
+	serialCerts stats.Sets[string, certmodel.Fingerprint]
 }
 
 // NewCorpusReport creates an empty accumulator linting with l.
@@ -39,7 +39,7 @@ func NewCorpusReport(l *Linter) *CorpusReport {
 		linter:           l,
 		findingsPerChain: make(map[string]map[string]int),
 		connsPerCheck:    make(map[string]int64),
-		serialCerts:      make(map[string]map[certmodel.Fingerprint]bool),
+		serialCerts:      stats.Sets[string, certmodel.Fingerprint]{},
 	}
 }
 
@@ -65,13 +65,7 @@ func (c *CorpusReport) ObserveAnalyzed(ch certmodel.Chain, a *chain.Analysis, co
 			if m.SerialHex == "" {
 				continue
 			}
-			sk := m.Issuer.Normalized() + "|" + m.SerialHex
-			set := c.serialCerts[sk]
-			if set == nil {
-				set = make(map[certmodel.Fingerprint]bool)
-				c.serialCerts[sk] = set
-			}
-			set[m.FP] = true
+			c.serialCerts.Add(m.Issuer.Normalized()+"|"+m.SerialHex, m.FP)
 		}
 	}
 	for id := range perCheck {
@@ -92,16 +86,7 @@ func (c *CorpusReport) Merge(o *CorpusReport) {
 	for id, n := range o.connsPerCheck {
 		c.connsPerCheck[id] += n
 	}
-	for sk, set := range o.serialCerts {
-		dst := c.serialCerts[sk]
-		if dst == nil {
-			dst = make(map[certmodel.Fingerprint]bool, len(set))
-			c.serialCerts[sk] = dst
-		}
-		for fp := range set {
-			dst[fp] = true
-		}
-	}
+	c.serialCerts.Union(o.serialCerts)
 }
 
 // CheckPrevalence is the corpus-wide result for one check.

@@ -1,6 +1,8 @@
 package lint
 
 import (
+	"maps"
+
 	"certchains/internal/certmodel"
 	"certchains/internal/stats"
 )
@@ -11,45 +13,33 @@ import (
 // chain-key cache keeps them from being recomputed after restore). The
 // linter itself is not serialized — the restoring side must supply one with
 // the same configuration.
+//
+// A snapshot shares its maps with the live accumulator: every caller encodes
+// it at once, under the lock that keeps writers out, and restore copies what
+// it decodes into a fresh accumulator.
 type CorpusSnapshot struct {
-	Observations     int64                     `json:"observations"`
-	Conns            int64                     `json:"conns"`
-	FindingsPerChain map[string]map[string]int `json:"findings_per_chain,omitempty"`
-	ConnsPerCheck    map[string]int64          `json:"conns_per_check,omitempty"`
-	SerialCerts      map[string][]string       `json:"serial_certs,omitempty"`
+	Observations     int64                                     `json:"observations"`
+	Conns            int64                                     `json:"conns"`
+	FindingsPerChain map[string]map[string]int                 `json:"findings_per_chain,omitempty"`
+	ConnsPerCheck    map[string]int64                          `json:"conns_per_check,omitempty"`
+	SerialCerts      stats.Sets[string, certmodel.Fingerprint] `json:"serial_certs,omitempty"`
 }
 
 // Snapshot serializes the accumulator.
 func (c *CorpusReport) Snapshot() *CorpusSnapshot {
-	s := &CorpusSnapshot{
+	return &CorpusSnapshot{
 		Observations:     c.observations,
 		Conns:            c.conns,
-		FindingsPerChain: make(map[string]map[string]int, len(c.findingsPerChain)),
-		ConnsPerCheck:    make(map[string]int64, len(c.connsPerCheck)),
-		SerialCerts:      make(map[string][]string, len(c.serialCerts)),
+		FindingsPerChain: c.findingsPerChain,
+		ConnsPerCheck:    c.connsPerCheck,
+		SerialCerts:      c.serialCerts,
 	}
-	for k, perCheck := range c.findingsPerChain {
-		cp := make(map[string]int, len(perCheck))
-		for id, n := range perCheck {
-			cp[id] = n
-		}
-		s.FindingsPerChain[k] = cp
-	}
-	for id, n := range c.connsPerCheck {
-		s.ConnsPerCheck[id] = n
-	}
-	for sk, set := range c.serialCerts {
-		fps := make(map[string]bool, len(set))
-		for fp := range set {
-			fps[string(fp)] = true
-		}
-		s.SerialCerts[sk] = stats.SortedSet(fps)
-	}
-	return s
 }
 
 // CorpusFromSnapshot rebuilds an accumulator linting with l, which must be
-// configured identically to the linter the snapshot was taken under.
+// configured identically to the linter the snapshot was taken under. A
+// per-chain finding map is never written after it is first filled, so the
+// restored accumulator may share the decoded ones, as Merge does.
 func CorpusFromSnapshot(l *Linter, s *CorpusSnapshot) *CorpusReport {
 	c := NewCorpusReport(l)
 	if s == nil {
@@ -57,22 +47,8 @@ func CorpusFromSnapshot(l *Linter, s *CorpusSnapshot) *CorpusReport {
 	}
 	c.observations = s.Observations
 	c.conns = s.Conns
-	for k, perCheck := range s.FindingsPerChain {
-		cp := make(map[string]int, len(perCheck))
-		for id, n := range perCheck {
-			cp[id] = n
-		}
-		c.findingsPerChain[k] = cp
-	}
-	for id, n := range s.ConnsPerCheck {
-		c.connsPerCheck[id] = n
-	}
-	for sk, fps := range s.SerialCerts {
-		set := make(map[certmodel.Fingerprint]bool, len(fps))
-		for _, fp := range fps {
-			set[certmodel.Fingerprint(fp)] = true
-		}
-		c.serialCerts[sk] = set
-	}
+	maps.Copy(c.findingsPerChain, s.FindingsPerChain)
+	maps.Copy(c.connsPerCheck, s.ConnsPerCheck)
+	c.serialCerts.Union(s.SerialCerts)
 	return c
 }

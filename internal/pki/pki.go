@@ -120,8 +120,6 @@ type certSpec struct {
 	sans        []string
 	keyUsage    x509.KeyUsage
 	extKeyUsage []x509.ExtKeyUsage
-	serial      *big.Int
-	subjectKey  crypto.Signer
 }
 
 // Option customizes a minted certificate.
@@ -157,17 +155,6 @@ func WithOmitBasicConstraints() Option {
 // WithSANs sets dNSName subject alternative names.
 func WithSANs(sans ...string) Option {
 	return func(s *certSpec) { s.sans = sans }
-}
-
-// WithSerial forces a specific serial number.
-func WithSerial(n int64) Option {
-	return func(s *certSpec) { s.serial = big.NewInt(n) }
-}
-
-// WithSubjectKey reuses an existing key pair as the certified subject key —
-// required for cross-signing, where the same key appears under two issuers.
-func WithSubjectKey(k crypto.Signer) Option {
-	return func(s *certSpec) { s.subjectKey = k }
 }
 
 func (m *Mint) newSpec(isCA bool, opts []Option) *certSpec {
@@ -236,20 +223,12 @@ func Name(cn string, org ...string) pkix.Name {
 
 // NewRoot mints a self-signed root CA.
 func (m *Mint) NewRoot(subject pkix.Name, opts ...Option) (*CA, error) {
-	var key crypto.Signer
 	key, err := m.genKey()
 	if err != nil {
 		return nil, fmt.Errorf("pki: generate root key: %w", err)
 	}
 	s := m.newSpec(true, opts)
-	if s.subjectKey != nil {
-		key = s.subjectKey
-	}
-	serial := s.serial
-	if serial == nil {
-		serial = m.nextSerial()
-	}
-	tmpl := s.template(subject, serial)
+	tmpl := s.template(subject, m.nextSerial())
 	cert, err := m.create(tmpl, tmpl, key.Public(), key)
 	if err != nil {
 		return nil, err
@@ -260,20 +239,12 @@ func (m *Mint) NewRoot(subject pkix.Name, opts ...Option) (*CA, error) {
 
 // NewIntermediate mints an intermediate CA signed by ca.
 func (ca *CA) NewIntermediate(subject pkix.Name, opts ...Option) (*CA, error) {
-	var key crypto.Signer
 	key, err := ca.mint.genKey()
 	if err != nil {
 		return nil, fmt.Errorf("pki: generate intermediate key: %w", err)
 	}
 	s := ca.mint.newSpec(true, opts)
-	if s.subjectKey != nil {
-		key = s.subjectKey
-	}
-	serial := s.serial
-	if serial == nil {
-		serial = ca.mint.nextSerial()
-	}
-	tmpl := s.template(subject, serial)
+	tmpl := s.template(subject, ca.mint.nextSerial())
 	cert, err := ca.mint.create(tmpl, ca.signingCert, key.Public(), ca.key)
 	if err != nil {
 		return nil, err
@@ -284,20 +255,12 @@ func (ca *CA) NewIntermediate(subject pkix.Name, opts ...Option) (*CA, error) {
 
 // IssueLeaf mints an end-entity certificate signed by ca.
 func (ca *CA) IssueLeaf(subject pkix.Name, opts ...Option) (*Certificate, error) {
-	var key crypto.Signer
 	key, err := ca.mint.genKey()
 	if err != nil {
 		return nil, fmt.Errorf("pki: generate leaf key: %w", err)
 	}
 	s := ca.mint.newSpec(false, opts)
-	if s.subjectKey != nil {
-		key = s.subjectKey
-	}
-	serial := s.serial
-	if serial == nil {
-		serial = ca.mint.nextSerial()
-	}
-	tmpl := s.template(subject, serial)
+	tmpl := s.template(subject, ca.mint.nextSerial())
 	cert, err := ca.mint.create(tmpl, ca.signingCert, key.Public(), ca.key)
 	if err != nil {
 		return nil, err
@@ -312,11 +275,7 @@ func (ca *CA) IssueLeaf(subject pkix.Name, opts ...Option) (*Certificate, error)
 // paper's methodology must detect and exempt (Appendix D.1).
 func (ca *CA) CrossSign(other *CA, opts ...Option) (*Certificate, error) {
 	s := ca.mint.newSpec(true, opts)
-	serial := s.serial
-	if serial == nil {
-		serial = ca.mint.nextSerial()
-	}
-	tmpl := s.template(other.Cert.X509.Subject, serial)
+	tmpl := s.template(other.Cert.X509.Subject, ca.mint.nextSerial())
 	cert, err := ca.mint.create(tmpl, ca.signingCert, other.key.Public(), ca.key)
 	if err != nil {
 		return nil, err
@@ -332,11 +291,7 @@ func (ca *CA) CrossSign(other *CA, opts ...Option) (*Certificate, error) {
 // false-positive source).
 func (ca *CA) CrossSignAs(other *CA, subject pkix.Name, opts ...Option) (*Certificate, error) {
 	s := ca.mint.newSpec(true, opts)
-	serial := s.serial
-	if serial == nil {
-		serial = ca.mint.nextSerial()
-	}
-	tmpl := s.template(subject, serial)
+	tmpl := s.template(subject, ca.mint.nextSerial())
 	cert, err := ca.mint.create(tmpl, ca.signingCert, other.key.Public(), ca.key)
 	if err != nil {
 		return nil, err
@@ -348,20 +303,12 @@ func (ca *CA) CrossSignAs(other *CA, subject pkix.Name, opts ...Option) (*Certif
 // SelfSigned mints a standalone self-signed server certificate — the dominant
 // species in non-public-DB-only traffic (94.19% of single-cert chains).
 func (m *Mint) SelfSigned(subject pkix.Name, opts ...Option) (*Certificate, error) {
-	var key crypto.Signer
 	key, err := m.genKey()
 	if err != nil {
 		return nil, fmt.Errorf("pki: generate self-signed key: %w", err)
 	}
 	s := m.newSpec(false, opts)
-	if s.subjectKey != nil {
-		key = s.subjectKey
-	}
-	serial := s.serial
-	if serial == nil {
-		serial = m.nextSerial()
-	}
-	tmpl := s.template(subject, serial)
+	tmpl := s.template(subject, m.nextSerial())
 	cert, err := m.create(tmpl, tmpl, key.Public(), key)
 	if err != nil {
 		return nil, err
@@ -379,10 +326,7 @@ func (m *Mint) SelfIssued(issuer, subject pkix.Name, opts ...Option) (*Certifica
 		return nil, fmt.Errorf("pki: generate self-issued key: %w", err)
 	}
 	s := m.newSpec(false, opts)
-	serial := s.serial
-	if serial == nil {
-		serial = m.nextSerial()
-	}
+	serial := m.nextSerial()
 	tmpl := s.template(subject, serial)
 	// Parent template carrying the desired issuer name; signed by the same
 	// key so the signature verifies against the leaf's own public key.
@@ -405,11 +349,7 @@ func (m *Mint) NewRootEd25519(subject pkix.Name, opts ...Option) (*CA, error) {
 		return nil, fmt.Errorf("pki: generate ed25519 root key: %w", err)
 	}
 	s := m.newSpec(true, opts)
-	serial := s.serial
-	if serial == nil {
-		serial = m.nextSerial()
-	}
-	tmpl := s.template(subject, serial)
+	tmpl := s.template(subject, m.nextSerial())
 	cert, err := m.create(tmpl, tmpl, pub, priv)
 	if err != nil {
 		return nil, err
@@ -428,11 +368,7 @@ func (m *Mint) SelfSignedEd25519(subject pkix.Name, opts ...Option) (*Certificat
 		return nil, fmt.Errorf("pki: generate ed25519 key: %w", err)
 	}
 	s := m.newSpec(false, opts)
-	serial := s.serial
-	if serial == nil {
-		serial = m.nextSerial()
-	}
-	tmpl := s.template(subject, serial)
+	tmpl := s.template(subject, m.nextSerial())
 	der, err := x509.CreateCertificate(m.rand, tmpl, tmpl, pub, priv)
 	if err != nil {
 		return nil, fmt.Errorf("pki: create ed25519 certificate: %w", err)

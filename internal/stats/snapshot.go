@@ -1,6 +1,9 @@
 package stats
 
-import "sort"
+import (
+	"encoding/json"
+	"slices"
+)
 
 // Snapshot support: the ingest daemon persists accumulator state across
 // restarts, so the mergeable structures need a stable, JSON-friendly
@@ -59,25 +62,68 @@ func HistogramFromSnapshot(s HistogramSnapshot) *Histogram {
 	return h
 }
 
-// SortedSet renders a string set as a sorted slice — the canonical set form
-// used throughout the snapshot codecs.
-func SortedSet(set map[string]bool) []string {
-	if len(set) == 0 {
-		return nil
+// Set is a set of strings whose JSON form — the canonical set encoding of
+// every snapshot codec — is its members in sorted order. An empty set
+// encodes as null, and null decodes into an empty, writable set.
+type Set[E ~string] map[E]bool
+
+// Union adds every member of o.
+func (s Set[E]) Union(o Set[E]) {
+	for e := range o {
+		s[e] = true
 	}
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
-// SetFromSlice rebuilds a string set from its sorted-slice form.
-func SetFromSlice(keys []string) map[string]bool {
-	out := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		out[k] = true
+// MarshalJSON encodes the sorted members.
+func (s Set[E]) MarshalJSON() ([]byte, error) {
+	if len(s) == 0 {
+		return []byte("null"), nil
 	}
-	return out
+	members := make([]E, 0, len(s))
+	for e := range s {
+		members = append(members, e)
+	}
+	slices.Sort(members)
+	return json.Marshal(members)
+}
+
+// UnmarshalJSON decodes a member list (or null) into a fresh set.
+func (s *Set[E]) UnmarshalJSON(data []byte) error {
+	var members []E
+	if err := json.Unmarshal(data, &members); err != nil {
+		return err
+	}
+	*s = make(Set[E], len(members))
+	for _, e := range members {
+		(*s)[e] = true
+	}
+	return nil
+}
+
+// Sets is a keyed family of sets, merged by per-key union.
+type Sets[K comparable, E ~string] map[K]Set[E]
+
+// Add adds members to k's set, creating it on first use.
+func (s Sets[K, E]) Add(k K, members ...E) {
+	set := s[k]
+	if set == nil {
+		set = make(Set[E])
+		s[k] = set
+	}
+	for _, e := range members {
+		set[e] = true
+	}
+}
+
+// Union adds every member of every set of o; o's sets are copied, never
+// shared.
+func (s Sets[K, E]) Union(o Sets[K, E]) {
+	for k, set := range o {
+		dst := s[k]
+		if dst == nil {
+			dst = make(Set[E], len(set))
+			s[k] = dst
+		}
+		dst.Union(set)
+	}
 }

@@ -80,16 +80,53 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSortedSetRoundTrip(t *testing.T) {
-	set := map[string]bool{"b": true, "a": true, "c": true}
-	keys := SortedSet(set)
-	if !reflect.DeepEqual(keys, []string{"a", "b", "c"}) {
-		t.Fatalf("SortedSet = %v", keys)
+func TestSetRoundTrip(t *testing.T) {
+	data, err := json.Marshal(Set[string]{"b": true, "a": true, "c": true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(SetFromSlice(keys), set) {
-		t.Fatal("SetFromSlice round trip failed")
+	if string(data) != `["a","b","c"]` {
+		t.Fatalf("Set encodes as %s, want sorted members", data)
 	}
-	if SortedSet(nil) != nil {
-		t.Fatal("SortedSet(nil) should be nil")
+	var back Set[string]
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, Set[string]{"a": true, "b": true, "c": true}) {
+		t.Fatalf("round trip = %v", back)
+	}
+	for _, empty := range []Set[string]{nil, {}} {
+		if data, _ := json.Marshal(empty); string(data) != "null" {
+			t.Fatalf("empty Set encodes as %s, want null", data)
+		}
+	}
+	// null — inside a family too — decodes to a set that takes members.
+	var fam Sets[string, string]
+	if err := json.Unmarshal([]byte(`{"k":null}`), &fam); err != nil {
+		t.Fatal(err)
+	}
+	fam["k"]["x"] = true
+	var top struct{ S Set[string] }
+	if err := json.Unmarshal([]byte(`{"S":null}`), &top); err != nil {
+		t.Fatal(err)
+	}
+	top.S["x"] = true
+}
+
+func TestSetsUnionCopies(t *testing.T) {
+	src := Sets[int, string]{}
+	src.Add(1, "a", "b")
+	dst := Sets[int, string]{}
+	dst.Add(1, "c")
+	other := Sets[int, string]{2: {"d": true}}
+	dst.Union(src)
+	dst.Union(other)
+	want := Sets[int, string]{1: {"a": true, "b": true, "c": true}, 2: {"d": true}}
+	if !reflect.DeepEqual(dst, want) {
+		t.Fatalf("union = %v, want %v", dst, want)
+	}
+	dst[2]["z"] = true
+	if other[2]["z"] {
+		t.Fatal("Union shared the source's set")
 	}
 }

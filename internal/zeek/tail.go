@@ -199,9 +199,14 @@ func (t *Tailer) Restore(s TailState) {
 	t.h.restore(s.TSVFields, s.Closed)
 }
 
-// State returns the serializable tailer position.
+// State returns the serializable tailer position. A restored position not
+// yet applied (the file has not reopened since Restore) is reported as is,
+// so snapshotting before the first successful open loses nothing.
 func (t *Tailer) State() TailState {
 	s := TailState{Offset: t.offset, Rotations: t.rotations, ParseErrs: t.parseErrs}
+	if t.resume.Offset > 0 {
+		s.Offset = t.resume.Offset
+	}
 	s.TSVFields, s.Closed = t.h.header()
 	return s
 }
