@@ -47,15 +47,17 @@ race:
 
 # End-to-end smoke over the streaming ingest daemon: the batch-equivalence
 # suite, the in-process daemon lifecycle, the golden bytes of both sealed
-# state formats (a format change fails here by name), a restored daemon
-# snapshotting before its logs reopen, readers beside a paced feeder under
-# the race detector (every /report body equals a lock-held reference at a
-# poll boundary), and the process-level SIGINT tests (real binaries, real
-# signals, final snapshot on disk).
+# state formats (a format change fails here by name; the analysis partial is
+# pinned twice, once by a state that writes all 30 of its keys), partial
+# state decoded by a pipeline whose linter setting differs from the
+# encoder's, a restored daemon snapshotting before its logs reopen, readers
+# beside a paced feeder under the race detector (every /report body equals a
+# lock-held reference at a poll boundary), and the process-level SIGINT
+# tests (real binaries, real signals, final snapshot on disk).
 ingest-smoke:
 	$(GO) test -count=1 -run 'TestIngestorMatchesBatch|TestDaemonGracefulShutdown' ./internal/ingest/
 	$(GO) test -count=1 -run 'TestIngestStateGolden|TestSnapshotBeforeReopenKeepsOffsets' ./internal/ingest/
-	$(GO) test -count=1 -run 'TestAnalysisStateGolden' ./internal/analysis/
+	$(GO) test -count=1 -run 'TestAnalysisStateGolden|TestAnalysisStateGoldenAllKeys|TestDecodeStateAcrossLinters' ./internal/analysis/
 	$(GO) test -race -count=1 -run 'TestReportBesideIngest' ./internal/ingest/
 	$(GO) test -count=1 -run 'TestSignalShutdownWritesSnapshot' ./cmd/certchain-ingestd/
 	$(GO) test -count=1 -run 'TestServeShutsDownOnInterrupt' ./cmd/ctlog/

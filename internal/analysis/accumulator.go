@@ -38,13 +38,13 @@ const (
 	StateVersion = 1
 )
 
-// accumState is the sealed payload: the partial's canonical snapshot plus
-// the deduplicated certificate table its chain keys reference, and the
+// accumState is the sealed payload: the encoded partial plus the
+// deduplicated certificate table its chain keys reference, and the
 // observation count the coordinator needs to rebase downstream partitions.
 type accumState struct {
 	Observations int64                    `json:"observations"`
 	Certs        []certmodel.MetaSnapshot `json:"certs,omitempty"`
-	Partial      *partialSnapshot         `json:"partial"`
+	Partial      encodedPartial           `json:"partial"`
 }
 
 // NewAccumulator creates an empty accumulator over the pipeline's
@@ -76,8 +76,8 @@ func (a *Accumulator) Merge(o *Accumulator) {
 // observation count of partitions 0..i-1. Only the Figure 1 outlier list
 // carries sequence tags, so the shift is O(outliers).
 func (a *Accumulator) OffsetSeq(base int64) {
-	for i := range a.pr.excluded {
-		a.pr.excluded[i].seq += int(base)
+	for i := range a.pr.Excluded {
+		a.pr.Excluded[i][0] += int(base)
 	}
 }
 
@@ -90,12 +90,12 @@ func (a *Accumulator) Finalize() *Report { return a.pr.finalize() }
 // so digests over shipped partials are stable.
 func (a *Accumulator) EncodeState() ([]byte, error) {
 	certs := certmodel.CertTable{}
-	st := accumState{
+	partial := a.pr.encode(certs)
+	return certmodel.Seal(StateSchema, StateVersion, accumState{
 		Observations: a.n,
-		Partial:      a.pr.snapshot(certs),
-	}
-	st.Certs = certs.Snapshot()
-	return certmodel.Seal(StateSchema, StateVersion, st)
+		Certs:        certs.Snapshot(),
+		Partial:      partial,
+	})
 }
 
 // DecodeState rebuilds an accumulator from EncodeState bytes. The bytes
@@ -118,7 +118,7 @@ func (p *Pipeline) DecodeState(data []byte) (*Accumulator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("analysis: decode state: %w", err)
 	}
-	pr, err := p.restorePartial(st.Partial, certs)
+	pr, err := p.decodePartial(st.Partial, certs)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: decode state: %w", err)
 	}

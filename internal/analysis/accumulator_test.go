@@ -7,6 +7,7 @@ package analysis_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -200,6 +201,9 @@ func FuzzPartialSnapshotDecode(f *testing.F) {
 	f.Add([]byte(`{"schema":"x","version":9,"payload":{}}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(``))
+	for _, tc := range malformedPartials {
+		f.Add(sealedPartial(f, tc.partial))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		restored, err := p.DecodeState(data)
@@ -218,4 +222,94 @@ func FuzzPartialSnapshotDecode(f *testing.F) {
 			t.Fatal("finalize returned nil report")
 		}
 	})
+}
+
+// malformedPartials are partial payloads that are valid JSON but that no
+// encoder writes: a histogram or CDF of the wrong shape, a client-IP set
+// without its Table 2 row, an unknown port group, or a null over a structure
+// the accumulator writes through. The first five once decoded without error
+// and then panicked in merge or finalize, or silently dropped points.
+var malformedPartials = []struct{ name, partial string }{
+	{"figure6 without bins", `{"figure6":{"lo":0,"hi":1,"bins":[]}}`},
+	{"figure6 with two bins", `{"figure6":{"lo":0,"hi":1,"bins":[0,0]}}`},
+	{"figure6 with empty range", `{"figure6":{"lo":0,"hi":0,"bins":[0,0,0,0,0,0,0,0,0,0]}}`},
+	{"ip_sets category without table2 row", `{"ip_sets":{"2":["10.0.0.1"]}}`},
+	{"figure1 with fewer counts than values", `{"figure1":{"0":{"values":[1,2],"counts":[1]}}}`},
+	{"null figure1 cdf", `{"figure1":{"0":null}}`},
+	{"null port_hist group", `{"port_hist":{"hybrid":null}}`},
+	{"unknown port_hist group", `{"port_hist":{"bogus":{"443":1}}}`},
+	{"null graph", `{"hybrid_graph":null}`},
+	{"null table3", `{"table3":null}`},
+	{"null lint findings", `{"lint":{"observations":0,"conns":0,"findings_per_chain":null}}`},
+}
+
+// sealedPartial wraps a partial payload in a valid state envelope.
+func sealedPartial(tb testing.TB, partial string) []byte {
+	tb.Helper()
+	data, err := certmodel.Seal(analysis.StateSchema, analysis.StateVersion,
+		json.RawMessage(`{"observations":1,"partial":`+partial+`}`))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return data
+}
+
+// TestDecodeStateRejectsMalformed requires DecodeState to refuse every
+// malformedPartials payload: the coordinator merges and finalizes whatever
+// decodes, so a partial no encoder writes must fail at the boundary.
+func TestDecodeStateRejectsMalformed(t *testing.T) {
+	p := lintingPipeline(generate(t, 1))
+	for _, tc := range malformedPartials {
+		t.Run(tc.name, func(t *testing.T) {
+			if acc, err := p.DecodeState(sealedPartial(t, tc.partial)); err == nil {
+				t.Errorf("DecodeState accepted %s (observations %d)", tc.partial, acc.Observations())
+			}
+		})
+	}
+}
+
+// TestDecodeStateAcrossLinters decodes state under a pipeline whose linter
+// setting differs from the encoder's: linting state decoded without a linter
+// finalizes with no lint summary and an otherwise unchanged report, and
+// state without lint decoded under a linter finalizes with an empty summary.
+func TestDecodeStateAcrossLinters(t *testing.T) {
+	s := generate(t, 1)
+	plain, linting := analysis.FromScenario(s), lintingPipeline(s)
+	encode := func(p *analysis.Pipeline) []byte {
+		acc := p.NewAccumulator()
+		for _, o := range stateFixtureObservations(s) {
+			acc.Observe(o)
+		}
+		data, err := acc.EncodeState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	decode := func(p *analysis.Pipeline, data []byte) *analysis.Report {
+		acc, err := p.DecodeState(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return acc.Finalize()
+	}
+
+	unlinted := decode(plain, encode(linting))
+	if unlinted.Lint != nil {
+		t.Errorf("linting state decoded without a linter has a lint summary: %+v", unlinted.Lint)
+	}
+	wantText, wantJSON := renderings(t, decode(plain, encode(plain)))
+	gotText, gotJSON := renderings(t, unlinted)
+	if gotText != wantText || !bytes.Equal(gotJSON, wantJSON) {
+		t.Error("linting state decoded without a linter reports differently from plain state")
+	}
+
+	linted := decode(linting, encode(plain))
+	if linted.Lint == nil {
+		t.Fatal("plain state decoded under a linter has no lint summary")
+	}
+	if linted.Lint.Chains != 0 || linted.Lint.Observations != 0 {
+		t.Errorf("plain state decoded under a linter: %d chains, %d observations; want an empty summary",
+			linted.Lint.Chains, linted.Lint.Observations)
+	}
 }

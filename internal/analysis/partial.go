@@ -20,87 +20,95 @@ import (
 // structure (stats.CDF, stats.Histogram, graph.Graph, dga.ClusterStats), or
 // sequence-tagged (excluded outliers), so merging shard partials in any
 // order and finalizing reproduces the single sequential pass byte for byte.
+//
+// The exported fields are the state, and their JSON tags are its wire
+// format, in wire order (see snapshot.go); finalize builds the Report from
+// them.
 type partialReport struct {
 	p *Pipeline //certchain:nomerge shared read-only pipeline config, identical across shards
 
-	// rep carries the Report fields that accumulate additively during the
-	// observation pass; derived fields are filled by finalize.
-	rep *Report
+	Table2          map[chain.Category]CategoryStats `json:"table2,omitempty"`
+	Table3          map[chain.HybridCategory]int     `json:"table3,omitempty"`
+	Table6          Table6                           `json:"table6"`
+	Table7          map[chain.NoPathCategory]int     `json:"table7,omitempty"`
+	Table8          Table8                           `json:"table8"`
+	Sec42           Sec42                            `json:"sec42"`
+	SingleStats     chain.SingleCertStats            `json:"single_stats"`
+	InterceptSingle chain.SingleCertStats            `json:"intercept_single"`
+	Sec63           Sec63                            `json:"sec63"`
+	Figure1         map[chain.Category]*stats.CDF    `json:"figure1,omitempty"`
+	Figure6         *stats.Histogram                 `json:"figure6"`
 
-	ipSets             stats.Sets[chain.Category, string]
-	estByVerdict       map[chain.Verdict][2]int64 // established, total
-	hybridGraph        *graph.Graph
-	nonPubGraph        *graph.Graph
-	interceptGraph     *graph.Graph
-	detected           stats.Set[string]
-	sectorConns        map[intercept.Category]int64
-	sectorIPs          stats.Sets[intercept.Category, string]
-	portHist           map[string]map[int]int64
-	hybridServerChains stats.Sets[string, string]
-	missingIssuerIPs   stats.Set[string]
-	dgaStats           *dga.ClusterStats
-	// bcSeen/bcAbsent hold distinct certificates per delivery position
+	IPSets         stats.Sets[chain.Category, string] `json:"ip_sets,omitempty"`
+	EstByVerdict   map[chain.Verdict][2]int64         `json:"est_by_verdict,omitempty"` // established, total
+	HybridGraph    *graph.Graph                       `json:"hybrid_graph,omitempty"`
+	NonPubGraph    *graph.Graph                       `json:"nonpub_graph,omitempty"`
+	InterceptGraph *graph.Graph                       `json:"intercept_graph,omitempty"`
+	// Detected holds the issuer keys the CT cross-reference flagged.
+	Detected           stats.Set[string]                      `json:"detected,omitempty"`
+	SectorConns        map[intercept.Category]int64           `json:"sector_conns,omitempty"`
+	SectorIPs          stats.Sets[intercept.Category, string] `json:"sector_ips,omitempty"`
+	PortHist           map[string]map[int]int64               `json:"port_hist,omitempty"`
+	HybridServerChains stats.Sets[string, string]             `json:"hybrid_server_chains,omitempty"`
+	MissingIssuerIPs   stats.Set[string]                      `json:"missing_issuer_ips,omitempty"`
+	DGA                *dga.ClusterStats                      `json:"dga"`
+	// BCSeen/BCAbsent hold distinct certificates per delivery position
 	// ("first"/"sub"), as §4.3 counts them; the absent subset tracks
 	// basicConstraints omission. Set sizes yield the sequential counters.
-	bcSeen      stats.Sets[string, certmodel.Fingerprint]
-	bcAbsent    stats.Sets[string, certmodel.Fingerprint]
-	singleConns int64
-	singleNoSNI int64
-	// excluded records pathological outliers with their global observation
-	// sequence number so the merged slice restores input order exactly.
-	excluded []excludedLength
-	// analyses caches structure analyses per unique chain key.
-	analyses map[string]*chain.Analysis
+	BCSeen      stats.Sets[string, certmodel.Fingerprint] `json:"bc_seen,omitempty"`
+	BCAbsent    stats.Sets[string, certmodel.Fingerprint] `json:"bc_absent,omitempty"`
+	SingleConns int64                                     `json:"single_conns,omitempty"`
+	SingleNoSNI int64                                     `json:"single_no_sni,omitempty"`
+	// Excluded records pathological outliers as (global observation
+	// sequence, length) pairs so the merged slice restores input order
+	// exactly.
+	Excluded outliers `json:"excluded,omitempty"`
+	// Analyses caches structure analyses per unique chain key.
+	Analyses analysisCache `json:"chains,omitempty"`
 	// keyBuf is a reusable scratch buffer for composite map keys. Probing
 	// with m[string(keyBuf)] compiles to an allocation-free lookup; a key
 	// string is materialized only on first sight of a value.
 	keyBuf []byte //certchain:nomerge scratch buffer, no accumulated state
-	// lintReport accumulates corpus lint findings; nil when the pipeline has
-	// no linter.
-	lintReport *lint.CorpusReport
+	// Lint accumulates corpus lint findings; nil when the pipeline has no
+	// linter.
+	Lint *lint.CorpusReport `json:"lint,omitempty"`
 }
 
-// excludedLength is one Figure 1 outlier tagged with its observation index.
-type excludedLength struct {
-	seq    int
-	length int
-}
+// outliers are Figure 1 outliers as (sequence, length) pairs.
+type outliers [][2]int
 
 // newPartial creates an empty shard accumulator sharing the pipeline's
 // read-only components.
 func (p *Pipeline) newPartial() *partialReport {
-	var lintReport *lint.CorpusReport
-	if p.Linter != nil {
-		lintReport = lint.NewCorpusReport(p.Linter)
-	}
-	r := &Report{}
-	r.Table2.PerCategory = make(map[chain.Category]*CategoryStats)
-	r.Table3.Counts = make(map[chain.HybridCategory]int)
-	r.Table7.Counts = make(map[chain.NoPathCategory]int)
-	r.Figure1.CDF = make(map[chain.Category]*stats.CDF)
-	r.Figure6.Hist = stats.NewHistogram(0, 1, 10)
-	return &partialReport{
+	pr := &partialReport{
 		p:              p,
-		rep:            r,
-		ipSets:         stats.Sets[chain.Category, string]{},
-		estByVerdict:   make(map[chain.Verdict][2]int64),
-		hybridGraph:    graph.New(),
-		nonPubGraph:    graph.New(),
-		interceptGraph: graph.New(),
-		detected:       stats.Set[string]{},
-		sectorConns:    make(map[intercept.Category]int64),
-		sectorIPs:      stats.Sets[intercept.Category, string]{},
-		portHist: map[string]map[int]int64{
+		Table2:         make(map[chain.Category]CategoryStats),
+		Table3:         make(map[chain.HybridCategory]int),
+		Table7:         make(map[chain.NoPathCategory]int),
+		Figure1:        make(map[chain.Category]*stats.CDF),
+		Figure6:        stats.NewHistogram(0, 1, 10),
+		IPSets:         stats.Sets[chain.Category, string]{},
+		EstByVerdict:   make(map[chain.Verdict][2]int64),
+		HybridGraph:    graph.New(),
+		NonPubGraph:    graph.New(),
+		InterceptGraph: graph.New(),
+		Detected:       stats.Set[string]{},
+		SectorConns:    make(map[intercept.Category]int64),
+		SectorIPs:      stats.Sets[intercept.Category, string]{},
+		PortHist: map[string]map[int]int64{
 			"hybrid": {}, "nonpub-single": {}, "nonpub-multi": {}, "interception": {},
 		},
-		hybridServerChains: stats.Sets[string, string]{},
-		missingIssuerIPs:   stats.Set[string]{},
-		dgaStats:           dga.NewClusterStats(),
-		bcSeen:             stats.Sets[string, certmodel.Fingerprint]{"first": {}, "sub": {}},
-		bcAbsent:           stats.Sets[string, certmodel.Fingerprint]{"first": {}, "sub": {}},
-		analyses:           make(map[string]*chain.Analysis),
-		lintReport:         lintReport,
+		HybridServerChains: stats.Sets[string, string]{},
+		MissingIssuerIPs:   stats.Set[string]{},
+		DGA:                dga.NewClusterStats(),
+		BCSeen:             stats.Sets[string, certmodel.Fingerprint]{"first": {}, "sub": {}},
+		BCAbsent:           stats.Sets[string, certmodel.Fingerprint]{"first": {}, "sub": {}},
+		Analyses:           make(analysisCache),
 	}
+	if p.Linter != nil {
+		pr.Lint = lint.NewCorpusReport(p.Linter)
+	}
+	return pr
 }
 
 // analyze returns the cached structure analysis for a chain, computing it on
@@ -108,51 +116,47 @@ func (p *Pipeline) newPartial() *partialReport {
 // re-analyze a chain another shard also saw produce identical results.
 func (pr *partialReport) analyze(ch certmodel.Chain) *chain.Analysis {
 	pr.keyBuf = ch.AppendKey(pr.keyBuf[:0])
-	if a, ok := pr.analyses[string(pr.keyBuf)]; ok {
+	if a, ok := pr.Analyses[string(pr.keyBuf)]; ok {
 		return a
 	}
 	key := string(pr.keyBuf)
 	a := pr.p.Classifier.AnalyzeKeyed(key, ch)
-	pr.analyses[key] = a
+	pr.Analyses[key] = a
 	return a
 }
 
 // observe accumulates one observation. seq is the observation's position in
 // the overall input order (used only to keep outlier reporting ordered).
 func (pr *partialReport) observe(seq int, o *campus.Observation) {
-	r := pr.rep
 	if o.TLS13 || len(o.Chain) == 0 {
 		// §6.3: TLS 1.3 handshakes hide certificates from the passive
 		// vantage — counted, never categorized.
-		r.Sec63.TLS13Conns += o.Conns
+		pr.Sec63.TLS13Conns += o.Conns
 		return
 	}
-	r.Sec63.VisibleConns += o.Conns
+	pr.Sec63.VisibleConns += o.Conns
 	a := pr.analyze(o.Chain)
 	cat := a.Category
-	if pr.lintReport != nil {
-		pr.lintReport.ObserveAnalyzed(o.Chain, a, o.Conns)
+	if pr.Lint != nil {
+		pr.Lint.ObserveAnalyzed(o.Chain, a, o.Conns)
 	}
 
 	// ---- Table 2 ----------------------------------------------------
-	cs := r.Table2.PerCategory[cat]
-	if cs == nil {
-		cs = &CategoryStats{}
-		r.Table2.PerCategory[cat] = cs
-	}
+	cs := pr.Table2[cat]
 	cs.Chains++
 	cs.Conns += o.Conns
 	cs.Established += o.Established
-	pr.ipSets.Add(cat, o.ClientIPs...)
+	pr.Table2[cat] = cs
+	pr.IPSets.Add(cat, o.ClientIPs...)
 
 	// ---- Figure 1 ---------------------------------------------------
 	if len(o.Chain) > pathologicalLength {
-		pr.excluded = append(pr.excluded, excludedLength{seq: seq, length: len(o.Chain)})
+		pr.Excluded = append(pr.Excluded, [2]int{seq, len(o.Chain)})
 	} else {
-		cdf := r.Figure1.CDF[cat]
+		cdf := pr.Figure1[cat]
 		if cdf == nil {
 			cdf = stats.NewCDF()
-			r.Figure1.CDF[cat] = cdf
+			pr.Figure1[cat] = cdf
 		}
 		cdf.Add(len(o.Chain), 1)
 	}
@@ -168,26 +172,26 @@ func (pr *partialReport) observe(seq int, o *campus.Observation) {
 }
 
 func (pr *partialReport) accumulateHybrid(o *campus.Observation, a *chain.Analysis) {
-	p, r := pr.p, pr.rep
+	p := pr.p
 
 	hc := chain.ClassifyHybrid(a)
-	r.Table3.Counts[hc]++
+	pr.Table3[hc]++
 
-	et := pr.estByVerdict[a.Verdict]
+	et := pr.EstByVerdict[a.Verdict]
 	et[0] += o.Established
 	et[1] += o.Conns
-	pr.estByVerdict[a.Verdict] = et
+	pr.EstByVerdict[a.Verdict] = et
 
-	pr.hybridGraph.AddChain(o.Chain, a.Classes)
-	pr.portHist["hybrid"][o.Port] += o.Conns
+	pr.HybridGraph.AddChain(o.Chain, a.Classes)
+	pr.PortHist["hybrid"][o.Port] += o.Conns
 
 	pr.keyBuf = append(pr.keyBuf[:0], o.ServerIP...)
 	pr.keyBuf = append(pr.keyBuf, '|')
 	pr.keyBuf = append(pr.keyBuf, o.Domain...)
-	set := pr.hybridServerChains[string(pr.keyBuf)]
+	set := pr.HybridServerChains[string(pr.keyBuf)]
 	if set == nil {
 		set = make(stats.Set[string])
-		pr.hybridServerChains[string(pr.keyBuf)] = set
+		pr.HybridServerChains[string(pr.keyBuf)] = set
 	}
 	pr.keyBuf = o.Chain.AppendKey(pr.keyBuf[:0])
 	if !set[string(pr.keyBuf)] {
@@ -196,50 +200,49 @@ func (pr *partialReport) accumulateHybrid(o *campus.Observation, a *chain.Analys
 
 	switch hc {
 	case chain.HybridCompleteNonPubToPub:
-		r.Sec42.AnchoredLeaves++
+		pr.Sec42.AnchoredLeaves++
 		if p.CT.Contains(o.Chain[0].FP) {
-			r.Sec42.CTLoggedAnchoredLeaves++
+			pr.Sec42.CTLoggedAnchoredLeaves++
 		}
 		if a.HasExpiredLeaf(o.Last) {
-			r.Sec42.ExpiredLeafChains++
+			pr.Sec42.ExpiredLeafChains++
 		}
 		// Table 6: the signing CA's organization attribute distinguishes
 		// government PKIs from corporate deployments.
 		if o.Chain[0].Issuer.Organization() == "Government" {
-			r.Table6.Government++
+			pr.Table6.Government++
 		} else {
-			r.Table6.Corporate++
+			pr.Table6.Corporate++
 		}
 	case chain.HybridContainsComplete:
 		if containsFakeLE(o.Chain) {
-			r.Sec42.FakeLEChains++
+			pr.Sec42.FakeLEChains++
 		}
-		p.classifyContains(r, a)
+		p.classifyContains(&pr.Sec42.ContainsBreakdown, a)
 	case chain.HybridNoComplete:
-		r.Table7.Counts[chain.ClassifyNoPath(a)]++
-		r.Figure6.Hist.Add(a.MismatchRatio)
+		pr.Table7[chain.ClassifyNoPath(a)]++
+		pr.Figure6.Add(a.MismatchRatio)
 		if missingIssuer(a) {
-			r.Sec42.MissingIssuerChains++
-			r.Sec42.MissingIssuerConns += o.Conns
-			r.Sec42.MissingIssuerEstablished += o.Established
+			pr.Sec42.MissingIssuerChains++
+			pr.Sec42.MissingIssuerConns += o.Conns
+			pr.Sec42.MissingIssuerEstablished += o.Established
 			for _, ip := range o.ClientIPs {
-				pr.missingIssuerIPs[ip] = true
+				pr.MissingIssuerIPs[ip] = true
 			}
 			if chain.StoreCompletable(p.DB, a) {
-				r.Sec42.MissingIssuerStoreCompletable++
+				pr.Sec42.MissingIssuerStoreCompletable++
 			}
 		}
 	}
 }
 
 func (pr *partialReport) accumulateNonPub(o *campus.Observation, a *chain.Analysis) {
-	r := pr.rep
 	if len(o.Chain) > pathologicalLength {
 		// The oversized misconfiguration outliers are excluded from the
 		// structural statistics, as in Figure 1.
 		return
 	}
-	pr.nonPubGraph.AddChain(o.Chain, a.Classes)
+	pr.NonPubGraph.AddChain(o.Chain, a.Classes)
 
 	// basicConstraints omission rates over distinct non-public
 	// certificates, by delivery position (§4.3).
@@ -248,62 +251,60 @@ func (pr *partialReport) accumulateNonPub(o *campus.Observation, a *chain.Analys
 		if i == 0 {
 			pos = "first"
 		}
-		if pr.bcSeen[pos][m.FP] {
+		if pr.BCSeen[pos][m.FP] {
 			continue
 		}
-		pr.bcSeen[pos][m.FP] = true
+		pr.BCSeen[pos][m.FP] = true
 		if m.BC == certmodel.BCAbsent {
-			pr.bcAbsent[pos][m.FP] = true
+			pr.BCAbsent[pos][m.FP] = true
 		}
 	}
 
 	if len(o.Chain) == 1 {
-		r.Sec43.SingleStats.Add(a)
-		pr.portHist["nonpub-single"][o.Port] += o.Conns
-		pr.singleConns += o.Conns
-		pr.singleNoSNI += o.NoSNI
+		pr.SingleStats.Add(a)
+		pr.PortHist["nonpub-single"][o.Port] += o.Conns
+		pr.SingleConns += o.Conns
+		pr.SingleNoSNI += o.NoSNI
 		if dga.IsDGACertificate(o.Chain[0]) {
-			pr.dgaStats.Add(o.Chain[0], int(o.Conns), o.ClientIPs)
+			pr.DGA.Add(o.Chain[0], int(o.Conns), o.ClientIPs)
 		}
 		return
 	}
-	pr.portHist["nonpub-multi"][o.Port] += o.Conns
+	pr.PortHist["nonpub-multi"][o.Port] += o.Conns
 	switch a.MatchedVerdict {
 	case chain.VerdictCompletePath:
-		r.Table8.NonPub.IsMatched++
+		pr.Table8.NonPub.IsMatched++
 	case chain.VerdictContainsPath:
-		r.Table8.NonPub.ContainsMatch++
+		pr.Table8.NonPub.ContainsMatch++
 	default:
-		r.Table8.NonPub.NoMatch++
+		pr.Table8.NonPub.NoMatch++
 	}
-	r.Table8.NonPub.MultiChains++
+	pr.Table8.NonPub.MultiChains++
 }
 
 func (pr *partialReport) accumulateInterception(o *campus.Observation, a *chain.Analysis) {
-	r := pr.rep
-
-	pr.interceptGraph.AddChain(o.Chain, a.Classes)
-	pr.portHist["interception"][o.Port] += o.Conns
+	pr.InterceptGraph.AddChain(o.Chain, a.Classes)
+	pr.PortHist["interception"][o.Port] += o.Conns
 
 	if len(o.Chain) == 1 {
-		r.Sec43.InterceptSingle.Add(a)
+		pr.InterceptSingle.Add(a)
 	} else if len(o.Chain) <= pathologicalLength {
 		switch a.MatchedVerdict {
 		case chain.VerdictCompletePath:
-			r.Table8.Interception.IsMatched++
+			pr.Table8.Interception.IsMatched++
 		case chain.VerdictContainsPath:
-			r.Table8.Interception.ContainsMatch++
+			pr.Table8.Interception.ContainsMatch++
 		default:
-			r.Table8.Interception.NoMatch++
+			pr.Table8.Interception.NoMatch++
 		}
-		r.Table8.Interception.MultiChains++
+		pr.Table8.Interception.MultiChains++
 	}
 
 	// Independent CT cross-reference detection (§3.2.1).
 	if o.Domain != "" {
 		det := intercept.Detector{DB: pr.p.DB, CT: pr.p.CT}
 		if det.Examine(o.Chain[0], o.Domain, o.First) == intercept.IssuerMismatch {
-			pr.detected[o.Chain[0].IssuerKey()] = true
+			pr.Detected[o.Chain[0].IssuerKey()] = true
 		}
 	}
 
@@ -311,8 +312,8 @@ func (pr *partialReport) accumulateInterception(o *campus.Observation, a *chain.
 	// any chain member's issuer against the registry.
 	for _, m := range o.Chain {
 		if iss, ok := pr.p.Registry.LookupKey(m.IssuerKey()); ok {
-			pr.sectorConns[iss.Category] += o.Conns
-			pr.sectorIPs.Add(iss.Category, o.ClientIPs...)
+			pr.SectorConns[iss.Category] += o.Conns
+			pr.SectorIPs.Add(iss.Category, o.ClientIPs...)
 			break
 		}
 	}
@@ -324,87 +325,82 @@ func (pr *partialReport) accumulateInterception(o *campus.Observation, a *chain.
 // order-sensitive artifact — the Figure 1 outlier list — carries sequence
 // tags and is sorted during finalize.
 func (pr *partialReport) merge(o *partialReport) {
-	r, or := pr.rep, o.rep
-
 	// Table 2.
-	for cat, ocs := range or.Table2.PerCategory {
-		cs := r.Table2.PerCategory[cat]
-		if cs == nil {
-			cs = &CategoryStats{}
-			r.Table2.PerCategory[cat] = cs
-		}
+	for cat, ocs := range o.Table2 {
+		cs := pr.Table2[cat]
 		cs.Chains += ocs.Chains
 		cs.Conns += ocs.Conns
 		cs.Established += ocs.Established
+		pr.Table2[cat] = cs
 	}
-	pr.ipSets.Union(o.ipSets)
+	pr.IPSets.Union(o.IPSets)
 
 	// Table 3 / Table 7 counts and establishment pairs.
-	addCounts(r.Table3.Counts, or.Table3.Counts)
-	addCounts(r.Table7.Counts, or.Table7.Counts)
-	for v, oet := range o.estByVerdict {
-		et := pr.estByVerdict[v]
+	addCounts(pr.Table3, o.Table3)
+	addCounts(pr.Table7, o.Table7)
+	for v, oet := range o.EstByVerdict {
+		et := pr.EstByVerdict[v]
 		et[0] += oet[0]
 		et[1] += oet[1]
-		pr.estByVerdict[v] = et
+		pr.EstByVerdict[v] = et
 	}
 
 	// Table 6, Table 8, §4.2, §4.3 additive counters.
-	r.Table6.Corporate += or.Table6.Corporate
-	r.Table6.Government += or.Table6.Government
-	mergeMultiCert(&r.Table8.NonPub, &or.Table8.NonPub)
-	mergeMultiCert(&r.Table8.Interception, &or.Table8.Interception)
-	mergeSec42(&r.Sec42, &or.Sec42)
-	mergeSingleCert(&r.Sec43.SingleStats, &or.Sec43.SingleStats)
-	mergeSingleCert(&r.Sec43.InterceptSingle, &or.Sec43.InterceptSingle)
-	r.Sec63.TLS13Conns += or.Sec63.TLS13Conns
-	r.Sec63.VisibleConns += or.Sec63.VisibleConns
+	pr.Table6.Corporate += o.Table6.Corporate
+	pr.Table6.Government += o.Table6.Government
+	mergeMultiCert(&pr.Table8.NonPub, &o.Table8.NonPub)
+	mergeMultiCert(&pr.Table8.Interception, &o.Table8.Interception)
+	mergeSec42(&pr.Sec42, &o.Sec42)
+	mergeSingleCert(&pr.SingleStats, &o.SingleStats)
+	mergeSingleCert(&pr.InterceptSingle, &o.InterceptSingle)
+	pr.Sec63.TLS13Conns += o.Sec63.TLS13Conns
+	pr.Sec63.VisibleConns += o.Sec63.VisibleConns
 
 	// Figures 1 and 6.
-	for cat, ocdf := range or.Figure1.CDF {
-		cdf := r.Figure1.CDF[cat]
+	for cat, ocdf := range o.Figure1 {
+		cdf := pr.Figure1[cat]
 		if cdf == nil {
 			cdf = stats.NewCDF()
-			r.Figure1.CDF[cat] = cdf
+			pr.Figure1[cat] = cdf
 		}
 		cdf.Merge(ocdf)
 	}
-	pr.excluded = append(pr.excluded, o.excluded...)
-	r.Figure6.Hist.Merge(or.Figure6.Hist)
+	pr.Excluded = append(pr.Excluded, o.Excluded...)
+	pr.Figure6.Merge(o.Figure6)
 
 	// Graphs.
-	pr.hybridGraph.Merge(o.hybridGraph)
-	pr.nonPubGraph.Merge(o.nonPubGraph)
-	pr.interceptGraph.Merge(o.interceptGraph)
+	pr.HybridGraph.Merge(o.HybridGraph)
+	pr.NonPubGraph.Merge(o.NonPubGraph)
+	pr.InterceptGraph.Merge(o.InterceptGraph)
 
 	// Interception attribution and CT detection.
-	pr.detected.Union(o.detected)
-	addCounts(pr.sectorConns, o.sectorConns)
-	pr.sectorIPs.Union(o.sectorIPs)
+	pr.Detected.Union(o.Detected)
+	addCounts(pr.SectorConns, o.SectorConns)
+	pr.SectorIPs.Union(o.SectorIPs)
 
 	// Ports, servers, missing issuers.
-	for group, hist := range o.portHist {
-		addCounts(pr.portHist[group], hist)
+	for group, hist := range o.PortHist {
+		addCounts(pr.PortHist[group], hist)
 	}
-	pr.hybridServerChains.Union(o.hybridServerChains)
-	pr.missingIssuerIPs.Union(o.missingIssuerIPs)
+	pr.HybridServerChains.Union(o.HybridServerChains)
+	pr.MissingIssuerIPs.Union(o.MissingIssuerIPs)
 
 	// §4.3 distinct-certificate sets and single-cert aggregates.
-	pr.bcSeen.Union(o.bcSeen)
-	pr.bcAbsent.Union(o.bcAbsent)
-	pr.singleConns += o.singleConns
-	pr.singleNoSNI += o.singleNoSNI
-	pr.dgaStats.Merge(o.dgaStats)
+	pr.BCSeen.Union(o.BCSeen)
+	pr.BCAbsent.Union(o.BCAbsent)
+	pr.SingleConns += o.SingleConns
+	pr.SingleNoSNI += o.SingleNoSNI
+	pr.DGA.Merge(o.DGA)
 
 	// Analysis cache union: duplicate keys hold identical analyses.
-	for k, a := range o.analyses {
-		if _, ok := pr.analyses[k]; !ok {
-			pr.analyses[k] = a
+	for k, a := range o.Analyses {
+		if _, ok := pr.Analyses[k]; !ok {
+			pr.Analyses[k] = a
 		}
 	}
 
-	if pr.lintReport != nil {
-		pr.lintReport.Merge(o.lintReport)
+	if pr.Lint != nil {
+		pr.Lint.Merge(o.Lint)
 	}
 }
 
@@ -447,24 +443,36 @@ func mergeSec42(dst, src *Sec42) {
 }
 
 // finalize runs the finishing passes over the fully merged accumulator and
-// returns the completed report.
+// returns the completed report, which shares the accumulator's maps and
+// structures.
 func (pr *partialReport) finalize() *Report {
-	p, r := pr.p, pr.rep
-
-	sort.Slice(pr.excluded, func(i, j int) bool { return pr.excluded[i].seq < pr.excluded[j].seq })
-	for _, ex := range pr.excluded {
-		r.Figure1.Excluded = append(r.Figure1.Excluded, ex.length)
+	p := pr.p
+	r := &Report{
+		Table2:  Table2{PerCategory: make(map[chain.Category]*CategoryStats, len(pr.Table2))},
+		Table3:  Table3{Counts: pr.Table3},
+		Table6:  pr.Table6,
+		Table7:  Table7{Counts: pr.Table7},
+		Table8:  pr.Table8,
+		Figure1: Figure1{CDF: pr.Figure1},
+		Figure6: Figure6{Hist: pr.Figure6},
+		Sec42:   pr.Sec42,
+		Sec43:   Sec43{SingleStats: pr.SingleStats, InterceptSingle: pr.InterceptSingle},
+		Sec63:   pr.Sec63,
 	}
 
-	for cat, set := range pr.ipSets {
-		r.Table2.PerCategory[cat].ClientIPs = len(set)
+	sort.Slice(pr.Excluded, func(i, j int) bool { return pr.Excluded[i][0] < pr.Excluded[j][0] })
+	for _, ex := range pr.Excluded {
+		r.Figure1.Excluded = append(r.Figure1.Excluded, ex[1])
 	}
-	for _, cs := range r.Table2.PerCategory {
+
+	for cat, cs := range pr.Table2 {
+		cs.ClientIPs = len(pr.IPSets[cat])
+		r.Table2.PerCategory[cat] = &cs
 		r.Table2.TotalChains += cs.Chains
 	}
 
 	r.Table3.EstablishRate = make(map[chain.Verdict]float64)
-	for v, et := range pr.estByVerdict {
+	for v, et := range pr.EstByVerdict {
 		r.Table3.EstablishRate[v] = stats.Ratio(et[0], et[1])
 	}
 	for _, n := range r.Table3.Counts {
@@ -473,37 +481,37 @@ func (pr *partialReport) finalize() *Report {
 	for _, n := range r.Table7.Counts {
 		r.Table7.Total += n
 	}
-	for _, chains := range pr.hybridServerChains {
+	for _, chains := range pr.HybridServerChains {
 		if len(chains) > 1 {
 			r.Sec42.MultiChainServers++
 		}
 	}
-	r.Sec42.MissingIssuerClientIPs = len(pr.missingIssuerIPs)
+	r.Sec42.MissingIssuerClientIPs = len(pr.MissingIssuerIPs)
 
-	r.Table1 = p.buildTable1(pr.sectorConns, pr.sectorIPs, pr.detected)
-	r.Table4 = buildTable4(pr.portHist)
-	r.Figure4 = p.buildFigure4(pr.analyses)
-	r.Figure5 = summarizeGraph(pr.hybridGraph)
+	r.Table1 = p.buildTable1(pr)
+	r.Table4 = buildTable4(pr.PortHist)
+	r.Figure4 = p.buildFigure4(pr.Analyses)
+	r.Figure5 = summarizeGraph(pr.HybridGraph)
 	r.Figure6.ShareAtOrAbove05 = r.Figure6.Hist.ShareAbove(0.5)
-	r.Figure7 = summarizeGraph(pr.nonPubGraph)
-	r.Figure8 = summarizeGraph(pr.interceptGraph.WithoutLeaves())
+	r.Figure7 = summarizeGraph(pr.NonPubGraph)
+	r.Figure8 = summarizeGraph(pr.InterceptGraph.WithoutLeaves())
 
-	bcFirst, bcFirstAbsent := int64(len(pr.bcSeen["first"])), int64(len(pr.bcAbsent["first"]))
-	bcSub, bcSubAbsent := int64(len(pr.bcSeen["sub"])), int64(len(pr.bcAbsent["sub"]))
+	bcFirst, bcFirstAbsent := int64(len(pr.BCSeen["first"])), int64(len(pr.BCAbsent["first"]))
+	bcSub, bcSubAbsent := int64(len(pr.BCSeen["sub"])), int64(len(pr.BCAbsent["sub"]))
 	r.Sec43.BCAbsentFirst = stats.Ratio(bcFirstAbsent, bcFirst)
 	r.Sec43.BCAbsentSubsequent = stats.Ratio(bcSubAbsent, bcSub)
 	r.Sec43.BCFirstN = int(bcFirst)
 	r.Sec43.BCSubsequentN = int(bcSub)
-	r.Sec43.NoSNIShare = stats.Ratio(pr.singleNoSNI, pr.singleConns)
-	r.Sec43.DGACerts = pr.dgaStats.Certificates
-	r.Sec43.DGAConns = int64(pr.dgaStats.Connections)
-	r.Sec43.DGAClients = len(pr.dgaStats.ClientIPs)
-	if pr.dgaStats.Certificates > 0 {
-		r.Sec43.DGAMinDays = pr.dgaStats.MinValidity
-		r.Sec43.DGAMaxDays = pr.dgaStats.MaxValidity
+	r.Sec43.NoSNIShare = stats.Ratio(pr.SingleNoSNI, pr.SingleConns)
+	r.Sec43.DGACerts = pr.DGA.Certificates
+	r.Sec43.DGAConns = int64(pr.DGA.Connections)
+	r.Sec43.DGAClients = len(pr.DGA.ClientIPs)
+	if pr.DGA.Certificates > 0 {
+		r.Sec43.DGAMinDays = pr.DGA.MinValidity
+		r.Sec43.DGAMaxDays = pr.DGA.MaxValidity
 	}
-	if pr.lintReport != nil {
-		r.Lint = pr.lintReport.Summarize()
+	if pr.Lint != nil {
+		r.Lint = pr.Lint.Summarize()
 	}
 	return r
 }

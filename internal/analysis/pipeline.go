@@ -106,8 +106,7 @@ func normalizeWorkers(workers int) int {
 
 // classifyContains assigns the Appendix F.2 misconfiguration pattern of a
 // contains-path hybrid chain.
-func (p *Pipeline) classifyContains(r *Report, a *chain.Analysis) {
-	bd := &r.Sec42.ContainsBreakdown
+func (p *Pipeline) classifyContains(bd *ContainsBreakdown, a *chain.Analysis) {
 	switch {
 	case containsFakeLE(a.Chain):
 		bd.FakeLE++
@@ -190,14 +189,12 @@ func containsFakeLE(ch certmodel.Chain) bool {
 	return false
 }
 
-func (p *Pipeline) buildTable1(sectorConns map[intercept.Category]int64,
-	sectorIPs stats.Sets[intercept.Category, string], detected stats.Set[string]) Table1 {
-
+func (p *Pipeline) buildTable1(pr *partialReport) Table1 {
 	var total int64
-	for _, c := range sectorConns {
+	for _, c := range pr.SectorConns {
 		total += c
 	}
-	t := Table1{DetectedIssuers: len(detected)}
+	t := Table1{DetectedIssuers: len(pr.Detected)}
 	for _, cat := range intercept.Categories {
 		issuers := 0
 		// Prefer the registry's full entity count per sector: entities
@@ -210,8 +207,8 @@ func (p *Pipeline) buildTable1(sectorConns map[intercept.Category]int64,
 		row := InterceptionSector{
 			Category:  cat,
 			Issuers:   issuers,
-			ConnShare: stats.Ratio(sectorConns[cat], total),
-			ClientIPs: len(sectorIPs[cat]),
+			ConnShare: stats.Ratio(pr.SectorConns[cat], total),
+			ClientIPs: len(pr.SectorIPs[cat]),
 		}
 		t.Sectors = append(t.Sectors, row)
 		t.TotalIssuers += issuers

@@ -40,7 +40,7 @@ type WindowRing struct {
 	p   *Pipeline
 	cfg WindowConfig
 
-	buckets map[int64]*windowBucket
+	buckets map[int64]windowBucket
 	order   []int64 // live bucket indexes, ascending
 	spill   *partialReport
 
@@ -68,13 +68,10 @@ const DefaultWindowInterval = time.Hour
 // DefaultWindowBuckets keeps two days of hourly buckets live.
 const DefaultWindowBuckets = 48
 
-type windowBucket struct {
-	// base holds history restored from a snapshot (the bucket's pre-crash
-	// observations, collapsed); nil on buckets born live.
-	base *partialReport
-	// shards are per-worker accumulators, created lazily.
-	shards []*partialReport
-}
+// windowBucket holds one interval's per-worker accumulators, created
+// lazily. A restored bucket's history, collapsed into one decoded partial,
+// is shard 0.
+type windowBucket []*partialReport
 
 // NewWindowRing creates an empty ring over the pipeline's components.
 func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
@@ -88,7 +85,7 @@ func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
 	return &WindowRing{
 		p:       p,
 		cfg:     cfg,
-		buckets: make(map[int64]*windowBucket),
+		buckets: make(map[int64]windowBucket),
 		spill:   p.newPartial(),
 	}
 }
@@ -109,11 +106,11 @@ func floorDiv(a, b int64) int64 {
 }
 
 // bucket returns the live bucket for idx, creating it in order.
-func (w *WindowRing) bucket(idx int64) *windowBucket {
+func (w *WindowRing) bucket(idx int64) windowBucket {
 	if b, ok := w.buckets[idx]; ok {
 		return b
 	}
-	b := &windowBucket{shards: make([]*partialReport, w.cfg.Workers)}
+	b := make(windowBucket, w.cfg.Workers)
 	w.buckets[idx] = b
 	pos := sort.Search(len(w.order), func(i int) bool { return w.order[i] >= idx })
 	w.order = append(w.order, 0)
@@ -136,7 +133,7 @@ func (w *WindowRing) ObserveBatch(obs []*campus.Observation) {
 	type item struct {
 		seq int
 		o   *campus.Observation
-		b   *windowBucket
+		b   windowBucket
 	}
 	items := make([]item, 0, len(obs))
 	for _, o := range obs {
@@ -158,10 +155,10 @@ func (w *WindowRing) ObserveBatch(obs []*campus.Observation) {
 			defer wg.Done()
 			for i := wk; i < len(items); i += workers {
 				it := items[i]
-				pr := it.b.shards[wk]
+				pr := it.b[wk]
 				if pr == nil {
 					pr = w.p.newPartial()
-					it.b.shards[wk] = pr
+					it.b[wk] = pr
 				}
 				pr.observe(it.seq, it.o)
 			}
@@ -184,7 +181,7 @@ func (w *WindowRing) evict() {
 }
 
 // each calls fn on every accumulator holding folded state: the spill, then
-// each live bucket's base and shards, in bucket order.
+// each live bucket's shards, in bucket order.
 func (w *WindowRing) each(fn func(*partialReport)) {
 	fn(w.spill)
 	for _, idx := range w.order {
@@ -192,12 +189,9 @@ func (w *WindowRing) each(fn func(*partialReport)) {
 	}
 }
 
-// each calls fn on the bucket's restored base and its live shards.
-func (b *windowBucket) each(fn func(*partialReport)) {
-	if b.base != nil {
-		fn(b.base)
-	}
-	for _, pr := range b.shards {
+// each calls fn on the bucket's shards.
+func (b windowBucket) each(fn func(*partialReport)) {
+	for _, pr := range b {
 		if pr != nil {
 			fn(pr)
 		}
@@ -283,7 +277,7 @@ func (w *WindowRing) LiveBuckets() int { return len(w.order) }
 func (w *WindowRing) CategoryTotals() map[chain.Category]CategoryStats {
 	out := make(map[chain.Category]CategoryStats)
 	w.each(func(pr *partialReport) {
-		for cat, cs := range pr.rep.Table2.PerCategory {
+		for cat, cs := range pr.Table2 {
 			t := out[cat]
 			t.Chains += cs.Chains
 			t.Conns += cs.Conns
@@ -298,8 +292,8 @@ func (w *WindowRing) CategoryTotals() map[chain.Category]CategoryStats {
 // certificate-visible) across every accumulator.
 func (w *WindowRing) ConnTotals() (tls13, visible int64) {
 	w.each(func(pr *partialReport) {
-		tls13 += pr.rep.Sec63.TLS13Conns
-		visible += pr.rep.Sec63.VisibleConns
+		tls13 += pr.Sec63.TLS13Conns
+		visible += pr.Sec63.VisibleConns
 	})
 	return tls13, visible
 }
@@ -314,18 +308,19 @@ type WindowRingSnapshot struct {
 	WM         certmodel.TimeSnapshot   `json:"wm"`
 	WMSet      bool                     `json:"wm_set,omitempty"`
 	Certs      []certmodel.MetaSnapshot `json:"certs,omitempty"`
-	Spill      *partialSnapshot         `json:"spill,omitempty"`
+	Spill      encodedPartial           `json:"spill"`
 	Buckets    []windowBucketSnapshot   `json:"buckets,omitempty"`
 }
 
 type windowBucketSnapshot struct {
-	Idx     int64            `json:"idx"`
-	Partial *partialSnapshot `json:"partial"`
+	Idx     int64          `json:"idx"`
+	Partial encodedPartial `json:"partial"`
 }
 
 // Snapshot serializes the ring without perturbing it: each bucket's shards
 // are collapsed into a throwaway accumulator (merge is non-destructive) and
-// encoded as one partial.
+// encoded as one partial. The snapshot holds the live spill, so marshal it
+// before the ring changes.
 func (w *WindowRing) Snapshot() *WindowRingSnapshot {
 	certs := certmodel.CertTable{}
 	s := &WindowRingSnapshot{
@@ -336,11 +331,11 @@ func (w *WindowRing) Snapshot() *WindowRingSnapshot {
 	if w.wmSet {
 		s.WM = certmodel.SnapTime(w.wm)
 	}
-	s.Spill = w.spill.snapshot(certs)
+	s.Spill = w.spill.encode(certs)
 	for _, idx := range w.order {
 		collapsed := w.p.newPartial()
 		w.buckets[idx].each(collapsed.merge)
-		s.Buckets = append(s.Buckets, windowBucketSnapshot{Idx: idx, Partial: collapsed.snapshot(certs)})
+		s.Buckets = append(s.Buckets, windowBucketSnapshot{Idx: idx, Partial: collapsed.encode(certs)})
 	}
 	s.Certs = certs.Snapshot()
 	return s
@@ -362,15 +357,13 @@ func RestoreWindowRing(p *Pipeline, cfg WindowConfig, s *WindowRingSnapshot) (*W
 	if err != nil {
 		return nil, fmt.Errorf("analysis: restore ring: %w", err)
 	}
-	if w.spill, err = p.restorePartial(s.Spill, certs); err != nil {
+	if w.spill, err = p.decodePartial(s.Spill, certs); err != nil {
 		return nil, fmt.Errorf("analysis: restore spill: %w", err)
 	}
 	for _, bs := range s.Buckets {
-		base, err := p.restorePartial(bs.Partial, certs)
-		if err != nil {
+		if w.bucket(bs.Idx)[0], err = p.decodePartial(bs.Partial, certs); err != nil {
 			return nil, fmt.Errorf("analysis: restore bucket %d: %w", bs.Idx, err)
 		}
-		w.bucket(bs.Idx).base = base
 	}
 	w.seq = s.Seq
 	if s.WMSet {

@@ -13,11 +13,16 @@
 //   - merge method: a method named "Merge" or "merge" on T
 //     (partialReport.merge, obs.Registry.Merge, stats.CDF.Merge, ...).
 //   - snapshot encode: a method on T whose name contains "Snapshot" or
-//     "snapshot" (partialReport.snapshot, graph.Graph.Snapshot, ...).
+//     "snapshot", or T's MarshalJSON (WindowRing.Snapshot,
+//     graph.Graph.MarshalJSON, stats.CDF.MarshalJSON, ...).
 //   - snapshot decode: any function in the package whose name starts with
 //     "Restore"/"restore" or contains "FromSnapshot" and whose parameters or
-//     results reference T (Pipeline.restorePartial, graph.FromSnapshot,
-//     stats.CDFFromSnapshot, RestoreWindowRing, ...).
+//     results reference T, or T's UnmarshalJSON (RestoreWindowRing,
+//     graph.Graph.UnmarshalJSON, stats.Histogram.UnmarshalJSON, ...).
+//   - json-tagged state: an accumulator with a merge method whose fields
+//     carry json tags is its own wire format (partialReport,
+//     lint.CorpusReport, dga.ClusterStats), so every field must be exported
+//     for encoding/json to write it.
 //
 // A field counts as covered when its name appears as a selector or composite
 // literal key anywhere in the relevant bodies — a deliberate
@@ -43,6 +48,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"reflect"
+	"strconv"
 	"strings"
 
 	"certchains/internal/analyzers"
@@ -63,7 +70,7 @@ func (Analyzer) Doc() string {
 func (Analyzer) Rules() []analyzers.RuleDoc {
 	return []analyzers.RuleDoc{
 		{ID: "merge-field", Description: "struct field not referenced in the type's Merge body; it would be silently dropped on shard merge"},
-		{ID: "snapshot-field", Description: "struct field not referenced in the snapshot encode/decode pair; it would be silently lost across restarts"},
+		{ID: "snapshot-field", Description: "struct field not referenced in the snapshot encode/decode pair, or unexported in a json-tagged accumulator; it would be silently lost across restarts"},
 		{ID: "nomerge-reason", Description: "//certchain:nomerge and //certchain:nosnapshot directives require a reason"},
 	}
 }
@@ -73,6 +80,8 @@ type structInfo struct {
 	name   string
 	pos    token.Pos
 	fields []fieldInfo
+	// jsonTagged: some field carries a json struct tag.
+	jsonTagged bool
 }
 
 type fieldInfo struct {
@@ -136,6 +145,14 @@ func (Analyzer) Analyze(fset *token.FileSet, pkg *analyzers.Package) []analyzers
 			findings = append(findings, missing(fset, si, merge, false,
 				"merge-field", "not referenced in %s's Merge body; the field would be silently dropped on shard merge")...)
 		}
+		if si.jsonTagged && merge != nil {
+			exported := make(map[string]bool, len(si.fields))
+			for _, f := range si.fields {
+				exported[f.name] = ast.IsExported(f.name)
+			}
+			findings = append(findings, missing(fset, si, exported, true,
+				"snapshot-field", "unexported in json-tagged %s; encoding/json would silently drop it on restore")...)
+		}
 		if encode != nil && decode != nil {
 			union := make(map[string]bool, len(encode)+len(decode))
 			for k := range encode {
@@ -159,6 +176,12 @@ func collectStruct(fset *token.FileSet, name string, st *ast.StructType) (*struc
 	var findings []analyzers.Finding
 	for _, field := range st.Fields.List {
 		exMerge, exSnap, reasonMissing := fieldExempt(field)
+		if field.Tag != nil {
+			tag, _ := strconv.Unquote(field.Tag.Value) // a parsed tag literal always unquotes
+			if _, ok := reflect.StructTag(tag).Lookup("json"); ok {
+				si.jsonTagged = true
+			}
+		}
 		if reasonMissing {
 			findings = append(findings, analyzers.Finding{
 				Pos:      fset.Position(field.Pos()),
@@ -292,13 +315,18 @@ func isMergeFor(f *funcInfo, typ string) bool {
 	return lower == "merge" && f.recv == typ
 }
 
-// isEncodeFor: a method on T whose name mentions "snapshot".
+// isEncodeFor: a method on T whose name mentions "snapshot", or T's
+// MarshalJSON.
 func isEncodeFor(f *funcInfo, typ string) bool {
-	return f.recv == typ && strings.Contains(strings.ToLower(f.name), "snapshot")
+	return f.recv == typ && (strings.Contains(strings.ToLower(f.name), "snapshot") || f.name == "MarshalJSON")
 }
 
-// isDecodeFor: a restore-shaped function whose signature references T.
+// isDecodeFor: a restore-shaped function whose signature references T, or
+// T's UnmarshalJSON.
 func isDecodeFor(f *funcInfo, typ string) bool {
+	if f.name == "UnmarshalJSON" {
+		return f.recv == typ
+	}
 	lower := strings.ToLower(f.name)
 	restoreShaped := strings.HasPrefix(lower, "restore") || strings.Contains(lower, "fromsnapshot")
 	return restoreShaped && (f.typeRefs[typ] || f.recv == typ)

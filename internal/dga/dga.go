@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"certchains/internal/certmodel"
+	"certchains/internal/stats"
 )
 
 // Thresholds for the gibberish score, chosen so that ordinary English-ish
@@ -136,16 +137,16 @@ func IsDGACertificate(m *certmodel.Meta) bool {
 
 // ClusterStats aggregates the detected DGA cluster.
 type ClusterStats struct {
-	Certificates int
-	Connections  int
-	ClientIPs    map[string]bool
-	MinValidity  int
-	MaxValidity  int
+	Certificates int               `json:"certificates,omitempty"`
+	Connections  int               `json:"connections,omitempty"`
+	ClientIPs    stats.Set[string] `json:"client_ips,omitempty"`
+	MinValidity  int               `json:"min_validity"`
+	MaxValidity  int               `json:"max_validity"`
 }
 
 // NewClusterStats returns an empty accumulator.
 func NewClusterStats() *ClusterStats {
-	return &ClusterStats{ClientIPs: make(map[string]bool), MinValidity: 1 << 30}
+	return &ClusterStats{ClientIPs: stats.Set[string]{}, MinValidity: 1 << 30}
 }
 
 // Merge folds another accumulator into this one (sharded pipelines combine
@@ -156,9 +157,7 @@ func (s *ClusterStats) Merge(o *ClusterStats) {
 	}
 	s.Certificates += o.Certificates
 	s.Connections += o.Connections
-	for ip := range o.ClientIPs {
-		s.ClientIPs[ip] = true
-	}
+	s.ClientIPs.Union(o.ClientIPs)
 	if o.MinValidity < s.MinValidity {
 		s.MinValidity = o.MinValidity
 	}

@@ -42,12 +42,12 @@ func (r Role) String() string {
 
 // Node is one certificate in the co-occurrence graph.
 type Node struct {
-	FP    certmodel.Fingerprint
-	Meta  *certmodel.Meta
-	Class trustdb.Class
-	Role  Role
+	FP    certmodel.Fingerprint `json:"fp"`
+	Meta  *certmodel.Meta       `json:"-"`
+	Class trustdb.Class         `json:"class"`
+	Role  Role                  `json:"role"`
 	// Degree is the number of distinct neighbours.
-	Degree int
+	Degree int `json:"-"`
 }
 
 // Graph is the certificate co-occurrence graph.

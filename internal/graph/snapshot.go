@@ -1,79 +1,70 @@
 package graph
 
 import (
+	"encoding/json"
 	"fmt"
-	"sort"
 
 	"certchains/internal/certmodel"
-	"certchains/internal/trustdb"
 )
 
-// Snapshot is the serialized form of a co-occurrence graph: node annotations
-// plus the undirected edge list, both in deterministic order. Certificate
+// graphJSON is the wire form of a co-occurrence graph: node annotations plus
+// the undirected edge list, both in deterministic order. Certificate
 // metadata is not embedded — nodes reference certificates by fingerprint and
-// the restoring side resolves them against its certificate table, so a graph
-// snapshot nested inside a larger accumulator snapshot never duplicates
-// certificates.
-type Snapshot struct {
-	Nodes []NodeSnapshot `json:"nodes,omitempty"`
-	Edges [][2]string    `json:"edges,omitempty"`
+// Resolve re-attaches them from the enclosing state's certificate table, so
+// a graph nested inside a larger accumulator never duplicates certificates.
+type graphJSON struct {
+	Nodes []*Node                    `json:"nodes,omitempty"`
+	Edges [][2]certmodel.Fingerprint `json:"edges,omitempty"`
 }
 
-// NodeSnapshot is one serialized node.
-type NodeSnapshot struct {
-	FP    string `json:"fp"`
-	Class int    `json:"class"`
-	Role  int    `json:"role"`
-}
-
-// Snapshot serializes the graph.
-func (g *Graph) Snapshot() *Snapshot {
-	s := &Snapshot{}
-	for _, n := range g.Nodes() {
-		s.Nodes = append(s.Nodes, NodeSnapshot{FP: string(n.FP), Class: int(n.Class), Role: int(n.Role)})
-	}
-	for a, nbs := range g.adj {
-		for b := range nbs {
-			if a < b {
-				s.Edges = append(s.Edges, [2]string{string(a), string(b)})
+// MarshalJSON encodes the nodes in fingerprint order and each edge once,
+// lower fingerprint first, in sorted order.
+func (g *Graph) MarshalJSON() ([]byte, error) {
+	s := graphJSON{Nodes: g.Nodes()}
+	for _, n := range s.Nodes {
+		for _, nb := range g.Neighbors(n.FP) {
+			if n.FP < nb.FP {
+				s.Edges = append(s.Edges, [2]certmodel.Fingerprint{n.FP, nb.FP})
 			}
 		}
 	}
-	sort.Slice(s.Edges, func(i, j int) bool {
-		if s.Edges[i][0] != s.Edges[j][0] {
-			return s.Edges[i][0] < s.Edges[j][0]
-		}
-		return s.Edges[i][1] < s.Edges[j][1]
-	})
-	return s
+	return json.Marshal(s)
 }
 
-// FromSnapshot rebuilds a graph. resolve maps a fingerprint back to its
-// certificate metadata (roles recorded in the snapshot are restored as-is;
-// degrees are recomputed from the edge list).
-func FromSnapshot(s *Snapshot, resolve func(certmodel.Fingerprint) *certmodel.Meta) (*Graph, error) {
-	g := New()
-	if s == nil {
-		return g, nil
+// UnmarshalJSON replaces the graph with a decoded one. Roles are restored
+// as recorded and degrees recomputed from the edge list; node metadata stays
+// nil until Resolve.
+func (g *Graph) UnmarshalJSON(data []byte) error {
+	var s graphJSON
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
 	}
-	for _, ns := range s.Nodes {
-		fp := certmodel.Fingerprint(ns.FP)
-		m := resolve(fp)
-		if m == nil {
-			return nil, fmt.Errorf("graph: snapshot references unknown certificate %s", ns.FP)
+	*g = *New()
+	for _, n := range s.Nodes {
+		if n == nil {
+			return fmt.Errorf("graph: null node")
 		}
-		g.nodes[fp] = &Node{FP: fp, Meta: m, Class: trustdb.Class(ns.Class), Role: Role(ns.Role)}
-		g.adj[fp] = make(map[certmodel.Fingerprint]bool)
+		g.nodes[n.FP] = n
+		g.adj[n.FP] = make(map[certmodel.Fingerprint]bool)
 	}
 	for _, e := range s.Edges {
-		a, b := certmodel.Fingerprint(e[0]), certmodel.Fingerprint(e[1])
-		if _, ok := g.nodes[a]; !ok {
-			return nil, fmt.Errorf("graph: edge references unknown node %s", e[0])
+		for _, fp := range e {
+			if _, ok := g.nodes[fp]; !ok {
+				return fmt.Errorf("graph: edge references unknown node %s", fp)
+			}
 		}
-		if _, ok := g.nodes[b]; !ok {
-			return nil, fmt.Errorf("graph: edge references unknown node %s", e[1])
-		}
-		g.addEdge(a, b)
+		g.addEdge(e[0], e[1])
 	}
-	return g, nil
+	return nil
+}
+
+// Resolve attaches each node's certificate metadata from certs, which a
+// decoded graph lacks.
+func (g *Graph) Resolve(certs certmodel.CertTable) error {
+	for fp, n := range g.nodes {
+		if n.Meta = certs[fp]; n.Meta == nil {
+			return fmt.Errorf("graph: node references unknown certificate %s", fp)
+		}
+	}
+	return nil
 }

@@ -42,19 +42,16 @@ func TestGraphSnapshotRoundTrip(t *testing.T) {
 		[]trustdb.Class{trustdb.IssuedByNonPublicDB, trustdb.IssuedByPublicDB, trustdb.IssuedByPublicDB})
 	g.AddChain(certmodel.Chain{other, inter}, nil)
 
-	data, err := json.Marshal(g.Snapshot())
+	data, err := json.Marshal(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap Snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	r := New()
+	if err := json.Unmarshal(data, r); err != nil {
 		t.Fatal(err)
 	}
-	table := map[certmodel.Fingerprint]*certmodel.Meta{
-		leaf.FP: leaf, inter.FP: inter, root.FP: root, other.FP: other,
-	}
-	r, err := FromSnapshot(&snap, func(fp certmodel.Fingerprint) *certmodel.Meta { return table[fp] })
-	if err != nil {
+	table := certmodel.CertTable{leaf.FP: leaf, inter.FP: inter, root.FP: root, other.FP: other}
+	if err := r.Resolve(table); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,21 +79,35 @@ func TestGraphSnapshotRoundTrip(t *testing.T) {
 	extra.AddChain(certmodel.Chain{more, inter}, nil)
 	r.Merge(extra)
 	g.Merge(extra)
-	if !reflect.DeepEqual(r.Snapshot(), g.Snapshot()) {
-		t.Fatal("restored graph merges differently")
+	if a, b := mustMarshal(t, r), mustMarshal(t, g); a != b {
+		t.Fatalf("decoded graph merges differently:\n%s\n%s", a, b)
 	}
 }
 
+func mustMarshal(t *testing.T, g *Graph) string {
+	t.Helper()
+	data, err := json.Marshal(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
 func TestGraphSnapshotUnknownRefs(t *testing.T) {
-	none := func(certmodel.Fingerprint) *certmodel.Meta { return nil }
-	if _, err := FromSnapshot(&Snapshot{Nodes: []NodeSnapshot{{FP: "missing"}}}, none); err == nil {
+	g := New()
+	if err := json.Unmarshal([]byte(`{"nodes":[{"fp":"missing","class":0,"role":0}]}`), g); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Resolve(certmodel.CertTable{}); err == nil {
 		t.Fatal("expected error for unresolvable node")
 	}
-	if _, err := FromSnapshot(&Snapshot{Edges: [][2]string{{"a", "b"}}}, none); err == nil {
+	if err := json.Unmarshal([]byte(`{"edges":[["a","b"]]}`), New()); err == nil {
 		t.Fatal("expected error for edge to unknown node")
 	}
-	g, err := FromSnapshot(nil, none)
-	if err != nil || g.NodeCount() != 0 {
-		t.Fatalf("nil snapshot: %v, %d nodes", err, g.NodeCount())
+	if err := json.Unmarshal([]byte(`{}`), g); err != nil || g.NodeCount() != 0 {
+		t.Fatalf("empty graph: %v, %d nodes", err, g.NodeCount())
+	}
+	if data := mustMarshal(t, New()); data != `{}` {
+		t.Fatalf("empty graph encodes as %s, want {}", data)
 	}
 }

@@ -16,30 +16,34 @@ import (
 // deterministic per chain, so duplicate keys carry identical values) and
 // connection counters add (each observation belongs to exactly one shard).
 // Any merge order therefore summarizes byte-identically.
+//
+// The JSON form is the tagged fields. The linter is not encoded: decode into
+// a NewCorpusReport whose linter is configured like the encoder's.
 type CorpusReport struct {
 	linter *Linter //certchain:nomerge shared deterministic lint engine, not accumulated state
-	// observations / conns count every linted observation additively.
-	observations int64
-	conns        int64
-	// findingsPerChain maps chain key -> check ID -> finding count; it doubles
+	// Observations / Conns count every linted observation additively.
+	Observations int64 `json:"observations"`
+	Conns        int64 `json:"conns"`
+	// FindingsPerChain maps chain key -> check ID -> finding count; it doubles
 	// as the shard-local lint cache (each distinct chain is linted once per
-	// shard).
-	findingsPerChain map[string]map[string]int
-	// connsPerCheck maps check ID -> connections to chains that trigger it.
-	connsPerCheck map[string]int64
-	// serialCerts maps normalized issuer + serial -> distinct certificates,
+	// shard). A per-chain map is never written after it is first filled, so
+	// accumulators may share them.
+	FindingsPerChain map[string]map[string]int `json:"findings_per_chain,omitempty"`
+	// ConnsPerCheck maps check ID -> connections to chains that trigger it.
+	ConnsPerCheck map[string]int64 `json:"conns_per_check,omitempty"`
+	// SerialCerts maps normalized issuer + serial -> distinct certificates,
 	// for the corpus-level serial-reuse clusters the in-chain check cannot
 	// see (§4.3 non-compliant private issuance).
-	serialCerts stats.Sets[string, certmodel.Fingerprint]
+	SerialCerts stats.Sets[string, certmodel.Fingerprint] `json:"serial_certs,omitempty"`
 }
 
 // NewCorpusReport creates an empty accumulator linting with l.
 func NewCorpusReport(l *Linter) *CorpusReport {
 	return &CorpusReport{
 		linter:           l,
-		findingsPerChain: make(map[string]map[string]int),
-		connsPerCheck:    make(map[string]int64),
-		serialCerts:      stats.Sets[string, certmodel.Fingerprint]{},
+		FindingsPerChain: make(map[string]map[string]int),
+		ConnsPerCheck:    make(map[string]int64),
+		SerialCerts:      stats.Sets[string, certmodel.Fingerprint]{},
 	}
 }
 
@@ -51,42 +55,42 @@ func (c *CorpusReport) Observe(ch certmodel.Chain, conns int64) {
 // ObserveAnalyzed is Observe with a precomputed structural analysis (the
 // pipeline already holds one per distinct chain).
 func (c *CorpusReport) ObserveAnalyzed(ch certmodel.Chain, a *chain.Analysis, conns int64) {
-	c.observations++
-	c.conns += conns
+	c.Observations++
+	c.Conns += conns
 	key := ch.Key()
-	perCheck, seen := c.findingsPerChain[key]
+	perCheck, seen := c.FindingsPerChain[key]
 	if !seen {
 		perCheck = make(map[string]int)
 		for _, f := range c.linter.ChainAnalyzed(ch, a) {
 			perCheck[f.Check]++
 		}
-		c.findingsPerChain[key] = perCheck
+		c.FindingsPerChain[key] = perCheck
 		for _, m := range ch {
 			if m.SerialHex == "" {
 				continue
 			}
-			c.serialCerts.Add(m.Issuer.Normalized()+"|"+m.SerialHex, m.FP)
+			c.SerialCerts.Add(m.Issuer.Normalized()+"|"+m.SerialHex, m.FP)
 		}
 	}
 	for id := range perCheck {
-		c.connsPerCheck[id] += conns
+		c.ConnsPerCheck[id] += conns
 	}
 }
 
 // Merge folds another shard's accumulator into this one. Both accumulators
 // must lint with the same configuration.
 func (c *CorpusReport) Merge(o *CorpusReport) {
-	c.observations += o.observations
-	c.conns += o.conns
-	for k, perCheck := range o.findingsPerChain {
-		if _, ok := c.findingsPerChain[k]; !ok {
-			c.findingsPerChain[k] = perCheck
+	c.Observations += o.Observations
+	c.Conns += o.Conns
+	for k, perCheck := range o.FindingsPerChain {
+		if _, ok := c.FindingsPerChain[k]; !ok {
+			c.FindingsPerChain[k] = perCheck
 		}
 	}
-	for id, n := range o.connsPerCheck {
-		c.connsPerCheck[id] += n
+	for id, n := range o.ConnsPerCheck {
+		c.ConnsPerCheck[id] += n
 	}
-	c.serialCerts.Union(o.serialCerts)
+	c.SerialCerts.Union(o.SerialCerts)
 }
 
 // CheckPrevalence is the corpus-wide result for one check.
@@ -126,13 +130,13 @@ type CorpusSummary struct {
 func (c *CorpusReport) Summarize() *CorpusSummary {
 	s := &CorpusSummary{
 		Profile:      c.linter.Config().Profile,
-		Chains:       len(c.findingsPerChain),
-		Observations: c.observations,
-		Conns:        c.conns,
+		Chains:       len(c.FindingsPerChain),
+		Observations: c.Observations,
+		Conns:        c.Conns,
 	}
 	chainsPer := make(map[string]int)
 	findingsPer := make(map[string]int64)
-	for _, perCheck := range c.findingsPerChain {
+	for _, perCheck := range c.FindingsPerChain {
 		for id, n := range perCheck {
 			chainsPer[id]++
 			findingsPer[id] += int64(n)
@@ -147,10 +151,10 @@ func (c *CorpusReport) Summarize() *CorpusSummary {
 			Chains:      chainsPer[chk.ID],
 			ChainShare:  stats.Ratio(int64(chainsPer[chk.ID]), int64(s.Chains)),
 			Findings:    findingsPer[chk.ID],
-			Conns:       c.connsPerCheck[chk.ID],
+			Conns:       c.ConnsPerCheck[chk.ID],
 		})
 	}
-	for _, set := range c.serialCerts {
+	for _, set := range c.SerialCerts {
 		if len(set) > 1 {
 			s.SerialReuseClusters++
 		}

@@ -13,15 +13,14 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 		c.Observe(ch, int64(10*(i+1)))
 	}
 
-	data, err := json.Marshal(c.Snapshot())
+	data, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap CorpusSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	r := NewCorpusReport(l)
+	if err := json.Unmarshal(data, r); err != nil {
 		t.Fatal(err)
 	}
-	r := CorpusFromSnapshot(l, &snap)
 	if !reflect.DeepEqual(r.Summarize(), c.Summarize()) {
 		t.Fatal("summary differs after round trip")
 	}
@@ -39,13 +38,13 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r.Summarize(), c.Summarize()) {
 		t.Fatal("restored accumulator diverges after further observations")
 	}
-	// Snapshots of equal accumulators must serialize identically (JSON map
-	// keys are sorted), which the on-disk ring codec relies on.
-	a, err := json.Marshal(r.Snapshot())
+	// Equal accumulators must serialize identically (JSON map keys are
+	// sorted), which the on-disk ring codec relies on.
+	a, err := json.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(c.Snapshot())
+	b, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +55,19 @@ func TestCorpusSnapshotRoundTrip(t *testing.T) {
 
 func TestCorpusSnapshotEmpty(t *testing.T) {
 	l := testLinter(t)
-	r := CorpusFromSnapshot(l, nil)
-	if !reflect.DeepEqual(r.Summarize(), NewCorpusReport(l).Summarize()) {
-		t.Fatal("nil snapshot should restore an empty accumulator")
+	data, err := json.Marshal(NewCorpusReport(l))
+	if err != nil {
+		t.Fatal(err)
 	}
+	if string(data) != `{"observations":0,"conns":0}` {
+		t.Fatalf("empty accumulator encodes as %s", data)
+	}
+	r := NewCorpusReport(l)
+	if err := json.Unmarshal(data, r); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r.Summarize(), NewCorpusReport(l).Summarize()) {
+		t.Fatal("empty encoding should decode to an empty accumulator")
+	}
+	r.Observe(corpusChains()[0], 1)
 }

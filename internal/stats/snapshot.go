@@ -2,64 +2,85 @@ package stats
 
 import (
 	"encoding/json"
+	"fmt"
 	"slices"
 )
 
-// Snapshot support: the ingest daemon persists accumulator state across
-// restarts, so the mergeable structures need a stable, JSON-friendly
-// serialized form whose round trip reproduces the accumulator exactly.
-// Restored accumulators must keep merging and rendering byte-identically to
-// never-snapshotted ones — the window-ring equivalence suite enforces this.
+// JSON forms: the analysis state codecs marshal the live accumulators, so
+// the mergeable structures encode themselves in a stable form whose round
+// trip reproduces them exactly. Decoded accumulators must keep merging and
+// rendering byte-identically to never-encoded ones — the window-ring
+// equivalence suite enforces this.
 
-// CDFSnapshot is the serialized form of a CDF: parallel value/count slices
-// sorted by value, so the encoding is deterministic.
-type CDFSnapshot struct {
+// cdfJSON is the wire form of a CDF: parallel value/count slices sorted by
+// value, so the encoding is deterministic.
+type cdfJSON struct {
 	Values []int   `json:"values,omitempty"`
 	Counts []int64 `json:"counts,omitempty"`
 }
 
-// Snapshot serializes the distribution.
-func (c *CDF) Snapshot() CDFSnapshot {
-	values := c.Values()
-	counts := make([]int64, len(values))
-	for i, v := range values {
-		counts[i] = c.counts[v]
-	}
-	return CDFSnapshot{Values: values, Counts: counts}
-}
-
-// CDFFromSnapshot rebuilds a distribution from its serialized form.
-func CDFFromSnapshot(s CDFSnapshot) *CDF {
-	c := NewCDF()
+// MarshalJSON encodes the distribution as sorted values and their counts.
+func (c *CDF) MarshalJSON() ([]byte, error) {
+	s := cdfJSON{Values: c.Values()}
+	s.Counts = make([]int64, len(s.Values))
 	for i, v := range s.Values {
-		if i < len(s.Counts) {
-			c.Add(v, s.Counts[i])
-		}
+		s.Counts[i] = c.counts[v]
 	}
-	return c
+	return json.Marshal(s)
 }
 
-// HistogramSnapshot is the serialized form of a Histogram. The total is
-// recomputed from the bins on restore (Add and Merge keep them consistent).
-type HistogramSnapshot struct {
+// UnmarshalJSON replaces the distribution with a decoded one. Every value
+// needs a positive count: the encoder writes no other, and anything else
+// would silently lose points.
+func (c *CDF) UnmarshalJSON(data []byte) error {
+	var s cdfJSON
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	if len(s.Counts) != len(s.Values) {
+		return fmt.Errorf("stats: cdf has %d values but %d counts", len(s.Values), len(s.Counts))
+	}
+	*c = *NewCDF()
+	for i, v := range s.Values {
+		if s.Counts[i] <= 0 {
+			return fmt.Errorf("stats: cdf value %d has count %d", v, s.Counts[i])
+		}
+		c.Add(v, s.Counts[i])
+	}
+	return nil
+}
+
+// histogramJSON is the wire form of a Histogram; the total is recomputed
+// from the bins on decode (Add and Merge keep them consistent).
+type histogramJSON struct {
 	Lo   float64 `json:"lo"`
 	Hi   float64 `json:"hi"`
 	Bins []int64 `json:"bins"`
 }
 
-// Snapshot serializes the histogram.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{Lo: h.Lo, Hi: h.Hi, Bins: append([]int64(nil), h.Bins...)}
+// MarshalJSON encodes the bounds and bins.
+func (h *Histogram) MarshalJSON() ([]byte, error) {
+	return json.Marshal(histogramJSON{Lo: h.Lo, Hi: h.Hi, Bins: h.Bins})
 }
 
-// HistogramFromSnapshot rebuilds a histogram from its serialized form.
-func HistogramFromSnapshot(s HistogramSnapshot) *Histogram {
-	h := NewHistogram(s.Lo, s.Hi, len(s.Bins))
+// UnmarshalJSON decodes bins into the histogram's own shape: the encoded
+// bounds and bin count must equal the receiver's, so a decoded histogram
+// always merges with the ones it was built beside.
+func (h *Histogram) UnmarshalJSON(data []byte) error {
+	var s histogramJSON
+	if err := json.Unmarshal(data, &s); err != nil {
+		return err
+	}
+	if s.Lo != h.Lo || s.Hi != h.Hi || len(s.Bins) != len(h.Bins) {
+		return fmt.Errorf("stats: histogram [%g, %g] with %d bins, want [%g, %g] with %d",
+			s.Lo, s.Hi, len(s.Bins), h.Lo, h.Hi, len(h.Bins))
+	}
 	copy(h.Bins, s.Bins)
+	h.total = 0
 	for _, n := range s.Bins {
 		h.total += n
 	}
-	return h
+	return nil
 }
 
 // Set is a set of strings whose JSON form — the canonical set encoding of

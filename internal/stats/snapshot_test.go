@@ -6,6 +6,18 @@ import (
 	"testing"
 )
 
+// roundTrip encodes v and decodes the bytes into into.
+func roundTrip(t *testing.T, v, into any) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, into); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestCDFSnapshotRoundTrip(t *testing.T) {
 	c := NewCDF()
 	c.Add(3, 7)
@@ -13,38 +25,45 @@ func TestCDFSnapshotRoundTrip(t *testing.T) {
 	c.Add(10, 1)
 	c.Add(3, 1)
 
-	data, err := json.Marshal(c.Snapshot())
+	data, err := json.Marshal(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var snap CDFSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
+	if string(data) != `{"values":[1,3,10],"counts":[2,8,1]}` {
+		t.Fatalf("CDF encodes as %s", data)
+	}
+	r := new(CDF)
+	if err := json.Unmarshal(data, r); err != nil {
 		t.Fatal(err)
 	}
-	r := CDFFromSnapshot(snap)
 	if r.Total() != c.Total() {
 		t.Fatalf("total = %d, want %d", r.Total(), c.Total())
 	}
 	if !reflect.DeepEqual(r.Points(), c.Points()) {
 		t.Fatalf("points differ: %v vs %v", r.Points(), c.Points())
 	}
-	// A restored CDF keeps merging like the original.
+	// A decoded CDF keeps merging like the original.
 	other := NewCDF()
 	other.Add(2, 5)
-	a, b := CDFFromSnapshot(c.Snapshot()), CDFFromSnapshot(c.Snapshot())
-	a.Merge(other)
+	r.Merge(other)
 	c.Merge(other)
-	if !reflect.DeepEqual(a.Points(), c.Points()) {
-		t.Fatal("restored CDF merges differently")
+	if !reflect.DeepEqual(r.Points(), c.Points()) {
+		t.Fatal("decoded CDF merges differently")
 	}
-	_ = b
+	for _, bad := range []string{`{"values":[1,2],"counts":[1]}`, `{"values":[1],"counts":[0]}`} {
+		if err := json.Unmarshal([]byte(bad), new(CDF)); err == nil {
+			t.Errorf("CDF decoded %s", bad)
+		}
+	}
 }
 
 func TestEmptyCDFSnapshot(t *testing.T) {
-	r := CDFFromSnapshot(NewCDF().Snapshot())
+	r := new(CDF)
+	roundTrip(t, NewCDF(), r)
 	if r.Total() != 0 || len(r.Values()) != 0 {
 		t.Fatalf("empty round trip: total=%d values=%v", r.Total(), r.Values())
 	}
+	r.Add(4, 1)
 }
 
 func TestHistogramSnapshotRoundTrip(t *testing.T) {
@@ -52,15 +71,8 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	for _, v := range []float64{0.05, 0.51, 0.52, 0.99, 1.7, -0.3} {
 		h.Add(v)
 	}
-	data, err := json.Marshal(h.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snap HistogramSnapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		t.Fatal(err)
-	}
-	r := HistogramFromSnapshot(snap)
+	r := NewHistogram(0, 1, 10)
+	roundTrip(t, h, r)
 	if r.Total() != h.Total() {
 		t.Fatalf("total = %d, want %d", r.Total(), h.Total())
 	}
@@ -70,13 +82,23 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	if r.ShareAbove(0.5) != h.ShareAbove(0.5) {
 		t.Fatal("ShareAbove differs after round trip")
 	}
-	// Restored histograms stay mergeable with live ones.
+	// Decoded histograms stay mergeable with live ones.
 	live := NewHistogram(0, 1, 10)
 	live.Add(0.4)
 	r.Merge(live)
 	h.Merge(live)
 	if !reflect.DeepEqual(r.Bins, h.Bins) || r.Total() != h.Total() {
-		t.Fatal("restored histogram merges differently")
+		t.Fatal("decoded histogram merges differently")
+	}
+	// A histogram decodes only its own shape.
+	for _, bad := range []string{
+		`{"lo":0,"hi":1,"bins":[]}`,
+		`{"lo":0,"hi":1,"bins":[0,0]}`,
+		`{"lo":0,"hi":0,"bins":[0,0,0,0,0,0,0,0,0,0]}`,
+	} {
+		if err := json.Unmarshal([]byte(bad), NewHistogram(0, 1, 10)); err == nil {
+			t.Errorf("histogram [0, 1] with 10 bins decoded %s", bad)
+		}
 	}
 }
 
