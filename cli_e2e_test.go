@@ -1,6 +1,8 @@
 package certchains_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -22,6 +24,32 @@ func runCmd(t *testing.T, args ...string) string {
 		t.Fatalf("go run %v: %v\n%s", args, err, out)
 	}
 	return string(out)
+}
+
+// buildCmd compiles one of the repo's commands into a temp dir, for tests
+// that run it more than once or need its stdout apart from its stderr.
+func buildCmd(t *testing.T, pkg string) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), filepath.Base(pkg))
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+	}
+	return bin
+}
+
+// runBin executes a built command with extra environment entries and
+// returns its stdout alone.
+func runBin(t *testing.T, env []string, bin string, args ...string) []byte {
+	t.Helper()
+	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("%s %v: %v\n%s", filepath.Base(bin), args, err, stderr.Bytes())
+	}
+	return out
 }
 
 func TestCLIGenAndAnalyze(t *testing.T) {
@@ -68,9 +96,8 @@ func TestCLIServeAndScanDemo(t *testing.T) {
 	if !strings.Contains(out, "verdict=contains-matched-path") {
 		t.Errorf("scan demo should flag the unnecessary certificate:\n%s", out)
 	}
-	out = runCmd(t, "./cmd/certchain-serve")
 	if !strings.Contains(out, "printer.campus.test") {
-		t.Errorf("serve output: %s", out)
+		t.Errorf("scan demo should serve the self-signed printer:\n%s", out)
 	}
 }
 
@@ -148,20 +175,27 @@ func TestCLILintCorpus(t *testing.T) {
 	}
 	dir := t.TempDir()
 	runCmd(t, "./cmd/certchain-gen", "-seed", "5", "-scale", "0.001", "-out", dir)
-	args := []string{"./cmd/certchain-lint", "-corpus",
-		"-ssl", filepath.Join(dir, "ssl.log"), "-x509", filepath.Join(dir, "x509.log"),
-		"-seed", "5", "-scale", "0.001", "-profile", "strict"}
-	out := runCmd(t, args...)
+	analyze := buildCmd(t, "./cmd/certchain-analyze")
+	args := []string{"-ssl", filepath.Join(dir, "ssl.log"), "-x509", filepath.Join(dir, "x509.log"),
+		"-seed", "5", "-scale", "0.001", "-lint", "strict"}
+	one := runBin(t, []string{"GOMAXPROCS=1"}, analyze, args...)
 	for _, want := range []string{`Corpus lint (profile "strict")`, "basic-constraints-absent", "serial-reuse clusters"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("corpus lint output missing %q:\n%s", want, out)
+		if !bytes.Contains(one, []byte(want)) {
+			t.Errorf("corpus lint output missing %q:\n%s", want, one)
 		}
 	}
-	// The prevalence table must not depend on the worker count.
-	one := runCmd(t, append(args[:len(args):len(args)], "-workers", "1")...)
-	six := runCmd(t, append(args[:len(args):len(args)], "-workers", "6")...)
-	if one != six {
-		t.Errorf("corpus lint output differs between 1 and 6 workers:\n%s\n---\n%s", one, six)
+	// The prevalence table must not depend on the pool width.
+	six := runBin(t, []string{"GOMAXPROCS=6"}, analyze, args...)
+	if !bytes.Equal(one, six) {
+		t.Errorf("corpus lint output differs between GOMAXPROCS 1 and 6:\n%s\n---\n%s", one, six)
+	}
+
+	// Log-file -json is the export alone: nothing may precede the object.
+	var export map[string]any
+	if err := json.Unmarshal(runBin(t, nil, analyze, append(args, "-json")...), &export); err != nil {
+		t.Errorf("log-file -json output is not JSON: %v", err)
+	} else if export["lint"] == nil {
+		t.Errorf("log-file -json export has no lint summary")
 	}
 }
 

@@ -10,6 +10,9 @@
 // The log-file mode still needs the seed so the pipeline rebuilds the same
 // trust stores, CT log, and interception registry the logs were generated
 // against — exactly how the paper's enrichment consults external databases.
+// -lint PROFILE lints every chain and appends the corpus prevalence table
+// (in -json, the export's "lint" key). The observe pool is GOMAXPROCS wide;
+// any width produces an identical report.
 package main
 
 import (
@@ -50,7 +53,6 @@ func run() error {
 		format  = flag.String("format", "tsv", "log format for -ssl/-x509: tsv or json")
 		dotDir  = flag.String("dot", "", "also write figure5/7/8 Graphviz files into this directory")
 		verify  = flag.Bool("verify", false, "check every measured value against the paper's reported targets")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker count; any value produces an identical report")
 		lintPro = flag.String("lint", "", "lint every chain and append a corpus prevalence table; value is the check profile (paper, strict, all)")
 
 		tracePath    = flag.String("trace", "", "write a Chrome trace-event JSON file of the run's stage spans (view in chrome://tracing or Perfetto)")
@@ -122,7 +124,6 @@ func run() error {
 	}
 
 	pipeline := analysis.FromScenario(scenario)
-	pipeline.Workers = *workers
 	pipeline.Tracer = tracer
 	if *lintPro != "" {
 		// The scenario's collection end is the deterministic reference time:
@@ -186,11 +187,13 @@ func run() error {
 			loadSpan.End()
 			loadErr <- err
 		}()
-		report = pipeline.RunStream(obsCh, *workers)
+		report = pipeline.RunStream(obsCh, 0)
 		if err := <-loadErr; err != nil {
 			return err
 		}
-		fmt.Printf("loaded %d chain observations from logs\n\n", loaded)
+		if !*asJSON {
+			fmt.Printf("loaded %d chain observations from logs\n\n", loaded)
+		}
 	} else {
 		report = pipeline.Run(observations)
 	}
@@ -225,7 +228,7 @@ func run() error {
 			logger.Info("wrote trace", "path", *tracePath)
 		}
 		if *manifestPath != "" {
-			man := buildManifest(*seed, *scale, *workers, inputs, tracer, reportBytes)
+			man := buildManifest(*seed, *scale, inputs, tracer, reportBytes)
 			if err := man.WriteFile(*manifestPath); err != nil {
 				return err
 			}
@@ -278,19 +281,16 @@ func run() error {
 
 // buildManifest assembles the run's provenance record. Flags record only
 // what was explicitly set; the deterministic subset additionally drops
-// operational flags (workers, artifact paths), so equivalent runs at any
-// width produce byte-identical subsets.
-func buildManifest(seed int64, scale float64, workers int, inputs []obs.InputDigest, tracer *obs.Tracer, reportBytes []byte) *obs.Manifest {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+// operational flags (artifact paths, profiles), so equivalent runs at any
+// GOMAXPROCS produce byte-identical subsets.
+func buildManifest(seed int64, scale float64, inputs []obs.InputDigest, tracer *obs.Tracer, reportBytes []byte) *obs.Manifest {
 	flags := make(map[string]string)
 	flag.Visit(func(f *flag.Flag) { flags[f.Name] = f.Value.String() })
 	return &obs.Manifest{
 		Tool:         "certchain-analyze",
 		Seed:         seed,
 		Scale:        scale,
-		Workers:      workers,
+		Workers:      runtime.GOMAXPROCS(0),
 		Flags:        flags,
 		Inputs:       inputs,
 		Stages:       tracer.Stages(),

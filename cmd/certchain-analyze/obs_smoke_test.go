@@ -31,12 +31,12 @@ func TestObsArtifactsSmoke(t *testing.T) {
 	manifestPath := filepath.Join(dir, "run.manifest.json")
 	cmd := exec.Command(bin,
 		"-scale", "0.002",
-		"-workers", "2",
 		"-json",
 		"-revisit=false",
 		"-trace", tracePath,
 		"-manifest", manifestPath,
 	)
+	cmd.Env = append(os.Environ(), "GOMAXPROCS=2")
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {

@@ -53,7 +53,6 @@ func run() error {
 		format      = flag.String("format", "tsv", "partition log format: tsv or json")
 		lintPro     = flag.String("lint", "", "lint every chain; value is the check profile (paper, strict, all); must match the workers'")
 		asJSON      = flag.Bool("json", false, "emit the machine-readable JSON export instead of text")
-		goroutines  = flag.Int("goroutines", 0, "-local pool width per partition (0 = GOMAXPROCS); any value produces an identical report")
 		leaseTTL    = flag.Duration("lease", dist.DefaultLeaseTTL, "lease TTL; a partition unheard-of this long is requeued")
 		poll        = flag.Duration("poll", dist.DefaultPoll, "worker status poll interval (the lease heartbeat)")
 		manifest    = flag.String("manifest", "", "write a run provenance manifest to this path")
@@ -135,16 +134,15 @@ func run() error {
 		defer stopMetrics()
 	}
 	coord := dist.NewCoordinator(dist.CoordConfig{
-		Pipeline:   pipeline,
-		Workers:    workers,
-		Format:     f,
-		Goroutines: *goroutines,
-		LeaseTTL:   *leaseTTL,
-		Poll:       *poll,
-		Retry:      resilience.DefaultPolicy(),
-		Registry:   reg,
-		Tracer:     tracer,
-		Logf:       func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+		Pipeline: pipeline,
+		Workers:  workers,
+		Format:   f,
+		LeaseTTL: *leaseTTL,
+		Poll:     *poll,
+		Retry:    resilience.DefaultPolicy(),
+		Registry: reg,
+		Tracer:   tracer,
+		Logf:     func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
 	})
 
 	var res *dist.Result

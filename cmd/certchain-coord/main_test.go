@@ -94,13 +94,20 @@ func startShard(t *testing.T, bin string, port int, extra ...string) *exec.Cmd {
 	return cmd
 }
 
-func runCoord(t *testing.T, bin, partsDir string, extra ...string) []byte {
+// sequential pins the Go runtime to one P, so the in-process pool is one
+// goroutine wide: the reference rung of the equivalence claim.
+var sequential = []string{"GOMAXPROCS=1"}
+
+// runCoord runs the coordinator with env added to the inherited environment
+// and returns its stdout.
+func runCoord(t *testing.T, bin, partsDir string, env []string, extra ...string) []byte {
 	t.Helper()
 	args := append([]string{
 		"-parts", partsDir,
 		"-scale", "0.002",
 	}, extra...)
 	cmd := exec.Command(bin, args...)
+	cmd.Env = append(os.Environ(), env...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	if err := cmd.Run(); err != nil {
@@ -121,7 +128,7 @@ func TestDistProcessEquivalence(t *testing.T) {
 	partsDir := filepath.Join(t.TempDir(), "parts")
 
 	// Reference: single process, sequential, generating the partitions.
-	ref := runCoord(t, coord, partsDir, "-gen", "3", "-local", "-goroutines", "1")
+	ref := runCoord(t, coord, partsDir, sequential, "-gen", "3", "-local")
 
 	ports := freePorts(t, 3)
 	var workers []string
@@ -129,14 +136,14 @@ func TestDistProcessEquivalence(t *testing.T) {
 		startShard(t, shardd, p)
 		workers = append(workers, fmt.Sprintf("http://127.0.0.1:%d", p))
 	}
-	got := runCoord(t, coord, partsDir, "-workers", strings.Join(workers, ","))
+	got := runCoord(t, coord, partsDir, nil, "-workers", strings.Join(workers, ","))
 	if !bytes.Equal(got, ref) {
 		t.Error("distributed report diverges from single-process -local run")
 	}
 
 	// JSON export too.
-	refJSON := runCoord(t, coord, partsDir, "-local", "-json")
-	gotJSON := runCoord(t, coord, partsDir, "-workers", strings.Join(workers, ","), "-json")
+	refJSON := runCoord(t, coord, partsDir, nil, "-local", "-json")
+	gotJSON := runCoord(t, coord, partsDir, nil, "-workers", strings.Join(workers, ","), "-json")
 	if !bytes.Equal(gotJSON, refJSON) {
 		t.Error("distributed JSON export diverges from single-process -local run")
 	}
@@ -160,7 +167,7 @@ func TestDistProcessTrace(t *testing.T) {
 		startShard(t, shardd, p)
 		workers = append(workers, fmt.Sprintf("http://127.0.0.1:%d", p))
 	}
-	runCoord(t, coord, partsDir,
+	runCoord(t, coord, partsDir, nil,
 		"-gen", "3",
 		"-workers", strings.Join(workers, ","),
 		"-trace", tracePath,
@@ -194,7 +201,7 @@ func TestDistChaosKillWorker(t *testing.T) {
 	}
 	coord, shardd := buildBinaries(t)
 	partsDir := filepath.Join(t.TempDir(), "parts")
-	ref := runCoord(t, coord, partsDir, "-gen", "3", "-local", "-goroutines", "1")
+	ref := runCoord(t, coord, partsDir, sequential, "-gen", "3", "-local")
 
 	ports := freePorts(t, 3)
 	// Worker 0 crawls: its throttle guarantees whatever partition it holds
@@ -218,7 +225,7 @@ func TestDistChaosKillWorker(t *testing.T) {
 		victim.Wait()
 	}()
 
-	got := runCoord(t, coord, partsDir,
+	got := runCoord(t, coord, partsDir, nil,
 		"-workers", strings.Join(workers, ","),
 		"-lease", "1s",
 		"-poll", "50ms",

@@ -65,7 +65,6 @@ func run() error {
 		scale      = flag.Float64("scale", 0.01, "fraction of paper-scale volume")
 		window     = flag.Duration("window", analysis.DefaultWindowInterval, "analysis window interval")
 		buckets    = flag.Int("buckets", analysis.DefaultWindowBuckets, "live windows kept before spilling to the all-time aggregate")
-		workers    = flag.Int("workers", runtime.GOMAXPROCS(0), "fold worker count; any value produces identical reports")
 		certCap    = flag.Int("cert-cap", 0, "join certificate index cap (0 = default, negative = unbounded)")
 		pendingCap = flag.Int("pending-cap", 0, "join pending-connection cap (0 = default, negative = unbounded)")
 		snapshot   = flag.String("snapshot", "", "state snapshot path (enables resume across restarts)")
@@ -169,7 +168,7 @@ func run() error {
 		SSLPath:      *sslPath,
 		X509Path:     *x5Path,
 		JSON:         isJSON,
-		Window:       analysis.WindowConfig{Interval: *window, Buckets: *buckets, Workers: *workers},
+		Window:       analysis.WindowConfig{Interval: *window, Buckets: *buckets},
 		CertCap:      *certCap,
 		PendingCap:   *pendingCap,
 		SnapshotPath: *snapshot,

@@ -1,15 +1,13 @@
 // Command certchain-lint is the chain doctor as a CLI: it lints a delivered
 // certificate chain — from a PEM file or scanned live from a TLS endpoint —
-// and proposes the repaired delivery (§6.2's tooling recommendation). With
-// -corpus it instead lints every chain of a Zeek log corpus through the
-// sharded pipeline and prints the per-check prevalence table.
+// and proposes the repaired delivery (§6.2's tooling recommendation). A
+// whole Zeek log corpus is linted by certchain-analyze -lint PROFILE.
 //
 // Usage:
 //
 //	certchain-lint -pem fullchain.pem
 //	certchain-lint -sni example.com 192.0.2.7:443
 //	certchain-lint -pem fullchain.pem -sarif > findings.sarif
-//	certchain-lint -corpus -ssl data/ssl.log -x509 data/x509.log -seed 1
 //	certchain-lint -list-checks -profile paper
 package main
 
@@ -20,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"time"
 
 	"certchains"
@@ -40,16 +37,9 @@ func run() error {
 		timeout = flag.Duration("timeout", 5*time.Second, "scan timeout")
 		profile = flag.String("profile", "", "check profile: paper, strict, or all (default all)")
 		list    = flag.Bool("list-checks", false, "print every check of the selected profile and exit")
-		asJSON  = flag.Bool("json", false, "emit findings (or the corpus summary) as JSON")
+		asJSON  = flag.Bool("json", false, "emit findings as JSON")
 		asSARIF = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 		nowFlag = flag.String("now", "", "reference time for validity checks, RFC 3339 (default wall clock)")
-		corpus  = flag.Bool("corpus", false, "corpus mode: lint a Zeek log corpus instead of one chain")
-		sslPath = flag.String("ssl", "", "path to ssl.log (corpus mode)")
-		x5Path  = flag.String("x509", "", "path to x509.log (corpus mode)")
-		format  = flag.String("format", "tsv", "log format for -ssl/-x509: tsv or json")
-		seed    = flag.Int64("seed", 1, "scenario seed the corpus logs were generated against")
-		scale   = flag.Float64("scale", 0.01, "scenario scale the corpus logs were generated against")
-		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "pipeline worker count (corpus mode); any value produces an identical table")
 	)
 	flag.Parse()
 
@@ -64,9 +54,6 @@ func run() error {
 
 	if *list {
 		return listChecks(cfg)
-	}
-	if *corpus {
-		return lintCorpus(cfg, *sslPath, *x5Path, *format, *seed, *scale, *workers, *asJSON)
 	}
 
 	var ch certchains.Chain
@@ -154,76 +141,6 @@ func listChecks(cfg certchains.LintConfig) error {
 		fmt.Printf("%-26s %-5s %-5s %s\n", c.ID, c.Severity, c.Scope, c.Description)
 		fmt.Printf("%-26s %-5s %-5s cite: %s\n", "", "", "", c.Citation)
 	}
-	return nil
-}
-
-// lintCorpus streams a Zeek log corpus through the sharded pipeline with
-// linting enabled and prints the corpus prevalence table. The reference
-// time defaults to the regenerated scenario's collection end so the table
-// is reproducible.
-func lintCorpus(cfg certchains.LintConfig, sslPath, x5Path, format string, seed int64, scale float64, workers int, asJSON bool) error {
-	if sslPath == "" || x5Path == "" {
-		return fmt.Errorf("corpus mode needs both -ssl and -x509")
-	}
-	f := certchains.ZeekFormatTSV
-	switch format {
-	case "tsv":
-	case "json":
-		f = certchains.ZeekFormatJSON
-	default:
-		return fmt.Errorf("unknown format %q (tsv or json)", format)
-	}
-
-	scenarioCfg := certchains.DefaultScenarioConfig()
-	scenarioCfg.Seed = seed
-	scenarioCfg.Scale = scale
-	scenario, err := certchains.GenerateScenario(scenarioCfg)
-	if err != nil {
-		return err
-	}
-	if cfg.Now.IsZero() {
-		cfg.Now = scenario.End()
-	}
-	pipeline := certchains.PipelineFromScenario(scenario)
-	pipeline.Linter = certchains.NewLinter(scenario.Classifier, cfg)
-
-	sslF, err := os.Open(sslPath)
-	if err != nil {
-		return err
-	}
-	defer sslF.Close()
-	x5F, err := os.Open(x5Path)
-	if err != nil {
-		return err
-	}
-	defer x5F.Close()
-
-	obsCh := make(chan *certchains.Observation, 256)
-	loadErr := make(chan error, 1)
-	go func() {
-		defer close(obsCh)
-		loadErr <- certchains.StreamZeekLogs(f, sslF, x5F, func(o *certchains.Observation) error {
-			obsCh <- o
-			return nil
-		})
-	}()
-	report := pipeline.RunStream(obsCh, workers)
-	if err := <-loadErr; err != nil {
-		return err
-	}
-	if report.Lint == nil {
-		return fmt.Errorf("pipeline produced no lint summary")
-	}
-	if asJSON {
-		data, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		os.Stdout.Write(data)
-		fmt.Println()
-		return nil
-	}
-	fmt.Print(report.Lint.Render())
 	return nil
 }
 

@@ -6,11 +6,17 @@
 //
 //	certchain-scan host1:443 host2:8443 ...
 //	certchain-scan -sni example.com 192.0.2.1:443
-//	certchain-scan -demo            # spin up a local farm and scan it
+//	certchain-scan -demo [-hold]    # spin up a local farm and scan it
 //	certchain-scan -baseline-ssl old/ssl.log -baseline-x509 old/x509.log host:443
 //
 // With a baseline, each scanned chain is compared against the chain the same
 // SNI served during the logged period — the paper's then-vs-now comparison.
+//
+// The -demo farm presents the kinds of chains the paper observes: a clean
+// public-style chain, a chain with an unnecessary appended certificate, a
+// hybrid government-style chain, and a self-signed single. With -hold it
+// keeps serving after the scan until interrupted, so openssl s_client (or
+// another certchain-scan) can examine the same endpoints.
 package main
 
 import (
@@ -18,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"time"
 
 	"certchains/internal/analysis"
@@ -43,6 +50,7 @@ func run() error {
 		parallel = flag.Int("parallel", 8, "concurrent scans")
 		retries  = flag.Int("retries", 3, "retries per target after a transient failure")
 		demo     = flag.Bool("demo", false, "start a local demo farm and scan it")
+		hold     = flag.Bool("hold", false, "with -demo, keep serving after the scan until interrupted")
 		baseSSL  = flag.String("baseline-ssl", "", "prior ssl.log for then-vs-now comparison")
 		baseX509 = flag.String("baseline-x509", "", "prior x509.log for then-vs-now comparison")
 	)
@@ -86,30 +94,13 @@ func run() error {
 	if *demo {
 		farm := serverfarm.New()
 		defer farm.Close()
-		mint := pki.NewMint(1, time.Now())
-		root, err := mint.NewRoot(pki.Name("Demo Root", "Demo"))
-		if err != nil {
+		if err := populateDemo(pki.NewMint(1, time.Now()), farm, cl.DB); err != nil {
 			return err
 		}
-		inter, err := root.NewIntermediate(pki.Name("Demo CA", "Demo"))
-		if err != nil {
-			return err
+		for _, srv := range farm.Servers() {
+			fmt.Printf("%-28s %s  (%d certs)\n", srv.Domain, srv.Addr, len(srv.Chain))
+			targets = append(targets, scanner.Target{Addr: srv.Addr, SNI: srv.Domain})
 		}
-		leaf, err := inter.IssueLeaf(pki.Name("demo.test"), pki.WithSANs("demo.test"))
-		if err != nil {
-			return err
-		}
-		stray, err := mint.SelfSigned(pki.Name("leftover"))
-		if err != nil {
-			return err
-		}
-		srv, err := farm.Add("demo.test", pki.Chain(leaf, inter.Cert, stray))
-		if err != nil {
-			return err
-		}
-		targets = append(targets, scanner.Target{Addr: srv.Addr, SNI: "demo.test"})
-		// Trust the demo root so classification has a public side.
-		cl.DB.AddRoot(trustdb.StoreMozilla, root.Cert.Meta)
 	} else {
 		if flag.NArg() == 0 {
 			return fmt.Errorf("no targets; pass host:port arguments or -demo")
@@ -148,5 +139,73 @@ func run() error {
 		}
 	}
 	fmt.Println()
+	if *demo && *hold {
+		fmt.Println("serving; interrupt to stop")
+		ch := make(chan os.Signal, 1)
+		signal.Notify(ch, os.Interrupt)
+		<-ch
+	}
 	return nil
+}
+
+// populateDemo starts the demo farm's four servers and registers the demo
+// root and issuing CA in db, so classification has a public side.
+func populateDemo(mint *pki.Mint, farm *serverfarm.Farm, db *trustdb.DB) error {
+	root, err := mint.NewRoot(pki.Name("Demo Root CA", "Demo"))
+	if err != nil {
+		return err
+	}
+	inter, err := root.NewIntermediate(pki.Name("Demo Issuing CA", "Demo"))
+	if err != nil {
+		return err
+	}
+	db.AddRoot(trustdb.StoreMozilla, root.Cert.Meta)
+	if err := db.AddCCADBIntermediate(inter.Cert.Meta); err != nil {
+		return err
+	}
+
+	// Clean public-style chain.
+	leaf, err := inter.IssueLeaf(pki.Name("clean.example.test"), pki.WithSANs("clean.example.test"))
+	if err != nil {
+		return err
+	}
+	if _, err := farm.Add("clean.example.test", pki.Chain(leaf, inter.Cert)); err != nil {
+		return err
+	}
+
+	// Chain with an unnecessary appended certificate (the HP "tester"
+	// pattern of Appendix F.2).
+	leaf2, err := inter.IssueLeaf(pki.Name("extra.example.test"), pki.WithSANs("extra.example.test"))
+	if err != nil {
+		return err
+	}
+	tester, err := mint.SelfSigned(pki.Name("tester"))
+	if err != nil {
+		return err
+	}
+	if _, err := farm.Add("extra.example.test", pki.Chain(leaf2, inter.Cert, tester)); err != nil {
+		return err
+	}
+
+	// Hybrid: non-public signing CA certified by the public program
+	// (Table 6 pattern).
+	signing, err := inter.NewIntermediate(pki.Name("Agency CA B3", "Government Agency"))
+	if err != nil {
+		return err
+	}
+	leaf3, err := signing.IssueLeaf(pki.Name("portal.agency.test"), pki.WithSANs("portal.agency.test"))
+	if err != nil {
+		return err
+	}
+	if _, err := farm.Add("portal.agency.test", pki.Chain(leaf3, signing.Cert, inter.Cert)); err != nil {
+		return err
+	}
+
+	// Self-signed single-certificate server (the §4.3 majority).
+	selfSigned, err := mint.SelfSigned(pki.Name("printer.campus.test"), pki.WithSANs("printer.campus.test"))
+	if err != nil {
+		return err
+	}
+	_, err = farm.Add("printer.campus.test", pki.Chain(selfSigned))
+	return err
 }

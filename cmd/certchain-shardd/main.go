@@ -46,16 +46,15 @@ func main() {
 
 func run() error {
 	var (
-		addr       = flag.String("addr", "127.0.0.1:9001", "listen address")
-		name       = flag.String("name", "", "worker name in status responses (default: the listen address)")
-		seed       = flag.Int64("seed", 1, "scenario seed for the enrichment stores; must match the coordinator")
-		scale      = flag.Float64("scale", 0.01, "fraction of paper-scale volume; must match the coordinator")
-		format     = flag.String("format", "tsv", "partition log format: tsv or json")
-		lintPro    = flag.String("lint", "", "lint every chain; value is the check profile (paper, strict, all); must match the coordinator")
-		goroutines = flag.Int("goroutines", 0, "in-process pool width per partition (0 = GOMAXPROCS); any value produces identical state")
-		throttle   = flag.Duration("throttle", 0, "sleep this long before each observation (chaos/testing knob)")
-		logFormat  = flag.String("log-format", "text", "log format: text or json")
-		logLevel   = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		addr      = flag.String("addr", "127.0.0.1:9001", "listen address")
+		name      = flag.String("name", "", "worker name in status responses (default: the listen address)")
+		seed      = flag.Int64("seed", 1, "scenario seed for the enrichment stores; must match the coordinator")
+		scale     = flag.Float64("scale", 0.01, "fraction of paper-scale volume; must match the coordinator")
+		format    = flag.String("format", "tsv", "partition log format: tsv or json")
+		lintPro   = flag.String("lint", "", "lint every chain; value is the check profile (paper, strict, all); must match the coordinator")
+		throttle  = flag.Duration("throttle", 0, "sleep this long before each observation (chaos/testing knob)")
+		logFormat = flag.String("log-format", "text", "log format: text or json")
+		logLevel  = flag.String("log-level", "info", "log level: debug, info, warn, error")
 	)
 	flag.Parse()
 
@@ -101,14 +100,13 @@ func run() error {
 		workerName = *addr
 	}
 	worker := dist.NewWorker(dist.WorkerConfig{
-		Name:       workerName,
-		Pipeline:   pipeline,
-		Format:     f,
-		Goroutines: *goroutines,
-		Registry:   reg,
-		Throttle:   *throttle,
-		AccessLog:  logger,
-		Logf:       func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
+		Name:      workerName,
+		Pipeline:  pipeline,
+		Format:    f,
+		Registry:  reg,
+		Throttle:  *throttle,
+		AccessLog: logger,
+		Logf:      func(format string, args ...any) { logger.Info(fmt.Sprintf(format, args...)) },
 	})
 	defer worker.Close()
 

@@ -105,13 +105,34 @@ func SplitObservations(obs []*campus.Observation, n int) [][]*campus.Observation
 // dir (created if missing) and returns the discovered set. This is the
 // fixture generator the smoke test and examples use: the same scenario a
 // single-process run analyzes in memory, split into the on-disk corpus the
-// distributed topology starts from.
+// distributed topology starts from. A partition in dir that this call would
+// not write — left by an earlier, larger run — is an error, since discovery
+// would add it to the corpus.
 func WritePartitions(obs []*campus.Observation, dir string, n int, format analysis.Format) ([]Partition, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dist: write partitions: %w", err)
 	}
-	for i, part := range SplitObservations(obs, n) {
-		stem := fmt.Sprintf("part-%03d", i)
+	parts := SplitObservations(obs, n)
+	partStem := func(i int) string { return fmt.Sprintf("part-%03d", i) }
+	written := make(map[string]bool, len(parts))
+	for i := range parts {
+		written[partStem(i)+sslSuffix] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("dist: write partitions: %w", err)
+	}
+	var stale []string
+	for _, e := range entries {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), sslSuffix) && !written[e.Name()] {
+			stale = append(stale, e.Name())
+		}
+	}
+	if len(stale) > 0 {
+		return nil, fmt.Errorf("dist: write partitions: %s holds partitions this run does not write: %s", dir, strings.Join(stale, ", "))
+	}
+	for i, part := range parts {
+		stem := partStem(i)
 		sslF, err := os.Create(filepath.Join(dir, stem+sslSuffix))
 		if err != nil {
 			return nil, fmt.Errorf("dist: write partitions: %w", err)

@@ -455,3 +455,28 @@ func TestDiscoverPartitionsErrors(t *testing.T) {
 		t.Error("empty dir: want error")
 	}
 }
+
+// TestWritePartitionsRejectsStale: a directory left by a larger run must not
+// leak its extra partitions into a smaller one; rewriting the same count is
+// fine.
+func TestWritePartitionsRejectsStale(t *testing.T) {
+	t.Parallel()
+	obsv := scenario(t, 1).Observations[:200]
+	dir := t.TempDir()
+	if _, err := dist.WritePartitions(obsv, dir, 5, analysis.FormatTSV); err != nil {
+		t.Fatal(err)
+	}
+	parts, err := dist.WritePartitions(obsv, dir, 5, analysis.FormatTSV)
+	if err != nil || len(parts) != 5 {
+		t.Fatalf("rewrite 5 into 5: %d partitions, err %v", len(parts), err)
+	}
+	parts, err = dist.WritePartitions(obsv, dir, 3, analysis.FormatTSV)
+	if err == nil {
+		t.Fatalf("write 3 over 5: got %d partitions, want an error", len(parts))
+	}
+	for _, stale := range []string{"part-003.ssl.log", "part-004.ssl.log"} {
+		if !strings.Contains(err.Error(), stale) {
+			t.Errorf("error %q does not name %s", err, stale)
+		}
+	}
+}

@@ -125,7 +125,7 @@ func TestDecodeCountersByPath(t *testing.T) {
 		t.Errorf("interners report empty: %d strings, %d DNs", st.InternStrings, st.InternDNs)
 	}
 
-	text := st.PrometheusText()
+	text := exposition(st)
 	if err := obs.ValidateExposition([]byte(text)); err != nil {
 		t.Fatalf("exposition fails conformance: %v", err)
 	}

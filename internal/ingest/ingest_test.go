@@ -314,7 +314,7 @@ func TestIngestorWindowedFolding(t *testing.T) {
 	if st.LateConns != 0 {
 		t.Errorf("late connections on a time-ordered replay: %d", st.LateConns)
 	}
-	if text := st.PrometheusText(); !bytes.Contains([]byte(text), []byte("certchain_category_conns_total{category=")) {
+	if text := exposition(st); !bytes.Contains([]byte(text), []byte("certchain_category_conns_total{category=")) {
 		t.Errorf("metrics missing per-category samples after folding")
 	}
 

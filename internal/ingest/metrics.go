@@ -206,14 +206,3 @@ func (s Stats) Fill(reg *obs.Registry) {
 	set(reg.Gauge("certchain_snapshot_age_seconds", "Seconds since the last snapshot (-1 before the first)."), s.SnapshotAge)
 	set(reg.Gauge("certchain_uptime_seconds", "Seconds since the daemon started."), s.Uptime)
 }
-
-// PrometheusText renders the stats in Prometheus exposition format through a
-// throwaway registry — series sorted by family and label, label values
-// escaped per the format spec. Kept for callers that hold a Stats value
-// rather than the Ingestor; the daemon's /metrics serves the shared registry
-// instead.
-func (s Stats) PrometheusText() string {
-	reg := obs.NewRegistry()
-	s.Fill(reg)
-	return reg.Text()
-}

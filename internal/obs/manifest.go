@@ -74,8 +74,8 @@ func SHA256Hex(data []byte) string {
 }
 
 // nondeterministicFlags are invocation flags excluded from the
-// deterministic subset: widths, artifact paths, and operational knobs that
-// never influence report bytes.
+// deterministic subset: worker lists, artifact paths, and operational knobs
+// that never influence report bytes.
 var nondeterministicFlags = map[string]bool{
 	"workers":      true,
 	"trace":        true,
@@ -88,13 +88,12 @@ var nondeterministicFlags = map[string]bool{
 	"log-level":    true,
 	// Distributed-topology knobs: which processes ran the partitions, how
 	// leases were paced, and chaos throttles never reach report bytes.
-	"local":      true,
-	"lease":      true,
-	"poll":       true,
-	"goroutines": true,
-	"addr":       true,
-	"name":       true,
-	"throttle":   true,
+	"local":    true,
+	"lease":    true,
+	"poll":     true,
+	"addr":     true,
+	"name":     true,
+	"throttle": true,
 }
 
 // deterministicStage is a stage's width-invariant projection: the total
