@@ -346,6 +346,24 @@ func TestIsLeafPosition(t *testing.T) {
 	}
 }
 
+// TestIsLeafPositionAllocs: with every member's DN keys already cached, the
+// leaf-position test allocates nothing — lint consults it per check.
+func TestIsLeafPositionAllocs(t *testing.T) {
+	ch := certmodel.Chain{
+		cert("CN=CA", "CN=leaf.com", certmodel.BCFalse),
+		cert("CN=Root", "CN=CA", certmodel.BCTrue),
+		cert("CN=Root", "CN=Root", certmodel.BCTrue),
+	}
+	for _, m := range ch {
+		m.IssuerKey()
+		m.SubjectKey()
+	}
+	allocs := testing.AllocsPerRun(1000, func() { _ = IsLeafPosition(ch, 0) })
+	if allocs != 0 {
+		t.Fatalf("IsLeafPosition with warm keys allocated %.1f allocs/op, want 0", allocs)
+	}
+}
+
 func TestAnchoredToPublicRoot(t *testing.T) {
 	db, cl := testEnv(t)
 

@@ -202,13 +202,16 @@ func IsLeafPosition(ch certmodel.Chain, i int) bool {
 	if len(ch) == 1 {
 		return true
 	}
-	k := keysOf(ch)
-	issued := k.issuedCount(k.subject[0])
-	if k.issuer[0] == k.subject[0] {
-		// Self-signed first certificate: discount its own issuer slot.
-		issued--
+	// The first certificate issues another member when some later member
+	// names it as issuer; its own issuer slot never counts (a self-signed
+	// first certificate issues itself only).
+	subject := ch[0].SubjectKey()
+	for _, m := range ch[1:] {
+		if m.IssuerKey() == subject {
+			return false
+		}
 	}
-	return issued == 0
+	return true
 }
 
 // Analyze runs the full structural analysis for one delivered chain.

@@ -117,9 +117,9 @@ func leafData(cert *certmodel.Meta, ts time.Time) []byte {
 	b = append(b, tsb[:]...)
 	b = append(b, cert.FP...)
 	b = append(b, 0)
-	b = append(b, cert.Issuer.Normalized()...)
+	b = append(b, cert.IssuerKey()...)
 	b = append(b, 0)
-	b = append(b, cert.Subject.Normalized()...)
+	b = append(b, cert.SubjectKey()...)
 	return b
 }
 
@@ -152,7 +152,7 @@ func (l *Log) AddChain(chain certmodel.Chain, at time.Time) (*SCT, error) {
 	for _, name := range coveredNames(leaf) {
 		l.byDomain[name] = append(l.byDomain[name], e)
 	}
-	issKey := leaf.Issuer.Normalized()
+	issKey := leaf.IssuerKey()
 	l.byIssuer[issKey] = append(l.byIssuer[issKey], e)
 	return l.signSCTLocked(e), nil
 }
@@ -295,7 +295,7 @@ func (l *Log) IssuersFor(domain string, t time.Time) []dn.DN {
 		if !e.Cert.ValidAt(t) {
 			continue
 		}
-		key := e.Cert.Issuer.Normalized()
+		key := e.Cert.IssuerKey()
 		if !seen[key] {
 			seen[key] = true
 			out = append(out, e.Cert.Issuer)

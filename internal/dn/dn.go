@@ -323,12 +323,33 @@ func escapeValue(v string) string {
 // Normalized returns a canonical single-string key for the DN suitable for
 // map keys and equality via ==. Attribute types are canonicalized; values are
 // compared byte-exact except for collapsing internal runs of spaces, matching
-// the tolerance needed for log-rendered DNs.
+// the tolerance needed for log-rendered DNs. A DN of single-valued RDNs
+// costs one allocation: collapsing only shrinks a value, so the summed
+// lengths bound the key and the builder grows once.
 func (d DN) Normalized() string {
+	n := 0
+	for i, rdn := range d {
+		if i > 0 {
+			n++ // ','
+		}
+		for j, a := range rdn {
+			if j > 0 {
+				n++ // '+'
+			}
+			n += len(a.Type) + 1 + len(a.Value)
+		}
+	}
 	var b strings.Builder
+	b.Grow(n)
 	for i, rdn := range d {
 		if i > 0 {
 			b.WriteByte(',')
+		}
+		if len(rdn) == 1 {
+			b.WriteString(rdn[0].Type)
+			b.WriteByte('=')
+			writeCollapsed(&b, rdn[0].Value)
+			continue
 		}
 		// Multi-valued RDNs are order-insensitive per X.501: sort the pairs.
 		pairs := make([]string, len(rdn))
@@ -341,24 +362,26 @@ func (d DN) Normalized() string {
 	return b.String()
 }
 
+// writeCollapsed writes v to b with every internal run of spaces collapsed
+// to one space.
+func writeCollapsed(b *strings.Builder, v string) {
+	for {
+		i := strings.Index(v, "  ")
+		if i < 0 {
+			b.WriteString(v)
+			return
+		}
+		b.WriteString(v[:i+1])
+		v = strings.TrimLeft(v[i+1:], " ")
+	}
+}
+
 func collapseSpaces(v string) string {
 	if !strings.Contains(v, "  ") {
 		return v
 	}
 	var b strings.Builder
-	prevSpace := false
-	for i := 0; i < len(v); i++ {
-		c := v[i]
-		if c == ' ' {
-			if prevSpace {
-				continue
-			}
-			prevSpace = true
-		} else {
-			prevSpace = false
-		}
-		b.WriteByte(c)
-	}
+	writeCollapsed(&b, v)
 	return b.String()
 }
 

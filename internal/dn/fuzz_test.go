@@ -1,11 +1,81 @@
 package dn
 
-import "testing"
+import (
+	"sort"
+	"strings"
+	"testing"
+)
+
+// referenceNormalized is the straightforward form of DN.Normalized — every
+// pair built as its own string, pairs sorted and joined per RDN — kept as the
+// oracle the single-allocation implementation must reproduce byte for byte.
+func referenceNormalized(d DN) string {
+	var b strings.Builder
+	for i, rdn := range d {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		pairs := make([]string, len(rdn))
+		for j, a := range rdn {
+			pairs[j] = a.Type + "=" + referenceCollapse(a.Value)
+		}
+		sort.Strings(pairs)
+		b.WriteString(strings.Join(pairs, "+"))
+	}
+	return b.String()
+}
+
+func referenceCollapse(v string) string {
+	var b strings.Builder
+	prevSpace := false
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c == ' ' {
+			if prevSpace {
+				continue
+			}
+			prevSpace = true
+		} else {
+			prevSpace = false
+		}
+		b.WriteByte(c)
+	}
+	return b.String()
+}
+
+// normalizedCases name the shapes Normalized treats specially; FuzzParse
+// replays them as seeds.
+var normalizedCases = []struct{ name, dn string }{
+	{"multi-valued RDN", "CN=b+OU=a  x+CN=a,O=Org"},
+	{"runs of spaces", "CN=a   b    c,O=  lead,OU=trail   "},
+	{"escaped comma", `CN=Foo\, Bar,O=GoDaddy.com\, Inc.`},
+	{"escaped spaces", `CN=\20\20x\20\20`},
+}
+
+// TestNormalizedEmptyDN covers the DNs Parse never returns: nil, and RDNs
+// without attributes.
+func TestNormalizedEmptyDN(t *testing.T) {
+	for _, d := range []DN{nil, {}, {{}}, {{}, {}}} {
+		if got, want := d.Normalized(), referenceNormalized(d); got != want {
+			t.Fatalf("Normalized(%#v) = %q, reference %q", d, got, want)
+		}
+	}
+}
+
+// TestNormalizedAllocs: a DN of single-valued RDNs normalizes in exactly one
+// allocation, the key itself.
+func TestNormalizedAllocs(t *testing.T) {
+	d := MustParse("CN=leaf.example.edu,O=Campus  Networks,C=US")
+	allocs := testing.AllocsPerRun(1000, func() { _ = d.Normalized() })
+	if allocs != 1 {
+		t.Fatalf("Normalized allocated %.1f allocs/op on a 3-RDN DN, want 1", allocs)
+	}
+}
 
 // FuzzParse drives the DN parser with arbitrary byte strings: it must never
 // panic, and any successfully parsed DN must re-render to a string that
 // parses back to an equal DN (the round-trip invariant the pipeline's
-// cross-referencing relies on).
+// cross-referencing relies on). Normalized must equal its reference form.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"CN=example.com,O=Example Inc.,C=US",
@@ -20,10 +90,16 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add(seed)
 	}
+	for _, c := range normalizedCases {
+		f.Add(c.dn)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
 		d, err := Parse(input)
 		if err != nil {
 			return // rejection is fine; panics are not
+		}
+		if got, want := d.Normalized(), referenceNormalized(d); got != want {
+			t.Fatalf("Normalized(%q) = %q, reference %q", input, got, want)
 		}
 		s := d.String()
 		d2, err := Parse(s)

@@ -411,10 +411,10 @@ func registerStrictChecks(r *Registry) {
 		Citation:    "§4.3 (minimal private issuance practices)",
 		Profiles:    strictProfiles,
 		CertFn: func(ctx *Context, co *Collector, m *certmodel.Meta, pos int) {
-			if m.Subject.Normalized() == "" {
+			if m.SubjectKey() == "" {
 				co.Add(pos, "empty subject DN; clients cannot name-match this certificate")
 			}
-			if m.Issuer.Normalized() == "" {
+			if m.IssuerKey() == "" {
 				co.Add(pos, "empty issuer DN; the issuing authority is unidentifiable")
 			}
 		},
@@ -509,8 +509,8 @@ func matchedReorderExists(ch certmodel.Chain) bool {
 	issuer := make([]string, n)
 	subject := make([]string, n)
 	for i, m := range ch {
-		issuer[i] = m.Issuer.Normalized()
-		subject[i] = m.Subject.Normalized()
+		issuer[i] = m.IssuerKey()
+		subject[i] = m.SubjectKey()
 	}
 	used := make([]bool, n)
 	var extend func(cur, placed int) bool

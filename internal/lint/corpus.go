@@ -35,6 +35,11 @@ type CorpusReport struct {
 	// for the corpus-level serial-reuse clusters the in-chain check cannot
 	// see (§4.3 non-compliant private issuance).
 	SerialCerts stats.Sets[string, certmodel.Fingerprint] `json:"serial_certs,omitempty"`
+
+	// keyBuf holds the chain key being looked up: probing FindingsPerChain
+	// with m[string(keyBuf)] allocates nothing, so a key string is built
+	// only on a chain's first sight.
+	keyBuf []byte //certchain:nomerge scratch buffer, no accumulated state
 }
 
 // NewCorpusReport creates an empty accumulator linting with l.
@@ -57,19 +62,17 @@ func (c *CorpusReport) Observe(ch certmodel.Chain, conns int64) {
 func (c *CorpusReport) ObserveAnalyzed(ch certmodel.Chain, a *chain.Analysis, conns int64) {
 	c.Observations++
 	c.Conns += conns
-	key := ch.Key()
-	perCheck, seen := c.FindingsPerChain[key]
+	c.keyBuf = ch.AppendKey(c.keyBuf[:0])
+	perCheck, seen := c.FindingsPerChain[string(c.keyBuf)]
 	if !seen {
 		perCheck = make(map[string]int)
-		for _, f := range c.linter.ChainAnalyzed(ch, a) {
-			perCheck[f.Check]++
-		}
-		c.FindingsPerChain[key] = perCheck
+		c.linter.run(ch, a, &Collector{counts: perCheck})
+		c.FindingsPerChain[string(c.keyBuf)] = perCheck
 		for _, m := range ch {
 			if m.SerialHex == "" {
 				continue
 			}
-			c.SerialCerts.Add(m.Issuer.Normalized()+"|"+m.SerialHex, m.FP)
+			c.SerialCerts.Add(m.IssuerKey()+"|"+m.SerialHex, m.FP)
 		}
 	}
 	for id := range perCheck {

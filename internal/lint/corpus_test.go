@@ -182,3 +182,25 @@ func TestCorpusObserveAnalyzedMatchesObserve(t *testing.T) {
 		t.Error("ObserveAnalyzed diverged from Observe")
 	}
 }
+
+// TestCorpusObserveSeenChainAllocs: observing a chain this accumulator has
+// already linted is a key probe and one counter add per triggered check —
+// no key string, no findings, no allocation.
+func TestCorpusObserveSeenChainAllocs(t *testing.T) {
+	l := testLinter(t)
+	c := NewCorpusReport(l)
+	chains := corpusChains()
+	analyses := make([]*chain.Analysis, len(chains))
+	for i, ch := range chains {
+		analyses[i] = l.cl.Analyze(ch)
+		c.ObserveAnalyzed(ch, analyses[i], 1)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.ObserveAnalyzed(chains[i%len(chains)], analyses[i%len(chains)], 1)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("ObserveAnalyzed of a seen chain allocated %.1f allocs/op, want 0", allocs)
+	}
+}

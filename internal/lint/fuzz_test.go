@@ -22,6 +22,9 @@ var fuzzScenario = sync.OnceValues(func() (*campus.Scenario, error) {
 // class: public, private, interception, placeholder, malformed deliveries)
 // plus fuzzer-mutated slicings. The engine must never panic and must be
 // deterministic: linting the same chain twice yields identical findings.
+// The corpus pass's counting path must agree with the findings: under every
+// profile, its per-check counts are ChainAnalyzed's findings grouped by
+// check.
 func FuzzLintChain(f *testing.F) {
 	s, err := fuzzScenario()
 	if err != nil {
@@ -66,6 +69,19 @@ func FuzzLintChain(f *testing.F) {
 			}
 			if _, ok := l.Registry().Lookup(fd.Check); !ok {
 				t.Fatalf("finding carries unregistered check %q", fd.Check)
+			}
+		}
+		for _, p := range []string{ProfilePaper, ProfileStrict, ProfileAll} {
+			pl := New(s.Classifier, Config{Now: s.End(), Profile: p})
+			a := s.Classifier.Analyze(ch)
+			want := make(map[string]int)
+			for _, fd := range pl.ChainAnalyzed(ch, a) {
+				want[fd.Check]++
+			}
+			c := NewCorpusReport(pl)
+			c.ObserveAnalyzed(ch, a, 1)
+			if got := c.FindingsPerChain[ch.Key()]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("profile %s: corpus counts %v, findings grouped by check %v", p, got, want)
 			}
 		}
 	})

@@ -152,7 +152,7 @@ func (l *Linter) Config() Config { return l.cfg }
 // certificate-scope checks run; chain structure is not consulted.
 func (l *Linter) Cert(m *certmodel.Meta) []Finding {
 	ctx := &Context{Cfg: l.cfg, Classifier: l.cl}
-	var out []Finding
+	var co Collector
 	for _, c := range l.enabled {
 		if c.Scope != ScopeCert {
 			continue
@@ -160,12 +160,11 @@ func (l *Linter) Cert(m *certmodel.Meta) []Finding {
 		if c.Applies != nil && !c.Applies(ctx, -1) {
 			continue
 		}
-		co := &Collector{check: c}
-		c.CertFn(ctx, co, m, -1)
-		out = append(out, co.out...)
+		co.check = c
+		c.CertFn(ctx, &co, m, -1)
 	}
-	sortFindings(out)
-	return out
+	sortFindings(co.out)
+	return co.out
 }
 
 // Chain lints a delivered chain: per-certificate checks at every position
@@ -177,10 +176,18 @@ func (l *Linter) Chain(ch certmodel.Chain) []Finding {
 // ChainAnalyzed is Chain with a precomputed structural analysis — the corpus
 // pass caches analyses per distinct chain and must not redo them.
 func (l *Linter) ChainAnalyzed(ch certmodel.Chain, a *chain.Analysis) []Finding {
+	var co Collector
+	l.run(ch, a, &co)
+	sortFindings(co.out)
+	return co.out
+}
+
+// run applies every enabled check to a delivered chain, reporting into co:
+// ChainAnalyzed collects the findings, the corpus pass only counts them.
+func (l *Linter) run(ch certmodel.Chain, a *chain.Analysis, co *Collector) {
 	ctx := &Context{Cfg: l.cfg, Classifier: l.cl, Chain: ch, Analysis: a}
-	var out []Finding
 	for _, c := range l.enabled {
-		co := &Collector{check: c}
+		co.check = c
 		switch c.Scope {
 		case ScopeCert:
 			for i, m := range ch {
@@ -195,10 +202,7 @@ func (l *Linter) ChainAnalyzed(ch certmodel.Chain, a *chain.Analysis) []Finding 
 			}
 			c.ChainFn(ctx, co)
 		}
-		out = append(out, co.out...)
 	}
-	sortFindings(out)
-	return out
 }
 
 // sortFindings orders findings deterministically — by certificate position

@@ -81,11 +81,14 @@ func (c *Check) InProfile(profile string) bool {
 	return false
 }
 
-// Collector gathers a single check's findings, stamping the check ID and
-// default severity.
+// Collector gathers the findings of the check being run, stamping its ID
+// and default severity.
 type Collector struct {
 	check *Check
 	out   []Finding
+	// counts, when set, is the corpus pass's sink: a finding only increments
+	// its check's count, and no message is formatted.
+	counts map[string]int
 }
 
 // Add records a finding at the check's default severity. pos is the
@@ -96,6 +99,10 @@ func (co *Collector) Add(pos int, format string, args ...any) {
 
 // AddSeverity records a finding with an explicit severity.
 func (co *Collector) AddSeverity(sev Severity, pos int, format string, args ...any) {
+	if co.counts != nil {
+		co.counts[co.check.ID]++
+		return
+	}
 	co.out = append(co.out, Finding{
 		Check:     co.check.ID,
 		Severity:  sev,

@@ -154,6 +154,13 @@ var jsonSeedCases = [][2]string{
 	// Missing ts / uid / id, whole-array sentinels.
 	{`{"uid":"Cu9"}` + "\n" + `{"ts":9,"uid":"-"}` + "\n" + `{"ts":9,"uid":"Cu10","cert_chain_fuids":["-"]}` + "\n",
 		`{"id":"F9"}` + "\n" + `{"ts":9,"id":"-"}` + "\n"},
+	// Simple escapes in x509 strings stay on the fast tokenizer: \\ (an
+	// escaped DN comma), \", \/, \t beside a literal é, and \\ just before
+	// the closing quote.
+	{`{"ts":10,"uid":"Ce1","cert_chain_fuids":["Fe1","Fe2"]}` + "\n",
+		`{"ts":10,"id":"Fe1","certificate.serial":"0A\\","certificate.subject":"CN=GoDaddy.com\\, Inc.,O=x","certificate.issuer":"CN=Café\\, Ltd"}` + "\n" +
+			`{"ts":10,"id":"Fe2","certificate.subject":"CN=Café\\, Ltd","certificate.issuer":"CN=\"q\" \/ root\t1"}` + "\n" +
+			`{"ts":10,"id":"Fe3\\","certificate.subject":"CN=\"q\" \/ root\t1","certificate.issuer":"CN=\"q\" \/ root\t1"}` + "\n"},
 }
 
 func FuzzJSONDecodeEquivalence(f *testing.F) {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"certchains/internal/certmodel"
 )
 
 func TestJSONSSLRoundTrip(t *testing.T) {
@@ -211,3 +213,54 @@ func BenchmarkJSONSSLWrite(b *testing.B) {
 type discard struct{}
 
 func (discard) Write(p []byte) (int, error) { return len(p), nil }
+
+// TestJSONX509EscapesStayFast: writer-produced x509 lines whose DNs carry an
+// escaped comma (JSON "\\") or other simple escapes decode on the fast
+// tokenizer — no fallback of any reason — to the same strings the writer was
+// given, while a \u escape still falls back.
+func TestJSONX509EscapesStayFast(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewJSONX509Writer(&buf)
+	recs := []*X509Record{
+		{TS: ts0, ID: "Fe1", Serial: `0A\`, Subject: `CN=GoDaddy.com\, Inc.,O=x`, Issuer: `CN=Café\, "Ltd"`},
+		{TS: ts0, ID: "Fe2", Subject: "CN=a/b\tc", Issuer: `CN=Café\, "Ltd"`},
+	}
+	for _, r := range recs {
+		if err := w.Write(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d := NewRowDecoder(true, &certmodel.Interner{})
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != len(recs) {
+		t.Fatalf("writer produced %d lines, want %d", len(lines), len(recs))
+	}
+	for i, line := range lines {
+		if !strings.Contains(line, `\`) {
+			t.Fatalf("line %d carries no escape: %s", i, line)
+		}
+		if st, err := d.decodeX509([]byte(line)); st != rowOK {
+			t.Fatalf("line %d: status %d, %v", i, st, err)
+		}
+		r := recs[i]
+		got := []string{string(d.x509.id), string(d.x509.serial), string(d.x509.subject), string(d.x509.issuer)}
+		want := []string{r.ID, r.Serial, r.Subject, r.Issuer}
+		for j := range got {
+			if got[j] != want[j] {
+				t.Errorf("line %d field %d = %q, want %q", i, j, got[j], want[j])
+			}
+		}
+	}
+	if fb := d.Fallbacks(); fb != [len(FallbackReasons)]int64{} {
+		t.Fatalf("fallbacks %v, want none", fb)
+	}
+	if st, _ := d.decodeX509([]byte(`{"ts":1,"id":"F\u0031"}`)); st != rowOK || string(d.x509.id) != "F1" {
+		t.Fatalf(`\u escape: status %d, id %q`, st, d.x509.id)
+	}
+	if fb := d.Fallbacks(); fb[fallbackEscape] != 1 {
+		t.Fatalf("fallbacks %v, want one escape fallback for \\u", fb)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"certchains/internal/certmodel"
 	"certchains/internal/dn"
@@ -57,6 +58,7 @@ type RowDecoder struct {
 	view    sslView
 	fuids   []string // backing array of ssl.CertChainFUIDs
 	scratch []byte
+	esc     []byte // the ND-JSON x509 line's unescaped string values
 	ssl     SSLRecord
 	x509    X509Row
 
@@ -111,9 +113,11 @@ const (
 )
 
 // FallbackReasons names why an ND-JSON line left the fast tokenizer, indexing
-// RowDecoder.Fallbacks: the line carries a backslash escape, it is valid JSON
-// of another shape (nested values, type surprises, sentinel collisions,
-// invalid UTF-8), or encoding/json rejects it too.
+// RowDecoder.Fallbacks: the line carries a backslash escape the tokenizer
+// does not resolve (\u anywhere; any escape outside the x509 id, serial,
+// subject and issuer values), it is valid JSON of another shape (nested
+// values, type surprises, sentinel collisions, invalid UTF-8), or
+// encoding/json rejects it too.
 var FallbackReasons = [...]string{"escape", "shape", "malformed"}
 
 const (
@@ -718,11 +722,15 @@ func (d *RowDecoder) jsonString(t *jsonTok) (string, bool) {
 
 // jsonRawString parses a string value into a byte view with Record.Get's
 // sentinel semantics (null/unset → nil absent view, empty sentinel → empty
-// present view). The view is only valid until the next line.
-func (t *jsonTok) jsonRawString() ([]byte, bool) {
+// present view). A value holding simple escapes is resolved into d.esc. The
+// view is only valid until the next line.
+func (d *RowDecoder) jsonRawString(t *jsonTok) ([]byte, bool) {
 	switch t.peek() {
 	case '"':
 		s, ok := t.simpleString()
+		if !ok {
+			s, ok = d.unescapeString(t)
+		}
 		if !ok {
 			return nil, false
 		}
@@ -735,6 +743,60 @@ func (t *jsonTok) jsonRawString() ([]byte, bool) {
 		return s, true
 	case 'n':
 		return nil, t.literal("null")
+	}
+	return nil, false
+}
+
+// unescapeString parses a string value holding backslash escapes, resolving
+// \\ \" \/ \b \f \n \r \t into d.esc exactly as encoding/json does. \u
+// escapes, control bytes and invalid UTF-8 return false and send the line to
+// the fallback. d.esc is sized to the whole line on a line's first escape:
+// unescaping only shrinks text, so later values of the line never regrow it
+// under the views handed out before them.
+func (d *RowDecoder) unescapeString(t *jsonTok) ([]byte, bool) {
+	b := t.b
+	if t.i >= len(b) || b[t.i] != '"' {
+		return nil, false
+	}
+	if cap(d.esc) < len(b) {
+		d.esc = make([]byte, 0, len(b)) //certchain:coldpath grows to the longest escaped line once
+	}
+	start := len(d.esc)
+	for i := t.i + 1; i < len(b); i++ {
+		c := b[i]
+		switch {
+		case c == '"':
+			v := d.esc[start:]
+			if !utf8.Valid(v) {
+				return nil, false
+			}
+			t.i = i + 1
+			return v, true
+		case c < 0x20:
+			return nil, false
+		case c == '\\':
+			if i+1 >= len(b) {
+				return nil, false
+			}
+			i++
+			switch b[i] {
+			case '\\', '"', '/':
+				c = b[i]
+			case 'b':
+				c = '\b'
+			case 'f':
+				c = '\f'
+			case 'n':
+				c = '\n'
+			case 'r':
+				c = '\r'
+			case 't':
+				c = '\t'
+			default:
+				return nil, false
+			}
+		}
+		d.esc = append(d.esc, c)
 	}
 	return nil, false
 }
@@ -928,6 +990,7 @@ func (d *RowDecoder) x509JSONFast(line []byte) bool {
 	}
 	t.i++
 	d.x509 = X509Row{}
+	d.esc = d.esc[:0]
 	row := &d.x509
 	var (
 		ok  bool
@@ -950,19 +1013,19 @@ func (d *RowDecoder) x509JSONFast(line []byte) bool {
 					return false
 				}
 			case jkID:
-				if row.id, ok = t.jsonRawString(); !ok {
+				if row.id, ok = d.jsonRawString(&t); !ok {
 					return false
 				}
 			case jkSerial:
-				if row.serial, ok = t.jsonRawString(); !ok {
+				if row.serial, ok = d.jsonRawString(&t); !ok {
 					return false
 				}
 			case jkSubject:
-				if row.subject, ok = t.jsonRawString(); !ok {
+				if row.subject, ok = d.jsonRawString(&t); !ok {
 					return false
 				}
 			case jkIssuer:
-				if row.issuer, ok = t.jsonRawString(); !ok {
+				if row.issuer, ok = d.jsonRawString(&t); !ok {
 					return false
 				}
 			case jkNVB:
