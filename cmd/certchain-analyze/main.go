@@ -141,13 +141,6 @@ func run() error {
 		if *sslPath == "" || *x5Path == "" {
 			return fmt.Errorf("log-file mode needs both -ssl and -x509")
 		}
-		for _, path := range []string{*sslPath, *x5Path} {
-			d, err := obs.DigestFile(path)
-			if err != nil {
-				return err
-			}
-			inputs = append(inputs, d)
-		}
 		sslF, err := os.Open(*sslPath)
 		if err != nil {
 			return err
@@ -158,6 +151,8 @@ func run() error {
 			return err
 		}
 		defer x5F.Close()
+		// The inputs are digested as they load, in one read of each file.
+		sslR, x5R := obs.NewDigestReader(sslF), obs.NewDigestReader(x5F)
 		f := analysis.FormatTSV
 		switch *format {
 		case "tsv":
@@ -175,7 +170,7 @@ func run() error {
 		loadSpan := tracer.Start("load", "load/zeek")
 		go func() {
 			defer close(obsCh)
-			err := analysis.LoadFormatFunc(f, sslF, x5F, func(o *campus.Observation) error {
+			err := analysis.LoadFormatFunc(f, sslR, x5R, func(o *campus.Observation) error {
 				loaded++
 				if *dotDir != "" {
 					observations = append(observations, o)
@@ -191,6 +186,15 @@ func run() error {
 		if err := <-loadErr; err != nil {
 			return err
 		}
+		sslIn, err := sslR.Digest(*sslPath)
+		if err != nil {
+			return err
+		}
+		x5In, err := x5R.Digest(*x5Path)
+		if err != nil {
+			return err
+		}
+		inputs = []obs.InputDigest{sslIn, x5In}
 		if !*asJSON {
 			fmt.Printf("loaded %d chain observations from logs\n\n", loaded)
 		}

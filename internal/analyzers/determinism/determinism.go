@@ -19,16 +19,13 @@
 //
 // Findings carry the rule name and position; the allowlist (paths where
 // wall-clock time is the point: CLIs, live scanners, servers) is applied by
-// the caller at the file level.
+// certchain-vet from .certchain-vet.json.
 package determinism
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
@@ -282,80 +279,10 @@ func defaultImportName(path string) string {
 	return path
 }
 
-// Config controls a directory analysis.
-type Config struct {
-	// Allowlist holds slash-separated path fragments; a file whose
-	// root-relative path contains any fragment is skipped entirely.
-	Allowlist []string
-	// IncludeTests analyzes _test.go files too (off by default: tests may
-	// legitimately use wall-clock time and output helpers).
-	IncludeTests bool
-}
-
-// Allowed reports whether a root-relative path escapes analysis.
-func (c Config) Allowed(rel string) bool {
-	rel = filepath.ToSlash(rel)
-	for _, frag := range c.Allowlist {
-		if strings.Contains(rel, frag) {
-			return true
-		}
-	}
-	return false
-}
-
-// AnalyzeDir walks every .go file under root and returns the findings in
-// deterministic (path, position) order.
-func AnalyzeDir(root string, cfg Config) ([]Finding, error) {
-	var files []string
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); name != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		if !cfg.IncludeTests && strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		rel, err := filepath.Rel(root, path)
-		if err != nil {
-			rel = path
-		}
-		if cfg.Allowed(rel) {
-			return nil
-		}
-		files = append(files, path)
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("determinism: walk %s: %w", root, err)
-	}
-	sort.Strings(files)
-
-	var findings []Finding
-	fset := token.NewFileSet()
-	for _, path := range files {
-		// Mode 0 keeps object resolution on: the rules rely on Ident.Obj to
-		// distinguish package references from shadowing locals.
-		file, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("determinism: parse %s: %w", path, err)
-		}
-		findings = append(findings, AnalyzeFile(fset, file)...)
-	}
-	return findings, nil
-}
-
 // Suite adapts the determinism rules to the certchain-vet analyzer suite
-// (internal/analyzers). AnalyzeFile/AnalyzeDir remain for direct use; the
-// suite shape lets the unified driver run determinism alongside mergefields,
-// resilience, hotpath, and locks under one allowlist and emitter set.
+// (internal/analyzers): certchain-vet runs it alongside
+// mergefields, resilience, hotpath, and locks under one allowlist
+// (.certchain-vet.json) and emitter set.
 type Suite struct{}
 
 // Name implements analyzers.Analyzer.

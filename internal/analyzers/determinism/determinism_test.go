@@ -3,9 +3,6 @@ package determinism
 import (
 	"go/parser"
 	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 )
 
@@ -206,56 +203,5 @@ func f() {
 		if fs[i].Pos.Line < fs[i-1].Pos.Line {
 			t.Errorf("findings out of order: %v", fs)
 		}
-	}
-}
-
-func TestConfigAllowed(t *testing.T) {
-	cfg := Config{Allowlist: []string{"cmd/", "internal/scanner/"}}
-	for rel, want := range map[string]bool{
-		"cmd/certchain-lint/main.go":   true,
-		"internal/scanner/scanner.go":  true,
-		"internal/analysis/partial.go": false,
-	} {
-		if got := cfg.Allowed(rel); got != want {
-			t.Errorf("Allowed(%q) = %v, want %v", rel, got, want)
-		}
-	}
-}
-
-func TestAnalyzeDir(t *testing.T) {
-	dir := t.TempDir()
-	write := func(rel, src string) {
-		t.Helper()
-		path := filepath.Join(dir, rel)
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("pkg/clean.go", "package pkg\nfunc OK() {}\n")
-	write("pkg/dirty.go", "package pkg\nimport \"time\"\nfunc Bad() time.Time { return time.Now() }\n")
-	write("pkg/dirty_test.go", "package pkg\nimport \"time\"\nfunc tBad() time.Time { return time.Now() }\n")
-	write("cmd/tool/main.go", "package main\nimport \"time\"\nfunc main() { _ = time.Now() }\n")
-
-	fs, err := AnalyzeDir(dir, Config{Allowlist: []string{"cmd/"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 1 {
-		t.Fatalf("findings = %v, want exactly the non-test non-allowlisted one", fs)
-	}
-	if !strings.HasSuffix(filepath.ToSlash(fs[0].Pos.Filename), "pkg/dirty.go") {
-		t.Errorf("finding in %s", fs[0].Pos.Filename)
-	}
-
-	// IncludeTests picks up the _test.go violation too.
-	fs, err = AnalyzeDir(dir, Config{Allowlist: []string{"cmd/"}, IncludeTests: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 2 {
-		t.Fatalf("with tests: %d findings, want 2", len(fs))
 	}
 }

@@ -570,8 +570,8 @@ func ingestPartition(ctx context.Context, p *analysis.Pipeline, fs resilience.FS
 		return nil, nil, fmt.Errorf("dist: open %s: %w", part.X509, err)
 	}
 	defer x5F.Close()
-	sslR := newDigestReader(sslF)
-	x5R := newDigestReader(x5F)
+	sslR := obs.NewDigestReader(sslF)
+	x5R := obs.NewDigestReader(x5F)
 
 	obsCh := make(chan *campus.Observation, 256)
 	loadErr := make(chan error, 1)
@@ -596,6 +596,13 @@ func ingestPartition(ctx context.Context, p *analysis.Pipeline, fs resilience.FS
 		return nil, nil, fmt.Errorf("dist: load partition %s: %w", part.ID, err)
 	}
 	isp.SetRecords(acc.Observations())
-	inputs := []obs.InputDigest{sslR.digest(part.SSL), x5R.digest(part.X509)}
-	return acc, inputs, nil
+	sslD, err := sslR.Digest(part.SSL)
+	if err != nil {
+		return nil, nil, err
+	}
+	x5D, err := x5R.Digest(part.X509)
+	if err != nil {
+		return nil, nil, err
+	}
+	return acc, []obs.InputDigest{sslD, x5D}, nil
 }

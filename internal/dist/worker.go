@@ -2,8 +2,6 @@ package dist
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"log/slog"
@@ -280,32 +278,4 @@ func (w *Worker) ingest(part Partition) (int64, []byte, []obs.InputDigest, []obs
 		return 0, nil, nil, nil, fmt.Errorf("dist: encode partition %s: %w", part.ID, err)
 	}
 	return acc.Observations(), encoded, inputs, tracer.Snapshot(), nil
-}
-
-// digestReader hashes the raw stream while the loader consumes it, yielding
-// the same digest obs.DigestFile would compute — without a second pass.
-type digestReader struct {
-	r io.Reader
-	h interface {
-		io.Writer
-		Sum(b []byte) []byte
-	}
-	n int64
-}
-
-func newDigestReader(r io.Reader) *digestReader {
-	return &digestReader{r: r, h: sha256.New()}
-}
-
-func (d *digestReader) Read(b []byte) (int, error) {
-	n, err := d.r.Read(b)
-	if n > 0 {
-		d.h.Write(b[:n])
-		d.n += int64(n)
-	}
-	return n, err
-}
-
-func (d *digestReader) digest(path string) obs.InputDigest {
-	return obs.InputDigest{Path: path, SHA256: hex.EncodeToString(d.h.Sum(nil)), Bytes: d.n}
 }

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -229,18 +230,18 @@ func TestIngestorMatchesBatch(t *testing.T) {
 func TestIngestorMatchesBatchOnSeparatorBytes(t *testing.T) {
 	now := time.Unix(1700000000, 0).UTC()
 	var sslBuf, x509Buf bytes.Buffer
-	xw := zeek.NewX509Writer(&x509Buf, now)
+	xw := zeek.NewLogWriter(false, io.Discard, &x509Buf, now)
 	for _, id := range []string{"x|y", "x", "y"} {
-		if err := xw.Write(&zeek.X509Record{TS: now, ID: id, Subject: "CN=" + id, Issuer: "CN=Root"}); err != nil {
+		if err := xw.WriteX509(&zeek.X509Record{TS: now, ID: id, Subject: "CN=" + id, Issuer: "CN=Root"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sw := zeek.NewSSLWriter(&sslBuf, now)
+	sw := zeek.NewLogWriter(false, &sslBuf, io.Discard, now)
 	for i, c := range []struct {
 		fuids  []string
 		server string
 	}{{[]string{"x|y"}, "10.0.0.2"}, {[]string{"x", "y"}, "10.0.0.2"}, {[]string{"x"}, "y|10.0.0.2"}} {
-		err := sw.Write(&zeek.SSLRecord{TS: now.Add(time.Duration(i) * time.Second), UID: fmt.Sprintf("C%d", i),
+		err := sw.WriteSSL(&zeek.SSLRecord{TS: now.Add(time.Duration(i) * time.Second), UID: fmt.Sprintf("C%d", i),
 			OrigH: "10.1.0.1", RespH: c.server, RespP: 443, Established: true, CertChainFUIDs: c.fuids})
 		if err != nil {
 			t.Fatal(err)

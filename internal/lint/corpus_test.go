@@ -204,3 +204,28 @@ func TestCorpusObserveSeenChainAllocs(t *testing.T) {
 		t.Fatalf("ObserveAnalyzed of a seen chain allocated %.1f allocs/op, want 0", allocs)
 	}
 }
+
+// TestCorpusObserveExpiredLeafAllocs: the count path never formats a
+// finding's message, so linting a first-seen chain whose leaf has expired
+// allocates exactly what linting the same chain unexpired does.
+func TestCorpusObserveExpiredLeafAllocs(t *testing.T) {
+	l := testLinter(t)
+	firstSeen := func(ch certmodel.Chain) float64 {
+		c := NewCorpusReport(l)
+		a := l.cl.Analyze(ch)
+		return testing.AllocsPerRun(100, func() {
+			clear(c.FindingsPerChain)
+			c.ObserveAnalyzed(ch, a, 1)
+		})
+	}
+	valid := corpusChains()[0]
+	leaf := mk("CN=LRoot", "CN=good.example.com", certmodel.BCFalse, "good.example.com")
+	leaf.NotAfter = now.AddDate(0, 0, -1)
+	expired := certmodel.Chain{leaf, valid[1]}
+	if fs := checks(l.Chain(expired)); fs["expired"] != 1 {
+		t.Fatalf("expired leaf: findings %v, want one expired", fs)
+	}
+	if got, want := firstSeen(expired), firstSeen(valid); got != want {
+		t.Fatalf("first-seen expired leaf: %.1f allocs/op, the same chain unexpired %.1f", got, want)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
 	"os"
 	"sort"
@@ -46,19 +47,33 @@ type InputDigest struct {
 	Bytes  int64  `json:"bytes"`
 }
 
-// DigestFile hashes one input file.
-func DigestFile(path string) (InputDigest, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return InputDigest{}, err
-	}
-	defer f.Close()
-	h := sha256.New()
-	n, err := io.Copy(h, f)
-	if err != nil {
+// DigestReader hashes a raw input stream as its consumer reads it, so an
+// input file is digested in the same pass that loads it.
+type DigestReader struct {
+	r io.Reader
+	h hash.Hash
+	n int64
+}
+
+// NewDigestReader digests what is read from r.
+func NewDigestReader(r io.Reader) *DigestReader {
+	return &DigestReader{r: r, h: sha256.New()}
+}
+
+func (d *DigestReader) Read(b []byte) (int, error) {
+	n, err := d.r.Read(b)
+	d.h.Write(b[:n])
+	d.n += int64(n)
+	return n, err
+}
+
+// Digest drains what the consumer left unread, so the digest covers the
+// whole stream, and returns it under path.
+func (d *DigestReader) Digest(path string) (InputDigest, error) {
+	if _, err := io.Copy(io.Discard, d); err != nil {
 		return InputDigest{}, fmt.Errorf("obs: digest %s: %w", path, err)
 	}
-	return InputDigest{Path: path, SHA256: hex.EncodeToString(h.Sum(nil)), Bytes: n}, nil
+	return InputDigest{Path: path, SHA256: hex.EncodeToString(d.h.Sum(nil)), Bytes: d.n}, nil
 }
 
 // DigestBytes digests in-memory input (reports, generated corpora).

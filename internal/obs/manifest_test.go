@@ -3,10 +3,13 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func testManifest() *Manifest {
@@ -167,19 +170,22 @@ func TestDigests(t *testing.T) {
 		t.Error("DigestBytes and SHA256Hex disagree")
 	}
 
-	path := filepath.Join(t.TempDir(), "input.log")
-	if err := os.WriteFile(path, payload, 0o644); err != nil {
+	// A reader left part-read still digests the whole stream, under the
+	// path it is given.
+	r := NewDigestReader(bytes.NewReader(payload))
+	if _, err := io.ReadFull(r, make([]byte, 5)); err != nil {
 		t.Fatal(err)
 	}
-	fd, err := DigestFile(path)
+	fd, err := r.Digest("input.log")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fd.SHA256 != d.SHA256 || fd.Bytes != d.Bytes {
-		t.Errorf("DigestFile = %+v, want digest %s over %d bytes", fd, d.SHA256, d.Bytes)
+	if fd.Path != "input.log" || fd.SHA256 != d.SHA256 || fd.Bytes != d.Bytes {
+		t.Errorf("DigestReader = %+v, want digest %s over %d bytes", fd, d.SHA256, d.Bytes)
 	}
-	if _, err := DigestFile(filepath.Join(t.TempDir(), "absent")); err == nil {
-		t.Error("DigestFile on a missing file did not error")
+	failing := NewDigestReader(io.MultiReader(bytes.NewReader(payload), iotest.ErrReader(errors.New("disk gone"))))
+	if _, err := failing.Digest("input.log"); err == nil {
+		t.Error("DigestReader over a failing read did not error")
 	}
 }
 

@@ -65,15 +65,27 @@ type block struct {
 	// Grouping output: the groups in first-row order, and their identities.
 	groups []ConnGroup
 	keys   []byte
+	// tsv holds the TSV lines the block's ND-JSON fallback rows were
+	// transcoded into.
+	tsv []byte
 }
 
 // sslRow is one decoded data line of a block: its view, or the record error
 // ParseSSLRecord would report for it.
 type sslRow struct {
 	view sslView
-	off  uint32 // the line's offset in the block
+	off  uint32 // the line's offset in the block's buf, or in its tsv
 	next int32  // the next row of the row's group, or -1
+	tsv  bool   // whether the view spans the block's tsv
 	err  error
+}
+
+// line returns the bytes row's view spans.
+func (blk *block) line(row *sslRow) []byte {
+	if row.tsv {
+		return blk.tsv[row.off:]
+	}
+	return blk.buf[row.off:]
 }
 
 // minLine is the line length a new block's rows are sized for: ssl.log
@@ -88,16 +100,16 @@ func newBlock(size int) *block {
 	}
 }
 
-// blockReader cuts a log stream into blocks of whole lines.
+// blockReader cuts a log stream into blocks of whole lines: the batch join's
+// reader stage (fill), and under its own end-of-stream rules the Tailer.
 type blockReader struct {
 	src  io.Reader
 	json bool
 	size int // bytes read into a block, unless one line is longer
 	// carry is the partial line after the last block's final newline. It
 	// aliases that block's buffer past its lines, where no worker writes;
-	// the next fill copies it out before anything can refill the block.
+	// the next cut copies it out before anything can refill the block.
 	carry []byte
-	err   error // what ended the stream: io.EOF or a read error
 	hdr   *RowDecoder
 }
 
@@ -105,15 +117,14 @@ func newBlockReader(src io.Reader, json bool, size int) *blockReader {
 	return &blockReader{src: src, json: json, size: size, hdr: NewRowDecoder(json, nil)}
 }
 
-// fill loads blk with the stream's next run of whole lines: the carried
-// partial line, then reads until size bytes are in — or, while the block
-// holds no newline, twice as many as the last try, growing the buffer, so a
-// line longer than a block grows the block holding it. The partial line
-// after the last newline is carried to the next block; at the stream's end
-// the block keeps it as the unterminated final line, unless a read error
-// ended the stream, which drops it — as the batch readers drop the line a
-// failed read cut.
-func (r *blockReader) fill(blk *block) {
+// cut loads blk with the carried partial line, then reads until size bytes
+// are in — or, while the block holds no newline, twice as many as the last
+// try, growing the buffer, so a line longer than a block grows the block
+// holding it — or until the source stops. blk.buf[:blk.n] are then whole
+// lines and the carry is what follows the last newline. The error is what
+// stopped the source, io.EOF or a read error, or nil; what the end of the
+// stream means is the caller's policy.
+func (r *blockReader) cut(blk *block) error {
 	limit := r.size
 	for limit <= len(r.carry) {
 		limit *= 2
@@ -123,54 +134,66 @@ func (r *blockReader) fill(blk *block) {
 		blk.buf = make([]byte, limit) //certchain:coldpath a line longer than a block, once per growth
 	}
 	blk.n = copy(blk.buf, r.carry)
-	blk.final, blk.err, blk.fields = false, nil, r.hdr.fields
-	for r.read(blk, limit) {
-		if i := bytes.LastIndexByte(blk.buf[:blk.n], '\n'); i >= 0 {
-			r.carry = blk.buf[i+1 : blk.n]
-			blk.n = i + 1
-			r.header(blk)
-			return
+	for {
+		err := r.read(blk, limit)
+		i := bytes.LastIndexByte(blk.buf[:blk.n], '\n')
+		if err == nil && i < 0 {
+			if limit == maxBlock {
+				err = bufio.ErrTooLong
+			} else {
+				if limit = min(2*limit, maxBlock); len(blk.buf) < limit {
+					grown := make([]byte, limit) //certchain:coldpath a line longer than a block, once per growth
+					copy(grown, blk.buf[:blk.n])
+					blk.buf = grown
+				}
+				continue
+			}
 		}
-		if limit == maxBlock {
-			r.err = bufio.ErrTooLong
-			break
-		}
-		if limit = min(2*limit, maxBlock); len(blk.buf) < limit {
-			grown := make([]byte, limit) //certchain:coldpath a line longer than a block, once per growth
-			copy(grown, blk.buf[:blk.n])
-			blk.buf = grown
-		}
+		r.carry = blk.buf[i+1 : blk.n]
+		blk.n = i + 1
+		return err
 	}
-	blk.final, r.carry = true, nil
-	if r.err != io.EOF {
-		blk.n = bytes.LastIndexByte(blk.buf[:blk.n], '\n') + 1
-		blk.err = readErr(r.json, r.err)
+}
+
+// fill is the batch reader's cut: at the stream's end the block is final and
+// keeps the unterminated final line — unless a read error ended the stream,
+// which drops it, as the batch readers drop the line a failed read cut. The
+// block is stamped with the TSV header in effect at its first line.
+func (r *blockReader) fill(blk *block) {
+	blk.fields = r.hdr.fields
+	err := r.cut(blk)
+	blk.final, blk.err = err != nil, nil
+	switch {
+	case err == io.EOF:
+		blk.n += len(r.carry)
+	case err != nil:
+		blk.err = readErr(r.json, err)
+	}
+	if blk.final {
+		r.carry = nil
 	}
 	r.header(blk)
 }
 
-// read fills blk's buffer to limit and reports whether it got there; false
-// means the stream ended (r.err says how). Like bufio, a source that returns
-// neither data nor an error 100 times in a row fails with io.ErrNoProgress.
-func (r *blockReader) read(blk *block, limit int) bool {
-	for empty := 0; r.err == nil; {
-		if blk.n == limit {
-			return true
-		}
+// read fills blk's buffer to limit, returning nil once it is full or what
+// stopped the source first. Like bufio, a source that returns neither data
+// nor an error 100 times in a row fails with io.ErrNoProgress.
+func (r *blockReader) read(blk *block, limit int) error {
+	for empty := 0; blk.n < limit; {
 		n, err := r.src.Read(blk.buf[blk.n:limit])
 		blk.n += n
 		switch {
 		case err != nil:
-			r.err = err
+			return err
 		case n > 0:
 			empty = 0
 		default:
 			if empty++; empty == 100 {
-				r.err = io.ErrNoProgress
+				return io.ErrNoProgress
 			}
 		}
 	}
-	return false
+	return nil
 }
 
 // readErr wraps a stream's read error in the batch readers' text.
@@ -309,7 +332,7 @@ func (b badLine) err(base int) error {
 // row, stopping at the first line that ends the stream.
 func (d *RowDecoder) decodeBlock(blk *block) {
 	d.restore(blk.fields, false)
-	blk.rows, blk.bad = blk.rows[:0], badLine{}
+	blk.rows, blk.bad, blk.tsv = blk.rows[:0], badLine{}, blk.tsv[:0]
 	w := lineWalk{buf: blk.buf[:blk.n], json: d.json}
 	for {
 		line, st := w.next()
@@ -328,6 +351,9 @@ func (d *RowDecoder) decodeBlock(blk *block) {
 			row := &blk.rows[len(blk.rows)-1]
 			if st, err = d.viewSSL(line, &row.view); st == rowRecordErr {
 				row.err = err
+			} else if st == rowOK && len(d.tsv) > 0 {
+				row.off, row.tsv = uint32(len(blk.tsv)), true
+				blk.tsv = append(blk.tsv, d.tsv...)
 			}
 			if st != rowOK && st != rowRecordErr {
 				blk.rows = blk.rows[:len(blk.rows)-1]
@@ -365,7 +391,7 @@ func joinBlocks(json bool, ssl, x509 io.Reader, size, workers int, grouped bool,
 	wg.Add(1 + workers)
 	go func() {
 		defer wg.Done()
-		r.cut(spare, nblocks, free, work, ordered, quit)
+		r.feed(spare, nblocks, free, work, ordered, quit)
 	}()
 	for range workers {
 		go func() {
@@ -379,10 +405,10 @@ func joinBlocks(json bool, ssl, x509 io.Reader, size, workers int, grouped bool,
 	return err
 }
 
-// cut is the reader stage: fill blocks and queue each for a worker and, in
+// feed is the reader stage: fill blocks and queue each for a worker and, in
 // file order, for the replay, making up to nblocks blocks before it waits
 // for the replay to free one.
-func (r *blockReader) cut(blk *block, nblocks int, free <-chan *block, work, ordered chan<- *block, quit <-chan struct{}) {
+func (r *blockReader) feed(blk *block, nblocks int, free <-chan *block, work, ordered chan<- *block, quit <-chan struct{}) {
 	defer close(work)
 	defer close(ordered)
 	for made := 1; ; {

@@ -76,7 +76,7 @@ func fastJoinBlocks(json bool, ssl, x509 io.Reader, fn func(c *Connection, err e
 				}
 				continue
 			}
-			line := blk.buf[row.off:]
+			line := blk.line(row)
 			d.materializeSSL(line, &row.view)
 			ch, err := j.chain(line, &row.view)
 			if err != nil {
@@ -108,7 +108,6 @@ type fastJoiner struct {
 	dns    dn.Interner
 	certs  map[string]*certmodel.Meta
 	chains map[string]certmodel.Chain
-	keyBuf []byte
 	ssl    *RowDecoder
 	conn   Connection
 }
@@ -118,49 +117,25 @@ type fastJoiner struct {
 // key is the comma list of fuids — no fuid holds a comma — so a hit interns
 // nothing. The error for an unknown fuid matches the map join's exactly.
 func (j *fastJoiner) chain(line []byte, v *sslView) (certmodel.Chain, error) {
-	key, fuids := v.fuids.of(line), []string(nil)
-	if v.legacy != nil {
-		j.keyBuf = appendJoined(j.keyBuf[:0], v.legacy.CertChainFUIDs)
-		key, fuids = j.keyBuf, v.legacy.CertChainFUIDs
-	}
+	key := v.fuids.of(line)
 	if len(key) == 0 {
 		return nil, nil
 	}
 	if ch, ok := j.chains[string(key)]; ok {
 		return ch, nil
 	}
-	if v.legacy == nil {
-		d := j.ssl
-		d.fuids = d.appendVector(d.fuids[:0], key)
-		fuids = d.fuids
-	}
-	ch := make(certmodel.Chain, 0, len(fuids))
-	for _, f := range fuids {
+	d := j.ssl
+	d.fuids = d.appendVector(d.fuids[:0], key)
+	ch := make(certmodel.Chain, 0, len(d.fuids))
+	for _, f := range d.fuids {
 		m, ok := j.certs[f]
 		if !ok {
-			uid := string(v.uid.of(line))
-			if v.legacy != nil {
-				uid = v.legacy.UID
-			}
-			return nil, fmt.Errorf("zeek: connection %s references unknown certificate %s", uid, f) //certchain:coldpath per-row join-gap error path
+			return nil, fmt.Errorf("zeek: connection %s references unknown certificate %s", v.uid.of(line), f) //certchain:coldpath per-row join-gap error path
 		}
 		ch = append(ch, m)
 	}
 	j.chains[string(key)] = ch
 	return ch, nil
-}
-
-// appendJoined appends fuids joined by commas to dst.
-//
-//certchain:coldpath ND-JSON fallback rows only
-func appendJoined(dst []byte, fuids []string) []byte {
-	for i, f := range fuids {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(dst, f...)
-	}
-	return dst
 }
 
 // indexX509 reads the whole x509 stream into the certificate index, one

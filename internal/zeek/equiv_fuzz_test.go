@@ -161,6 +161,18 @@ var jsonSeedCases = [][2]string{
 		`{"ts":10,"id":"Fe1","certificate.serial":"0A\\","certificate.subject":"CN=GoDaddy.com\\, Inc.,O=x","certificate.issuer":"CN=Café\\, Ltd"}` + "\n" +
 			`{"ts":10,"id":"Fe2","certificate.subject":"CN=Café\\, Ltd","certificate.issuer":"CN=\"q\" \/ root\t1"}` + "\n" +
 			`{"ts":10,"id":"Fe3\\","certificate.subject":"CN=\"q\" \/ root\t1","certificate.issuer":"CN=\"q\" \/ root\t1"}` + "\n"},
+	// Fallback ssl lines whose values the TSV transcoding must escape or keep:
+	// a tab, a backslash (one before what reads as a TSV escape, too), a
+	// newline, a leading '#' (in the first column too), the sentinel strings
+	// - and (empty), and a comma inside a fuid.
+	{`{"ts":11,"uid":"C\tab","id.resp_h":"10.0.0.2","id.resp_p":443,"server_name":"a\\x41\\b","cert_chain_fuids":["Ff1"]}` + "\n" +
+		`{"ts":12,"uid":"Cnl","id.orig_h":"10.0.0.1","server_name":"two\nlines","version":"-","cipher":"(empty)","cert_chain_fuids":["Ff1"]}` + "\n" +
+		`{"ts":13,"uid":"\u0023C13","id.resp_h":"\u0023h","server_name":"-","cert_chain_fuids":["Ff,1"]}` + "\n" +
+		`{"ts":"#14","uid":"C14"}` + "\n" +
+		`{"ts":15,"uid":"C\\15","version":"(empty)","server_name":"(empty)","cert_chain_fuids":["Ff1","F\u002c1"]}` + "\n",
+		`{"ts":11,"id":"Ff1","certificate.subject":"CN=f","certificate.issuer":"CN=f"}` + "\n" +
+			`{"ts":11,"id":"Ff","certificate.subject":"CN=f","certificate.issuer":"CN=f"}` + "\n" +
+			`{"ts":11,"id":"1","certificate.subject":"CN=f","certificate.issuer":"CN=f"}` + "\n"},
 }
 
 func FuzzJSONDecodeEquivalence(f *testing.F) {
@@ -196,7 +208,7 @@ func TestFastJoinSeedEquivalence(t *testing.T) {
 func TestFastJoinGeneratedLogs(t *testing.T) {
 	var sslBuf, x509Buf strings.Builder
 	now := time.Unix(1700000000, 0).UTC()
-	xw := NewX509Writer(&x509Buf, now)
+	xw := NewLogWriter(false, io.Discard, &x509Buf, now)
 	certs := []*X509Record{
 		{TS: now, ID: "Fleaf", Version: 3, Serial: "0A1B", Subject: "CN=leaf.example.edu,O=Campus", Issuer: "CN=Inter CA,O=Campus", NotValidBefore: now, NotValidAfter: now.Add(90 * 24 * time.Hour), KeyAlg: "rsa", SigAlg: "sha256WithRSAEncryption", KeyType: "rsa", KeyLength: 2048, SANDNS: []string{"leaf.example.edu", "alt.example.edu"}},
 		{TS: now, ID: "Finter", Version: 3, Serial: "ff00", Subject: "CN=Inter CA,O=Campus", Issuer: "CN=Root CA", NotValidBefore: now, NotValidAfter: now.Add(3650 * 24 * time.Hour), KeyAlg: "ecdsa", SigAlg: "ecdsa-with-SHA256", KeyType: "ecdsa", KeyLength: 256},
@@ -208,21 +220,21 @@ func TestFastJoinGeneratedLogs(t *testing.T) {
 	certs[1].BasicConstraintsCA = &ca
 	certs[2].BasicConstraintsCA = &ca
 	for _, c := range certs {
-		if err := xw.Write(c); err != nil {
+		if err := xw.WriteX509(c); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Duplicate id row: first record must win.
 	dup := *certs[0]
 	dup.KeyLength = 9999
-	if err := xw.Write(&dup); err != nil {
+	if err := xw.WriteX509(&dup); err != nil {
 		t.Fatal(err)
 	}
 	if err := xw.Close(now.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 
-	sw := NewSSLWriter(&sslBuf, now)
+	sw := NewLogWriter(false, &sslBuf, io.Discard, now)
 	conns := []*SSLRecord{
 		{TS: now.Add(1 * time.Second), UID: "C1", OrigH: "10.0.0.1", OrigP: 40000, RespH: "10.0.0.2", RespP: 443, Version: "TLSv13", Cipher: "TLS_AES_128_GCM_SHA256", ServerName: "leaf.example.edu", Established: true, CertChainFUIDs: []string{"Fleaf", "Finter", "Froot"}},
 		{TS: now.Add(2 * time.Second), UID: "C2", RespH: "10.0.0.2", RespP: 443, Resumed: true, CertChainFUIDs: []string{"Fleaf", "Finter", "Froot"}},
@@ -231,7 +243,7 @@ func TestFastJoinGeneratedLogs(t *testing.T) {
 		{TS: now.Add(5 * time.Second), UID: "C5", RespH: "10.0.0.2", RespP: 443},                                    // no chain
 	}
 	for _, c := range conns {
-		if err := sw.Write(c); err != nil {
+		if err := sw.WriteSSL(c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,18 +287,18 @@ func TestFastJoinJSONGeneratedLines(t *testing.T) {
 func TestFastJoinChainCanonical(t *testing.T) {
 	var sslBuf, x509Buf strings.Builder
 	now := time.Unix(1700000000, 0).UTC()
-	xw := NewX509Writer(&x509Buf, now)
+	xw := NewLogWriter(false, io.Discard, &x509Buf, now)
 	for _, id := range []string{"Fa", "Fb"} {
-		if err := xw.Write(&X509Record{TS: now, ID: id, Subject: "CN=" + id, Issuer: "CN=Root"}); err != nil {
+		if err := xw.WriteX509(&X509Record{TS: now, ID: id, Subject: "CN=" + id, Issuer: "CN=Root"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := xw.Close(now); err != nil {
 		t.Fatal(err)
 	}
-	sw := NewSSLWriter(&sslBuf, now)
+	sw := NewLogWriter(false, &sslBuf, io.Discard, now)
 	for i := 0; i < 4; i++ {
-		if err := sw.Write(&SSLRecord{TS: now, UID: fmt.Sprintf("C%d", i), RespH: "10.0.0.1", RespP: 443, CertChainFUIDs: []string{"Fa", "Fb"}}); err != nil {
+		if err := sw.WriteSSL(&SSLRecord{TS: now, UID: fmt.Sprintf("C%d", i), RespH: "10.0.0.1", RespP: 443, CertChainFUIDs: []string{"Fa", "Fb"}}); err != nil {
 			t.Fatal(err)
 		}
 	}

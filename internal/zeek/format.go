@@ -41,6 +41,7 @@ type Writer struct {
 	w      *bufio.Writer
 	header Header
 	opened bool
+	line   []byte // the record being formatted
 }
 
 // NewWriter creates a writer for the given stream header.
@@ -86,20 +87,19 @@ func (w *Writer) WriteRecord(values []string) error {
 	if len(values) != len(w.header.Fields) {
 		return fmt.Errorf("zeek: record has %d values, header has %d fields", len(values), len(w.header.Fields)) //certchain:coldpath caller-bug error path
 	}
+	w.line = w.line[:0]
 	for i, v := range values {
 		if i > 0 {
-			if err := w.w.WriteByte('\t'); err != nil {
-				return err
-			}
+			w.line = append(w.line, '\t')
 		}
 		if v == "" {
 			v = UnsetField
 		}
-		if _, err := w.w.WriteString(escapeField(v)); err != nil {
-			return err
-		}
+		w.line = appendEscaped(w.line, v)
 	}
-	return w.w.WriteByte('\n')
+	w.line = append(w.line, '\n')
+	_, err := w.w.Write(w.line)
+	return err
 }
 
 // Close flushes the stream and writes the #close trailer.
@@ -127,28 +127,28 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
-func escapeField(v string) string {
+// appendEscaped appends v as a TSV value: tab, newline and backslash
+// escaped, and a leading '#', which would make a data line read as a header
+// directive.
+func appendEscaped(dst []byte, v string) []byte {
 	if !strings.ContainsAny(v, "\t\n\\") && !strings.HasPrefix(v, "#") {
-		return v
+		return append(dst, v...)
 	}
-	var b strings.Builder
 	for i := 0; i < len(v); i++ {
-		switch {
-		case v[i] == '\t':
-			b.WriteString("\\x09")
-		case v[i] == '\n':
-			b.WriteString("\\x0a")
-		case v[i] == '\\':
-			b.WriteString("\\\\")
-		case v[i] == '#' && i == 0:
-			// A leading '#' would make the data line look like a header
-			// directive to readers.
-			b.WriteString("\\x23")
+		switch c := v[i]; {
+		case c == '\t':
+			dst = append(dst, `\x09`...)
+		case c == '\n':
+			dst = append(dst, `\x0a`...)
+		case c == '\\':
+			dst = append(dst, `\\`...)
+		case c == '#' && i == 0:
+			dst = append(dst, `\x23`...)
 		default:
-			b.WriteByte(v[i])
+			dst = append(dst, c)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 func unescapeField(v string) string {

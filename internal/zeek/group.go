@@ -27,9 +27,7 @@ var groupSeed = maphash.MakeSeed()
 // groupTable is a worker's index from identity to the current block's group:
 // open addressing, with at least twice as many slots as the block has rows.
 type groupTable struct {
-	slots   []int32 // a group index + 1; a slot not above base is free
-	base    int32   // groups before this index are out of the table
-	scratch []byte  // a fallback row's fuid list and address
+	slots []int32 // a group index + 1; 0 is a free slot
 }
 
 // group folds blk's valid rows into blk.groups by identity.
@@ -40,7 +38,6 @@ func (t *groupTable) group(blk *block) {
 	} else {
 		clear(t.slots)
 	}
-	t.base = 0
 	for i := range blk.rows {
 		row := &blk.rows[i]
 		if row.err != nil {
@@ -48,16 +45,7 @@ func (t *groupTable) group(blk *block) {
 		}
 		row.next = -1
 		mark := len(blk.keys)
-		if r := row.view.legacy; r != nil {
-			// A fallback row is a group of its own and ends every open one.
-			t.scratch = append(appendJoined(t.scratch[:0], r.CertChainFUIDs), r.RespH...)
-			n := len(t.scratch) - len(r.RespH)
-			blk.keys = appendIdentity(blk.keys, t.scratch[:n], t.scratch[n:], r.RespP)
-			blk.newGroup(mark, 0).add(blk.rows, int32(i), r.TS, r.Established, r.ServerName != "")
-			t.base = int32(len(blk.groups))
-			continue
-		}
-		v, line := &row.view, blk.buf[row.off:]
+		v, line := &row.view, blk.line(row)
 		blk.keys = appendIdentity(blk.keys, v.fuids.of(line), v.respH.of(line), v.respP)
 		t.find(blk, mark).add(blk.rows, int32(i), epochToTime(v.ts), v.established, v.serverName.hi > v.serverName.lo)
 	}
@@ -71,21 +59,16 @@ func (t *groupTable) find(blk *block, mark int) *ConnGroup {
 	mask := uint64(len(t.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
-		if s <= t.base {
+		if s == 0 {
 			t.slots[i] = int32(len(blk.groups)) + 1
-			return blk.newGroup(mark, h)
+			blk.groups = append(blk.groups, ConnGroup{keyLo: mark, keyHi: len(blk.keys), hash: h, blk: blk})
+			return &blk.groups[len(blk.groups)-1]
 		}
 		if g := &blk.groups[s-1]; g.hash == h && bytes.Equal(blk.keys[g.keyLo:g.keyHi], key) {
 			blk.keys = blk.keys[:mark]
 			return g
 		}
 	}
-}
-
-// newGroup opens a group named by blk.keys[mark:].
-func (blk *block) newGroup(mark int, h uint64) *ConnGroup {
-	blk.groups = append(blk.groups, ConnGroup{keyLo: mark, keyHi: len(blk.keys), hash: h, blk: blk})
-	return &blk.groups[len(blk.groups)-1]
 }
 
 // add folds row i into g: Fold's per-row work, on the worker.
@@ -175,7 +158,7 @@ func (c *ConnGroup) Key() []byte { return c.blk.keys[c.keyLo:c.keyHi] }
 // view returns row i of the group's block and the line it was decoded from.
 func (c *ConnGroup) view(i int32) (*sslView, []byte) {
 	row := &c.blk.rows[i]
-	return &row.view, c.blk.buf[row.off:]
+	return &row.view, c.blk.line(row)
 }
 
 // Chain resolves the group's chain through the join's chain cache. The error
@@ -188,9 +171,6 @@ func (c *ConnGroup) Chain() (certmodel.Chain, error) {
 // Server returns the server address, interned, and port.
 func (c *ConnGroup) Server() (string, int) {
 	v, line := c.view(c.head)
-	if v.legacy != nil {
-		return v.legacy.RespH, v.legacy.RespP
-	}
 	return c.j.strs.Bytes(v.respH.of(line)), v.respP
 }
 
@@ -200,9 +180,6 @@ func (c *ConnGroup) SNI() string {
 		return ""
 	}
 	v, line := c.view(c.sni)
-	if v.legacy != nil {
-		return v.legacy.ServerName
-	}
 	return c.j.strs.Bytes(v.serverName.of(line))
 }
 
@@ -211,9 +188,7 @@ func (c *ConnGroup) SNI() string {
 func (c *ConnGroup) AddClients(set map[string]bool) {
 	for i := c.head; i >= 0; i = c.blk.rows[i].next {
 		v, line := c.view(i)
-		if v.legacy != nil {
-			set[v.legacy.OrigH] = true
-		} else if ip := v.origH.of(line); !set[string(ip)] {
+		if ip := v.origH.of(line); !set[string(ip)] {
 			set[c.j.strs.Bytes(ip)] = true
 		}
 	}

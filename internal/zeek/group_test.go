@@ -199,6 +199,13 @@ var groupedCases = map[string][3]string{
 			`{"ts":1700000003.5,"uid":"C\\7","id.resp_h":"10.0.0.2","id.resp_p":443,"cert_chain_fuids":["Fmissing"]}` + "\n" +
 			jsonConn("C8", "10.0.0.2", ""),
 		zeek.JSONX509Row, "json"},
+	// A fallback row (a \u escape) between two fast rows of its identity
+	// carries that identity's first SNI: it must group with them, in order.
+	"json-fallback-row-first-sni": {
+		jsonConn("C1", "10.0.0.4", "") +
+			`{"ts":1700000001.5,"uid":"C\u00752","id.orig_h":"10.0.0.7","id.resp_h":"10.0.0.4","id.resp_p":443,"server_name":"first.example.edu","cert_chain_fuids":["Fa1"]}` + "\n" +
+			jsonConn("C3", "10.0.0.4", "second.example.edu"),
+		zeek.JSONX509Row, "json"},
 	"json-fatal-line-mid-block": {strings.Repeat(jsonConn("C1", "10.0.0.2", "a.example.edu"), 5) + `{"ts":` + "\n" + jsonConn("C2", "10.0.0.2", ""),
 		zeek.JSONX509Row, "json"},
 }

@@ -3,6 +3,7 @@ package zeek
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -371,8 +372,8 @@ func TestIncrementalJoinHeldRowsSurviveDecoding(t *testing.T) {
 			}
 			want = append(want, r)
 			var line strings.Builder
-			w := NewSSLWriter(&line, ts0)
-			if err := w.Write(&r); err != nil {
+			w := NewLogWriter(false, &line, io.Discard, ts0)
+			if err := w.WriteSSL(&r); err != nil {
 				t.Fatal(err)
 			}
 			if err := w.Flush(); err != nil {

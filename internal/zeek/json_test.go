@@ -2,6 +2,7 @@ package zeek
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -11,7 +12,7 @@ import (
 
 func TestJSONSSLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewJSONSSLWriter(&buf)
+	w := NewLogWriter(true, &buf, io.Discard, time.Time{})
 	in := &SSLRecord{
 		TS:             ts0,
 		UID:            "CJ1",
@@ -25,10 +26,10 @@ func TestJSONSSLRoundTrip(t *testing.T) {
 		Established:    true,
 		CertChainFUIDs: []string{"Fj1", "Fj2"},
 	}
-	if err := w.Write(in); err != nil {
+	if err := w.WriteSSL(in); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Close(time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `"id.orig_h":"10.9.8.7"`) {
@@ -54,9 +55,9 @@ func TestJSONSSLRoundTrip(t *testing.T) {
 
 func TestJSONSSLNoSNI(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewJSONSSLWriter(&buf)
-	w.Write(&SSLRecord{TS: ts0, UID: "CJ2", OrigH: "10.0.0.1", RespH: "1.2.3.4", RespP: 8443})
-	w.Close()
+	w := NewLogWriter(true, &buf, io.Discard, time.Time{})
+	w.WriteSSL(&SSLRecord{TS: ts0, UID: "CJ2", OrigH: "10.0.0.1", RespH: "1.2.3.4", RespP: 8443})
+	w.Close(time.Time{})
 	// Absent SNI must be omitted on the wire, not rendered as "".
 	if strings.Contains(buf.String(), "server_name") {
 		t.Errorf("unset SNI serialized: %s", buf.String())
@@ -73,7 +74,7 @@ func TestJSONSSLNoSNI(t *testing.T) {
 
 func TestJSONX509RoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewJSONX509Writer(&buf)
+	w := NewLogWriter(true, io.Discard, &buf, time.Time{})
 	in := &X509Record{
 		TS: ts0, ID: "FJx", Version: 3, Serial: "1A2B",
 		Subject:        "CN=json.example.com,O=J",
@@ -84,10 +85,10 @@ func TestJSONX509RoundTrip(t *testing.T) {
 		BasicConstraintsCA: boolPtr(true),
 		SANDNS:             []string{"json.example.com"},
 	}
-	if err := w.Write(in); err != nil {
+	if err := w.WriteX509(in); err != nil {
 		t.Fatal(err)
 	}
-	w.Close()
+	w.Close(time.Time{})
 	rec, err := NewJSONReader(&buf).Read()
 	if err != nil {
 		t.Fatal(err)
@@ -116,10 +117,10 @@ func TestJSONX509RoundTrip(t *testing.T) {
 
 func TestJSONX509AbsentBC(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewJSONX509Writer(&buf)
-	w.Write(&X509Record{TS: ts0, ID: "F", Subject: "CN=a", Issuer: "CN=b",
+	w := NewLogWriter(true, io.Discard, &buf, time.Time{})
+	w.WriteX509(&X509Record{TS: ts0, ID: "F", Subject: "CN=a", Issuer: "CN=b",
 		NotValidBefore: ts0, NotValidAfter: ts0.AddDate(1, 0, 0)})
-	w.Close()
+	w.Close(time.Time{})
 	if strings.Contains(buf.String(), "basic_constraints") {
 		t.Error("absent BC serialized")
 	}
@@ -151,11 +152,11 @@ func TestJSONReaderErrors(t *testing.T) {
 
 func TestJSONReadAll(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewJSONSSLWriter(&buf)
+	w := NewLogWriter(true, &buf, io.Discard, time.Time{})
 	for i := 0; i < 4; i++ {
-		w.Write(&SSLRecord{TS: ts0.Add(time.Duration(i) * time.Second), UID: "C", OrigH: "10.0.0.1", RespH: "1.1.1.1", RespP: 443})
+		w.WriteSSL(&SSLRecord{TS: ts0.Add(time.Duration(i) * time.Second), UID: "C", OrigH: "10.0.0.1", RespH: "1.1.1.1", RespP: 443})
 	}
-	w.Close()
+	w.Close(time.Time{})
 	recs, err := NewJSONReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
@@ -167,17 +168,17 @@ func TestJSONReadAll(t *testing.T) {
 
 func TestJoinJSON(t *testing.T) {
 	var ssl, x509 bytes.Buffer
-	xw := NewJSONX509Writer(&x509)
-	xw.Write(&X509Record{TS: ts0, ID: "FL", Subject: "CN=www.j.edu", Issuer: "CN=J CA",
+	xw := NewLogWriter(true, io.Discard, &x509, time.Time{})
+	xw.WriteX509(&X509Record{TS: ts0, ID: "FL", Subject: "CN=www.j.edu", Issuer: "CN=J CA",
 		NotValidBefore: ts0.AddDate(0, -1, 0), NotValidAfter: ts0.AddDate(1, 0, 0)})
-	xw.Write(&X509Record{TS: ts0, ID: "FC", Subject: "CN=J CA", Issuer: "CN=J CA",
+	xw.WriteX509(&X509Record{TS: ts0, ID: "FC", Subject: "CN=J CA", Issuer: "CN=J CA",
 		NotValidBefore: ts0.AddDate(-1, 0, 0), NotValidAfter: ts0.AddDate(5, 0, 0)})
-	xw.Close()
+	xw.Close(time.Time{})
 
-	sw := NewJSONSSLWriter(&ssl)
-	sw.Write(&SSLRecord{TS: ts0, UID: "CJ", OrigH: "10.1.1.1", OrigP: 5000, RespH: "5.5.5.5", RespP: 443,
+	sw := NewLogWriter(true, &ssl, io.Discard, time.Time{})
+	sw.WriteSSL(&SSLRecord{TS: ts0, UID: "CJ", OrigH: "10.1.1.1", OrigP: 5000, RespH: "5.5.5.5", RespP: 443,
 		ServerName: "www.j.edu", Established: true, CertChainFUIDs: []string{"FL", "FC"}})
-	sw.Close()
+	sw.Close(time.Time{})
 
 	var joined []*Connection
 	err := JoinJSON(&ssl, &x509, func(c *Connection, err error) error {
@@ -199,12 +200,12 @@ func TestJoinJSON(t *testing.T) {
 }
 
 func BenchmarkJSONSSLWrite(b *testing.B) {
-	w := NewJSONSSLWriter(discard{})
+	w := NewLogWriter(true, discard{}, io.Discard, time.Time{})
 	rec := &SSLRecord{TS: ts0, UID: "C", OrigH: "10.0.0.1", OrigP: 1, RespH: "1.1.1.1", RespP: 443,
 		ServerName: "bench.example.com", Established: true, CertChainFUIDs: []string{"Fa", "Fb"}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := w.Write(rec); err != nil {
+		if err := w.WriteSSL(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,17 +221,17 @@ func (discard) Write(p []byte) (int, error) { return len(p), nil }
 // given, while a \u escape still falls back.
 func TestJSONX509EscapesStayFast(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewJSONX509Writer(&buf)
+	w := NewLogWriter(true, io.Discard, &buf, time.Time{})
 	recs := []*X509Record{
 		{TS: ts0, ID: "Fe1", Serial: `0A\`, Subject: `CN=GoDaddy.com\, Inc.,O=x`, Issuer: `CN=Café\, "Ltd"`},
 		{TS: ts0, ID: "Fe2", Subject: "CN=a/b\tc", Issuer: `CN=Café\, "Ltd"`},
 	}
 	for _, r := range recs {
-		if err := w.Write(r); err != nil {
+		if err := w.WriteX509(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w.Close(); err != nil {
+	if err := w.Close(time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	d := NewRowDecoder(true, &certmodel.Interner{})

@@ -51,17 +51,46 @@ var sslTypes = []string{
 	"vector[string]",
 }
 
-// SSLWriter writes ssl.log.
-type SSLWriter struct{ w *Writer }
-
-// NewSSLWriter creates an ssl.log writer opened at the given time.
-func NewSSLWriter(w io.Writer, open time.Time) *SSLWriter {
-	return &SSLWriter{w: NewWriter(w, Header{Path: "ssl", Fields: sslFields, Types: sslTypes, Open: open})}
+// LogWriter writes one capture's ssl.log and x509.log pair in either format:
+// Zeek's TSV layout, headers stamped with open, or ND-JSON, one object per
+// record (LogAscii::use_json=T) with the same field names.
+type LogWriter struct {
+	json      bool
+	ssl, x509 *Writer
 }
 
-// Write emits one connection record.
-func (s *SSLWriter) Write(r *SSLRecord) error {
-	vals := []string{
+// NewLogWriter creates a writer pair: ND-JSON when ndjson is set, TSV opened
+// at open otherwise.
+func NewLogWriter(ndjson bool, ssl, x509 io.Writer, open time.Time) *LogWriter {
+	l := &LogWriter{
+		json: ndjson,
+		ssl:  NewWriter(ssl, Header{Path: "ssl", Fields: sslFields, Types: sslTypes, Open: open}),
+		x509: NewWriter(x509, Header{Path: "x509", Fields: x509Fields, Types: x509Types, Open: open}),
+	}
+	// An ND-JSON stream has no header block: its writers start opened.
+	l.ssl.opened, l.x509.opened = ndjson, ndjson
+	return l
+}
+
+// WriteSSL emits one connection record.
+func (l *LogWriter) WriteSSL(r *SSLRecord) error {
+	if l.json {
+		return l.ssl.writeJSON(&jsonSSLRecord{
+			TS:             epochOf(r.TS),
+			UID:            r.UID,
+			OrigH:          r.OrigH,
+			OrigP:          r.OrigP,
+			RespH:          r.RespH,
+			RespP:          r.RespP,
+			Version:        optStr(r.Version),
+			Cipher:         optStr(r.Cipher),
+			ServerName:     optStr(r.ServerName),
+			Resumed:        r.Resumed,
+			Established:    r.Established,
+			CertChainFUIDs: r.CertChainFUIDs,
+		})
+	}
+	return l.ssl.WriteRecord([]string{
 		FormatTime(r.TS),
 		r.UID,
 		r.OrigH,
@@ -74,15 +103,69 @@ func (s *SSLWriter) Write(r *SSLRecord) error {
 		FormatBool(r.Resumed),
 		FormatBool(r.Established),
 		strings.Join(r.CertChainFUIDs, SetSeparator),
-	}
-	return s.w.WriteRecord(vals)
+	})
 }
 
-// Close finishes the stream.
-func (s *SSLWriter) Close(at time.Time) error { return s.w.Close(at) }
+// WriteX509 emits one certificate record.
+func (l *LogWriter) WriteX509(r *X509Record) error {
+	if l.json {
+		return l.x509.writeJSON(&jsonX509Record{
+			TS:             epochOf(r.TS),
+			ID:             r.ID,
+			Version:        r.Version,
+			Serial:         r.Serial,
+			Subject:        r.Subject,
+			Issuer:         r.Issuer,
+			NotValidBefore: epochOf(r.NotValidBefore),
+			NotValidAfter:  epochOf(r.NotValidAfter),
+			KeyAlg:         optStr(r.KeyAlg),
+			SigAlg:         optStr(r.SigAlg),
+			KeyType:        optStr(r.KeyType),
+			KeyLength:      r.KeyLength,
+			BasicCA:        r.BasicConstraintsCA,
+			SANDNS:         r.SANDNS,
+		})
+	}
+	bc := ""
+	if r.BasicConstraintsCA != nil {
+		bc = FormatBool(*r.BasicConstraintsCA)
+	}
+	return l.x509.WriteRecord([]string{
+		FormatTime(r.TS),
+		r.ID,
+		strconv.Itoa(r.Version),
+		r.Serial,
+		r.Subject,
+		r.Issuer,
+		FormatTime(r.NotValidBefore),
+		FormatTime(r.NotValidAfter),
+		r.KeyAlg,
+		r.SigAlg,
+		r.KeyType,
+		strconv.Itoa(r.KeyLength),
+		bc,
+		strings.Join(r.SANDNS, SetSeparator),
+	})
+}
 
-// Flush pushes buffered records without closing the stream.
-func (s *SSLWriter) Flush() error { return s.w.Flush() }
+// Flush pushes both streams' buffered records without closing them.
+func (l *LogWriter) Flush() error {
+	if err := l.ssl.Flush(); err != nil {
+		return err
+	}
+	return l.x509.Flush()
+}
+
+// Close ends both streams; TSV logs get a #close line stamped at.
+func (l *LogWriter) Close(at time.Time) error {
+	if l.json {
+		return l.Flush()
+	}
+	if err := l.ssl.Close(at); err != nil {
+		return err
+	}
+	return l.x509.Close(at)
+}
 
 // ParseSSLRecord converts a generic record from an ssl.log stream.
 func ParseSSLRecord(rec Record) (*SSLRecord, error) {
@@ -145,45 +228,6 @@ var x509Types = []string{
 	"string", "count",
 	"bool", "vector[string]",
 }
-
-// X509Writer writes x509.log.
-type X509Writer struct{ w *Writer }
-
-// NewX509Writer creates an x509.log writer opened at the given time.
-func NewX509Writer(w io.Writer, open time.Time) *X509Writer {
-	return &X509Writer{w: NewWriter(w, Header{Path: "x509", Fields: x509Fields, Types: x509Types, Open: open})}
-}
-
-// Write emits one certificate record.
-func (x *X509Writer) Write(r *X509Record) error {
-	bc := ""
-	if r.BasicConstraintsCA != nil {
-		bc = FormatBool(*r.BasicConstraintsCA)
-	}
-	vals := []string{
-		FormatTime(r.TS),
-		r.ID,
-		strconv.Itoa(r.Version),
-		r.Serial,
-		r.Subject,
-		r.Issuer,
-		FormatTime(r.NotValidBefore),
-		FormatTime(r.NotValidAfter),
-		r.KeyAlg,
-		r.SigAlg,
-		r.KeyType,
-		strconv.Itoa(r.KeyLength),
-		bc,
-		strings.Join(r.SANDNS, SetSeparator),
-	}
-	return x.w.WriteRecord(vals)
-}
-
-// Close finishes the stream.
-func (x *X509Writer) Close(at time.Time) error { return x.w.Close(at) }
-
-// Flush pushes buffered records without closing the stream.
-func (x *X509Writer) Flush() error { return x.w.Flush() }
 
 // ParseX509Record converts a generic record from an x509.log stream.
 func ParseX509Record(rec Record) (*X509Record, error) {

@@ -31,8 +31,10 @@ import (
 // Both formats decode here. TSV splits the line into columns and resolves
 // escapes in place on access; ND-JSON runs the flat-object tokenizer
 // (jsonTok) and re-parses any line outside its subset through encoding/json
-// and the Record parsers — counted per reason in Fallbacks — so every input
-// decodes exactly as the legacy LineDecoder → Parse*Record path would.
+// — counted per reason in Fallbacks — so every input decodes exactly as the
+// legacy LineDecoder → Parse*Record path would. An ssl fallback line's Record
+// is then transcoded into a TSV line and decoded by the TSV column code, so
+// every ssl row, fast or not, is one sslView over one line.
 //
 // An ssl.log line decodes in two halves: viewSSL does everything that needs
 // no shared state (split, unescape, validate, number/time/bool parse) and
@@ -59,8 +61,11 @@ type RowDecoder struct {
 	fuids   []string // backing array of ssl.CertChainFUIDs
 	scratch []byte
 	esc     []byte // the ND-JSON x509 line's unescaped string values
-	ssl     SSLRecord
-	x509    X509Row
+	// tsv is the TSV line an ND-JSON ssl fallback line was transcoded into,
+	// empty unless the last viewSSL decoded one: then the view spans it.
+	tsv  []byte
+	ssl  SSLRecord
+	x509 X509Row
 
 	fallbacks [len(FallbackReasons)]int64
 }
@@ -85,9 +90,6 @@ type sslView struct {
 	origP, respP                                   int
 	fuids                                          span // the comma list; see appendVector
 	resumed, established                           bool
-	// legacy is the row of an ND-JSON line outside the tokenizer's subset,
-	// parsed by the legacy path into owned strings.
-	legacy *SSLRecord
 }
 
 // NewRowDecoder returns a decoder for one log stream in TSV (or ND-JSON)
@@ -148,8 +150,11 @@ func (d *RowDecoder) restore(fields []string, closed bool) {
 func (d *RowDecoder) decodeSSL(line []byte) (rowStatus, error) {
 	st, err := d.viewSSL(line, &d.view)
 	if st == rowOK {
+		if len(d.tsv) > 0 {
+			line = d.tsv
+		}
 		d.materializeSSL(line, &d.view)
-		if v := &d.view; v.legacy == nil && v.fuids.hi > v.fuids.lo {
+		if v := &d.view; v.fuids.hi > v.fuids.lo {
 			d.fuids = d.appendVector(d.fuids[:0], v.fuids.of(line))
 			d.ssl.CertChainFUIDs = d.fuids
 		}
@@ -158,7 +163,9 @@ func (d *RowDecoder) decodeSSL(line []byte) (rowStatus, error) {
 }
 
 // viewSSL decodes one ssl.log line into v. It never touches the interner.
+// v's spans index line, or d.tsv when viewSSL leaves that non-empty.
 func (d *RowDecoder) viewSSL(line []byte, v *sslView) (rowStatus, error) {
+	d.tsv = d.tsv[:0]
 	if len(line) == 0 {
 		return rowNone, nil
 	}
@@ -171,16 +178,12 @@ func (d *RowDecoder) viewSSL(line []byte, v *sslView) (rowStatus, error) {
 	if d.sslCols.gen != d.gen {
 		d.sslCols.refresh(d.fields, d.gen) //certchain:coldpath once per #fields directive
 	}
-	return d.sslTSV(v)
+	return d.sslTSV(v, &d.sslCols)
 }
 
 // materializeSSL fills d.ssl from a view of line, CertChainFUIDs aside:
 // strings interned, the uid copied — it is unique per row.
 func (d *RowDecoder) materializeSSL(line []byte, v *sslView) {
-	if v.legacy != nil {
-		d.ssl = *v.legacy
-		return
-	}
 	d.ssl = SSLRecord{
 		TS:          epochToTime(v.ts),
 		UID:         string(v.uid.of(line)),
@@ -272,21 +275,25 @@ func (d *RowDecoder) splitTSV(line []byte) rowStatus {
 	if len(d.fields) == 0 {
 		return rowNoHeader
 	}
+	if d.split(line); len(d.cols) != len(d.fields) {
+		return rowFieldCount
+	}
+	return rowOK
+}
+
+// split cuts a TSV data line into d.cols.
+func (d *RowDecoder) split(line []byte) {
 	d.line, d.cols = line, d.cols[:0]
 	d.escaped = bytes.IndexByte(line, '\\') >= 0
 	for lo := 0; ; {
 		i := bytes.IndexByte(line[lo:], '\t')
 		if i < 0 {
 			d.cols = append(d.cols, mkSpan(lo, len(line)))
-			break
+			return
 		}
 		d.cols = append(d.cols, mkSpan(lo, lo+i))
 		lo += i + 1
 	}
-	if len(d.cols) != len(d.fields) {
-		return rowFieldCount
-	}
-	return rowOK
 }
 
 // directive folds one '#'-prefixed header line, with the legacy decoders'
@@ -472,8 +479,7 @@ func (d *RowDecoder) fieldInterned(c int) string {
 	return d.strs.Bytes(s.of(d.line))
 }
 
-func (d *RowDecoder) sslTSV(v *sslView) (rowStatus, error) {
-	c := &d.sslCols
+func (d *RowDecoder) sslTSV(v *sslView, c *sslCols) (rowStatus, error) {
 	*v = sslView{}
 	var ok bool
 	if v.ts, ok = d.fieldEpoch(c.ts); !ok {
@@ -649,12 +655,23 @@ func (d *RowDecoder) sslJSON(line []byte, v *sslView) (rowStatus, error) {
 		if err != nil {
 			return rowBadJSON, err
 		}
-		sr, err := ParseSSLRecord(rec)
-		if err != nil {
-			return rowRecordErr, err
+		// The Record becomes the TSV line a writer would carry: sslFields in
+		// order, a field the line lacks unset, every value escaped — so the
+		// TSV column code reads each value as ParseSSLRecord would.
+		for i, f := range sslFields {
+			if i > 0 {
+				d.tsv = append(d.tsv, '\t')
+			}
+			if v, ok := rec[f]; ok {
+				d.tsv = appendEscaped(d.tsv, v)
+			} else {
+				d.tsv = append(d.tsv, UnsetField...)
+			}
 		}
-		*v = sslView{legacy: sr}
-		return rowOK, nil
+		var c sslCols
+		c.refresh(sslFields, 0)
+		d.split(d.tsv)
+		return d.sslTSV(v, &c)
 	}
 	if rowErr != nil {
 		return rowRecordErr, rowErr

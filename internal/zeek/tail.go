@@ -139,14 +139,13 @@ type Tailer struct {
 
 	f      resilience.File
 	offset int64 // bytes of fully processed lines in the current file
-	// buf is the one read buffer; buf[:held] are the bytes after offset not
-	// yet consumed, compacted to the front between reads. They are a partial
-	// line still waiting for its newline — unless the sink stopped a poll
-	// mid-buffer, which leaves whole lines held: rescan says to search them.
-	buf    []byte
-	held   int
-	rescan bool
-	size   int64 // file size at the last poll, for lag reporting
+	// r cuts the file into blk, the batch join's cutter under the tailer's
+	// rules. Its carry is the bytes after offset not yet processed: a
+	// partial line still waiting for its newline — or, when the sink stopped
+	// a poll, every line it did not reach as well.
+	r    blockReader
+	blk  block
+	size int64 // file size at the last poll, for lag reporting
 
 	rotations int64
 	parseErrs int64
@@ -185,7 +184,7 @@ func newTailer(path string, h lineHandler, fsys resilience.FS) *Tailer {
 	if fsys == nil {
 		fsys = resilience.OS
 	}
-	return &Tailer{path: path, h: h, fsys: fsys}
+	return &Tailer{path: path, h: h, fsys: fsys, r: blockReader{size: tailBufSize}}
 }
 
 // Restore positions the tailer from a snapshot. Must be called before the
@@ -244,12 +243,12 @@ func (t *Tailer) PollRows() error {
 	if err != nil {
 		return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 	}
-	if cur.Size() < t.offset+int64(t.held) {
+	if cur.Size() < t.offset+int64(len(t.r.carry)) {
 		// Truncated in place: the writer restarted the file under us.
 		if _, err := t.f.Seek(0, io.SeekStart); err != nil {
 			return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 		}
-		t.offset, t.held = 0, 0
+		t.offset, t.r.carry = 0, nil
 		t.h.reset()
 		t.rotations++
 	}
@@ -287,7 +286,7 @@ func (t *Tailer) open() error {
 	if err != nil {
 		return fmt.Errorf("zeek: tail %s: %w", t.path, err) //certchain:coldpath I/O error path
 	}
-	t.f = f
+	t.f, t.r.src = f, f
 	if t.resume.Offset > 0 {
 		fi, err := f.Stat()
 		if err != nil {
@@ -308,44 +307,29 @@ func (t *Tailer) open() error {
 	return nil
 }
 
-// tailBufSize is the read buffer's initial size; it only grows when a single
-// line is longer.
+// tailBufSize is the tailer's block size; the block only grows when a
+// single line is longer.
 const tailBufSize = 1 << 16
 
-// consume reads to the current EOF, handing every complete line to the
-// handler as a view into the read buffer. The unterminated tail is compacted
-// to the buffer's front before each read, so the bytes held, the offset and
-// the file position stay consistent wherever a read fails or the sink stops.
+// consume cuts the file to its current end, handing every complete line to
+// the handler as a view into the block. EOF means no more yet; a read error
+// ends the poll after the lines read before it; a sink error re-holds every
+// line after the one it stopped at in the carry. Either way the offset, the
+// carry and the file position stay consistent.
 func (t *Tailer) consume() error {
 	for {
-		if t.held == len(t.buf) {
-			// The first read, or a line longer than the buffer: make room.
-			grown := make([]byte, max(tailBufSize, 2*len(t.buf)))
-			copy(grown, t.buf[:t.held])
-			t.buf = grown
-		}
-		n, err := t.f.Read(t.buf[t.held:])
-		if n > 0 {
-			// A held partial line has no newline: search only the new bytes.
-			end, pos, scan := t.held+n, 0, t.held
-			if t.rescan {
-				scan, t.rescan = 0, false
+		err := t.r.cut(&t.blk)
+		b := t.blk.buf[:t.blk.n]
+		for pos := 0; pos < len(b); {
+			i := bytes.IndexByte(b[pos:], '\n')
+			line := b[pos : pos+i]
+			pos += i + 1
+			t.offset += int64(i) + 1
+			if herr := t.line(line); herr != nil {
+				// The carry follows the block's lines in its buffer.
+				t.r.carry = t.blk.buf[pos : len(b)+len(t.r.carry)]
+				return herr
 			}
-			for {
-				i := bytes.IndexByte(t.buf[scan:end], '\n')
-				if i < 0 {
-					break
-				}
-				line := t.buf[pos : scan+i]
-				t.offset += int64(len(line)) + 1
-				pos = scan + i + 1
-				scan = pos
-				if herr := t.line(line); herr != nil {
-					t.held, t.rescan = copy(t.buf, t.buf[pos:end]), true
-					return herr
-				}
-			}
-			t.held = copy(t.buf, t.buf[pos:end])
 		}
 		if err == io.EOF {
 			if fi, serr := t.f.Stat(); serr == nil {
@@ -383,18 +367,21 @@ func (t *Tailer) Finish(emit func(Record) error) error {
 	return t.FinishRows()
 }
 
-// FinishRows is Finish for a typed tailer. It decodes a dangling
-// unterminated final line, for a file that has reached its definite end
-// (rotation or shutdown). Mid-record truncation shows up as a parse error
-// and is counted, matching the batch readers' tolerance.
+// FinishRows is Finish for a typed tailer. It decodes the held lines —
+// those a sink error left, then a dangling unterminated final line — for a
+// file that has reached its definite end (rotation or shutdown). Mid-record
+// truncation shows up as a parse error and is counted, matching the batch
+// readers' tolerance.
 func (t *Tailer) FinishRows() error {
-	if t.held == 0 {
-		return nil
+	for len(t.r.carry) > 0 {
+		line, rest, _ := bytes.Cut(t.r.carry, []byte{'\n'})
+		t.offset += int64(len(t.r.carry) - len(rest))
+		t.r.carry = rest
+		if err := t.line(line); err != nil {
+			return err
+		}
 	}
-	line := t.buf[:t.held]
-	t.offset += int64(t.held)
-	t.held = 0
-	return t.line(line)
+	return nil
 }
 
 // Closed reports whether the stream announced its end (#close).
@@ -403,7 +390,7 @@ func (t *Tailer) Closed() bool { return t.h.Closed() }
 // LagBytes is how far the last poll's file end is beyond what has been
 // processed — 0 when fully caught up.
 func (t *Tailer) LagBytes() int64 {
-	lag := t.size - t.offset - int64(t.held)
+	lag := t.size - t.offset - int64(len(t.r.carry))
 	if lag < 0 {
 		return 0
 	}

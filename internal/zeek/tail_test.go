@@ -343,3 +343,35 @@ func TestTailerSinkErrorLosesNothing(t *testing.T) {
 		t.Fatalf("got %v, want %v", got, want)
 	}
 }
+
+// TestTailerFinishAfterSinkError: Finish after a sink error decodes each held
+// line, then the unterminated final one — not the held bytes as one line.
+func TestTailerFinishAfterSinkError(t *testing.T) {
+	path, write, _ := tailerFixtures(t)
+	tl := NewTailer(path, func() LineDecoder { return NewTSVDecoder() })
+	defer tl.Close()
+	write(tailHeader + "r1a\tx\nr2a\tx\nr3a\tx\nr4a\tpart")
+
+	stop := fmt.Errorf("sink full")
+	var got []string
+	collect := func(r Record) error {
+		v, _ := r.Get("a")
+		got = append(got, v)
+		if v == "r1a" {
+			return stop
+		}
+		return nil
+	}
+	if err := tl.Poll(collect); err != stop {
+		t.Fatalf("poll error = %v, want the sink's", err)
+	}
+	if err := tl.Finish(collect); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"r1a", "r2a", "r3a", "r4a"}; !reflect.DeepEqual(got, want) || tl.ParseErrors() != 0 {
+		t.Fatalf("got %v with %d parse errors, want %v and none", got, tl.ParseErrors(), want)
+	}
+	if fi, err := os.Stat(path); err != nil || tl.Offset() != fi.Size() {
+		t.Fatalf("offset %d after Finish, want the file size (%v)", tl.Offset(), err)
+	}
+}

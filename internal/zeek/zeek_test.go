@@ -114,7 +114,7 @@ func TestReadAll(t *testing.T) {
 
 func TestSSLRecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewSSLWriter(&buf, ts0)
+	w := NewLogWriter(false, &buf, io.Discard, ts0)
 	in := &SSLRecord{
 		TS:             ts0,
 		UID:            "CUID1",
@@ -128,7 +128,7 @@ func TestSSLRecordRoundTrip(t *testing.T) {
 		Established:    true,
 		CertChainFUIDs: []string{"Fa", "Fb", "Fc"},
 	}
-	if err := w.Write(in); err != nil {
+	if err := w.WriteSSL(in); err != nil {
 		t.Fatal(err)
 	}
 	w.Close(ts0)
@@ -155,8 +155,8 @@ func TestSSLRecordRoundTrip(t *testing.T) {
 
 func TestSSLRecordNoSNI(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewSSLWriter(&buf, ts0)
-	w.Write(&SSLRecord{TS: ts0, UID: "C1", OrigH: "10.0.0.1", RespH: "1.2.3.4", RespP: 8443})
+	w := NewLogWriter(false, &buf, io.Discard, ts0)
+	w.WriteSSL(&SSLRecord{TS: ts0, UID: "C1", OrigH: "10.0.0.1", RespH: "1.2.3.4", RespP: 8443})
 	w.Close(ts0)
 	rec, _ := NewReader(&buf).Read()
 	out, err := ParseSSLRecord(rec)
@@ -181,7 +181,7 @@ func boolPtr(b bool) *bool { return &b }
 
 func TestX509RecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewX509Writer(&buf, ts0)
+	w := NewLogWriter(false, io.Discard, &buf, ts0)
 	in := &X509Record{
 		TS: ts0, ID: "FxYz01", Version: 3, Serial: "0ABC",
 		Subject:        "CN=leaf.example.com,O=Example",
@@ -192,7 +192,7 @@ func TestX509RecordRoundTrip(t *testing.T) {
 		BasicConstraintsCA: boolPtr(false),
 		SANDNS:             []string{"leaf.example.com", "alt.example.com"},
 	}
-	if err := w.Write(in); err != nil {
+	if err := w.WriteX509(in); err != nil {
 		t.Fatal(err)
 	}
 	w.Close(ts0)
@@ -218,8 +218,8 @@ func TestX509RecordRoundTrip(t *testing.T) {
 
 func TestX509BasicConstraintsAbsent(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewX509Writer(&buf, ts0)
-	w.Write(&X509Record{TS: ts0, ID: "F1", Subject: "CN=a", Issuer: "CN=b",
+	w := NewLogWriter(false, io.Discard, &buf, ts0)
+	w.WriteX509(&X509Record{TS: ts0, ID: "F1", Subject: "CN=a", Issuer: "CN=b",
 		NotValidBefore: ts0, NotValidAfter: ts0.AddDate(1, 0, 0)})
 	w.Close(ts0)
 	rec, _ := NewReader(&buf).Read()
@@ -281,25 +281,25 @@ func TestToMetaBadDN(t *testing.T) {
 func writeTestLogs(t *testing.T) (ssl, x509 *bytes.Buffer) {
 	t.Helper()
 	ssl, x509 = &bytes.Buffer{}, &bytes.Buffer{}
-	xw := NewX509Writer(x509, ts0)
+	xw := NewLogWriter(false, io.Discard, x509, ts0)
 	certs := []struct{ id, sub, iss string }{
 		{"Fleaf", "CN=www.site.edu", "CN=Site CA"},
 		{"Fca", "CN=Site CA", "CN=Site Root"},
 		{"Froot", "CN=Site Root", "CN=Site Root"},
 	}
 	for _, c := range certs {
-		xw.Write(&X509Record{TS: ts0, ID: c.id, Subject: c.sub, Issuer: c.iss,
+		xw.WriteX509(&X509Record{TS: ts0, ID: c.id, Subject: c.sub, Issuer: c.iss,
 			NotValidBefore: ts0.AddDate(0, -1, 0), NotValidAfter: ts0.AddDate(1, 0, 0)})
 	}
 	// Duplicate certificate observation: must be deduplicated.
-	xw.Write(&X509Record{TS: ts0.Add(time.Minute), ID: "Fleaf", Subject: "CN=www.site.edu", Issuer: "CN=Site CA",
+	xw.WriteX509(&X509Record{TS: ts0.Add(time.Minute), ID: "Fleaf", Subject: "CN=www.site.edu", Issuer: "CN=Site CA",
 		NotValidBefore: ts0.AddDate(0, -1, 0), NotValidAfter: ts0.AddDate(1, 0, 0)})
 	xw.Close(ts0)
 
-	sw := NewSSLWriter(ssl, ts0)
-	sw.Write(&SSLRecord{TS: ts0, UID: "C1", OrigH: "10.0.0.5", OrigP: 40000, RespH: "5.6.7.8", RespP: 443,
+	sw := NewLogWriter(false, ssl, io.Discard, ts0)
+	sw.WriteSSL(&SSLRecord{TS: ts0, UID: "C1", OrigH: "10.0.0.5", OrigP: 40000, RespH: "5.6.7.8", RespP: 443,
 		ServerName: "www.site.edu", Established: true, CertChainFUIDs: []string{"Fleaf", "Fca", "Froot"}})
-	sw.Write(&SSLRecord{TS: ts0.Add(time.Second), UID: "C2", OrigH: "10.0.0.6", OrigP: 40001, RespH: "5.6.7.8", RespP: 443,
+	sw.WriteSSL(&SSLRecord{TS: ts0.Add(time.Second), UID: "C2", OrigH: "10.0.0.6", OrigP: 40001, RespH: "5.6.7.8", RespP: 443,
 		CertChainFUIDs: []string{"Fleaf", "Fmissing"}})
 	sw.Close(ts0)
 	return ssl, x509
@@ -388,12 +388,12 @@ func TestQuickFieldRoundTrip(t *testing.T) {
 }
 
 func BenchmarkSSLWrite(b *testing.B) {
-	w := NewSSLWriter(io.Discard, ts0)
+	w := NewLogWriter(false, io.Discard, io.Discard, ts0)
 	rec := &SSLRecord{TS: ts0, UID: "C", OrigH: "10.0.0.1", OrigP: 1, RespH: "1.1.1.1", RespP: 443,
 		ServerName: "bench.example.com", Established: true, CertChainFUIDs: []string{"Fa", "Fb"}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := w.Write(rec); err != nil {
+		if err := w.WriteSSL(rec); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -401,9 +401,9 @@ func BenchmarkSSLWrite(b *testing.B) {
 
 func BenchmarkSSLParse(b *testing.B) {
 	var buf bytes.Buffer
-	w := NewSSLWriter(&buf, ts0)
+	w := NewLogWriter(false, &buf, io.Discard, ts0)
 	for i := 0; i < 1000; i++ {
-		w.Write(&SSLRecord{TS: ts0, UID: "C", OrigH: "10.0.0.1", OrigP: 1, RespH: "1.1.1.1", RespP: 443,
+		w.WriteSSL(&SSLRecord{TS: ts0, UID: "C", OrigH: "10.0.0.1", OrigP: 1, RespH: "1.1.1.1", RespP: 443,
 			ServerName: "bench.example.com", Established: true, CertChainFUIDs: []string{"Fa", "Fb"}})
 	}
 	w.Close(ts0)
@@ -436,11 +436,11 @@ func BenchmarkSSLParse(b *testing.B) {
 // the header block reappears mid-stream, as when catting ssl.log.1 ssl.log.
 func TestConcatenatedLogs(t *testing.T) {
 	var part1, part2 bytes.Buffer
-	w1 := NewSSLWriter(&part1, ts0)
-	w1.Write(&SSLRecord{TS: ts0, UID: "C1", OrigH: "10.0.0.1", RespH: "1.1.1.1", RespP: 443})
+	w1 := NewLogWriter(false, &part1, io.Discard, ts0)
+	w1.WriteSSL(&SSLRecord{TS: ts0, UID: "C1", OrigH: "10.0.0.1", RespH: "1.1.1.1", RespP: 443})
 	w1.Close(ts0)
-	w2 := NewSSLWriter(&part2, ts0.Add(time.Hour))
-	w2.Write(&SSLRecord{TS: ts0.Add(time.Hour), UID: "C2", OrigH: "10.0.0.2", RespH: "1.1.1.1", RespP: 443})
+	w2 := NewLogWriter(false, &part2, io.Discard, ts0.Add(time.Hour))
+	w2.WriteSSL(&SSLRecord{TS: ts0.Add(time.Hour), UID: "C2", OrigH: "10.0.0.2", RespH: "1.1.1.1", RespP: 443})
 	w2.Close(ts0.Add(time.Hour))
 
 	combined := io.MultiReader(&part1, &part2)
@@ -463,8 +463,8 @@ func TestConcatenatedLogs(t *testing.T) {
 
 func TestIndexX509Direct(t *testing.T) {
 	var x509 bytes.Buffer
-	w := NewX509Writer(&x509, ts0)
-	w.Write(&X509Record{TS: ts0, ID: "Fi", Subject: "CN=i", Issuer: "CN=j",
+	w := NewLogWriter(false, io.Discard, &x509, ts0)
+	w.WriteX509(&X509Record{TS: ts0, ID: "Fi", Subject: "CN=i", Issuer: "CN=j",
 		NotValidBefore: ts0, NotValidAfter: ts0.AddDate(1, 0, 0)})
 	w.Close(ts0)
 	idx, err := IndexX509(&x509)
