@@ -5,11 +5,14 @@
 // Two input modes:
 //
 //	certchain-analyze -seed 1 -scale 0.01            # generate in memory
-//	certchain-analyze -ssl data/ssl.log -x509 data/x509.log -seed 1
+//	certchain-analyze -ssl data/ssl.log -x509 data/x509.log -seed 1 -scale 0.01
 //
-// The log-file mode still needs the seed so the pipeline rebuilds the same
-// trust stores, CT log, and interception registry the logs were generated
-// against — exactly how the paper's enrichment consults external databases.
+// The log-file mode still needs the seed and the scale the logs were
+// generated at: the pipeline rebuilds from them the trust stores, CT log and
+// interception registry that enrichment consults, as the paper's enrichment
+// consults external databases. A mismatched -scale is not detected; it
+// silently changes log-mode results (Table 2's interception row, among
+// others). Once the observations are in memory, both modes run one pass.
 // -lint PROFILE lints every chain and appends the corpus prevalence table
 // (in -json, the export's "lint" key). The observe pool is GOMAXPROCS wide;
 // any width produces an identical report.
@@ -24,11 +27,9 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 
 	"certchains/internal/analysis"
 	"certchains/internal/campus"
-	"certchains/internal/chain"
 	"certchains/internal/graph"
 	"certchains/internal/lint"
 	"certchains/internal/obs"
@@ -45,7 +46,7 @@ func main() {
 func run() error {
 	var (
 		seed    = flag.Int64("seed", 1, "scenario seed")
-		scale   = flag.Float64("scale", 0.01, "fraction of paper-scale volume (in-memory mode)")
+		scale   = flag.Float64("scale", 0.01, "fraction of paper-scale volume; also selects the enrichment world (trust stores, CT log, interception registry), so in log-file mode it must match the logs' generation scale")
 		sslPath = flag.String("ssl", "", "path to ssl.log (enables log-file mode)")
 		x5Path  = flag.String("x509", "", "path to x509.log (log-file mode)")
 		revisit = flag.Bool("revisit", true, "also run the §5 retrospective comparison")
@@ -64,6 +65,15 @@ func run() error {
 		logLevel     = flag.String("log-level", "info", "diagnostic log level: debug, info, warn, error")
 	)
 	flag.Parse()
+	// The JSON export is the whole of stdout: the check table and the
+	// figure files have no place in it.
+	if *asJSON && (*verify || *dotDir != "") {
+		other := "-verify"
+		if !*verify {
+			other = "-dot"
+		}
+		return fmt.Errorf("-json cannot be combined with %s", other)
+	}
 
 	level, err := obs.ParseLogLevel(*logLevel)
 	if err != nil {
@@ -135,11 +145,14 @@ func run() error {
 	}
 
 	observations := scenario.Observations
-	var report *analysis.Report
 	var inputs []obs.InputDigest
 	if *sslPath != "" || *x5Path != "" {
 		if *sslPath == "" || *x5Path == "" {
 			return fmt.Errorf("log-file mode needs both -ssl and -x509")
+		}
+		f, err := analysis.ParseFormat(*format)
+		if err != nil {
+			return err
 		}
 		sslF, err := os.Open(*sslPath)
 		if err != nil {
@@ -153,37 +166,11 @@ func run() error {
 		defer x5F.Close()
 		// The inputs are digested as they load, in one read of each file.
 		sslR, x5R := obs.NewDigestReader(sslF), obs.NewDigestReader(x5F)
-		f := analysis.FormatTSV
-		switch *format {
-		case "tsv":
-		case "json":
-			f = analysis.FormatJSON
-		default:
-			return fmt.Errorf("unknown format %q (tsv or json)", *format)
-		}
-		// Stream the Zeek join straight into the sharded pipeline; the
-		// observation slice is only retained when -dot needs a second pass.
-		obsCh := make(chan *campus.Observation, 256)
-		loadErr := make(chan error, 1)
-		loaded := 0
-		observations = nil
 		loadSpan := tracer.Start("load", "load/zeek")
-		go func() {
-			defer close(obsCh)
-			err := analysis.LoadFormatFunc(f, sslR, x5R, func(o *campus.Observation) error {
-				loaded++
-				if *dotDir != "" {
-					observations = append(observations, o)
-				}
-				obsCh <- o
-				return nil
-			})
-			loadSpan.SetRecords(int64(loaded))
-			loadSpan.End()
-			loadErr <- err
-		}()
-		report = pipeline.RunStream(obsCh, 0)
-		if err := <-loadErr; err != nil {
+		observations, err = analysis.LoadFormat(f, sslR, x5R)
+		loadSpan.SetRecords(int64(len(observations)))
+		loadSpan.End()
+		if err != nil {
 			return err
 		}
 		sslIn, err := sslR.Digest(*sslPath)
@@ -196,11 +183,10 @@ func run() error {
 		}
 		inputs = []obs.InputDigest{sslIn, x5In}
 		if !*asJSON {
-			fmt.Printf("loaded %d chain observations from logs\n\n", loaded)
+			fmt.Printf("loaded %d chain observations from logs\n\n", len(observations))
 		}
-	} else {
-		report = pipeline.Run(observations)
 	}
+	report := pipeline.Run(observations)
 	var reportBytes []byte
 	if *asJSON {
 		data, err := report.JSON()
@@ -212,43 +198,35 @@ func run() error {
 		reportBytes = []byte(report.Render())
 	}
 
-	// Artifacts cover both output modes; emit them before the JSON early
-	// return. All pipeline spans have ended by now, so stage aggregates are
-	// final.
-	fillRunMetrics(reg, tracer)
-	emitArtifacts := func() error {
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
-			if err != nil {
-				return err
-			}
-			if err := tracer.WriteChromeTrace(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			logger.Info("wrote trace", "path", *tracePath)
-		}
-		if *manifestPath != "" {
-			man := buildManifest(*seed, *scale, inputs, tracer, reportBytes)
-			if err := man.WriteFile(*manifestPath); err != nil {
-				return err
-			}
-			logger.Info("wrote manifest", "path", *manifestPath, "report_sha256", man.ReportSHA256)
-		}
-		return nil
-	}
-
-	if *asJSON {
-		os.Stdout.Write(reportBytes)
-		fmt.Println()
-		return emitArtifacts()
-	}
 	os.Stdout.Write(reportBytes)
-	if err := emitArtifacts(); err != nil {
-		return err
+	if *asJSON {
+		fmt.Println()
+	}
+	// All pipeline spans have ended by now, so stage aggregates are final.
+	fillRunMetrics(reg, tracer)
+	if *tracePath != "" {
+		f, err := os.Create(*tracePath)
+		if err != nil {
+			return err
+		}
+		if err := tracer.WriteChromeTrace(f); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
+		logger.Info("wrote trace", "path", *tracePath)
+	}
+	if *manifestPath != "" {
+		man := buildManifest(*seed, *scale, inputs, tracer, reportBytes)
+		if err := man.WriteFile(*manifestPath); err != nil {
+			return err
+		}
+		logger.Info("wrote manifest", "path", *manifestPath, "report_sha256", man.ReportSHA256)
+	}
+	if *asJSON {
+		return nil
 	}
 
 	if *revisit {
@@ -275,7 +253,7 @@ func run() error {
 	}
 
 	if *dotDir != "" {
-		if err := writeDOTFigures(scenario, observations, *dotDir); err != nil {
+		if err := writeDOTFigures(report, *dotDir); err != nil {
 			return err
 		}
 		fmt.Printf("\nwrote figure5.dot, figure7.dot, figure8.dot to %s (render with `dot -Tsvg`)\n", *dotDir)
@@ -318,42 +296,26 @@ func fillRunMetrics(reg *obs.Registry, tracer *obs.Tracer) {
 	}
 }
 
-// writeDOTFigures regenerates Figures 5, 7 and 8 as Graphviz files.
-func writeDOTFigures(scenario *campus.Scenario, observations []*campus.Observation, dir string) error {
+// writeDOTFigures draws Figures 5, 7 and 8 as Graphviz files from the
+// report's co-occurrence graphs.
+func writeDOTFigures(report *analysis.Report, dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	graphs := map[string]struct {
-		cat  chain.Category
+	for _, fig := range []struct {
+		name string
+		g    *graph.Graph
 		opts graph.DOTOptions
 	}{
-		"figure5.dot": {chain.Hybrid, graph.DOTOptions{Name: "figure5_hybrid", MaxNodes: 800}},
-		"figure7.dot": {chain.NonPublicDBOnly, graph.DOTOptions{Name: "figure7_nonpub", MaxNodes: 800}},
-		"figure8.dot": {chain.Interception, graph.DOTOptions{Name: "figure8_interception", OmitLeaves: true, MaxNodes: 800}},
-	}
-	names := make([]string, 0, len(graphs))
-	for name := range graphs {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		spec := graphs[name]
-		g := graph.New()
-		for _, o := range observations {
-			if len(o.Chain) > 30 {
-				continue
-			}
-			a := scenario.Classifier.Analyze(o.Chain)
-			if a.Category != spec.cat {
-				continue
-			}
-			g.AddChain(o.Chain, a.Classes)
-		}
-		f, err := os.Create(filepath.Join(dir, name))
+		{"figure5.dot", report.HybridGraph, graph.DOTOptions{Name: "figure5_hybrid", MaxNodes: 800}},
+		{"figure7.dot", report.NonPubGraph, graph.DOTOptions{Name: "figure7_nonpub", MaxNodes: 800}},
+		{"figure8.dot", report.InterceptGraph, graph.DOTOptions{Name: "figure8_interception", OmitLeaves: true, MaxNodes: 800}},
+	} {
+		f, err := os.Create(filepath.Join(dir, fig.name))
 		if err != nil {
 			return err
 		}
-		if err := g.WriteDOT(f, spec.opts); err != nil {
+		if err := fig.g.WriteDOT(f, fig.opts); err != nil {
 			f.Close()
 			return err
 		}

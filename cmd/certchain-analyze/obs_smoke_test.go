@@ -20,11 +20,7 @@ func TestObsArtifactsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the binary; skipped in -short")
 	}
-	bin := filepath.Join(t.TempDir(), "certchain-analyze")
-	build := exec.Command("go", "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
+	bin := buildAnalyze(t)
 
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "trace.json")

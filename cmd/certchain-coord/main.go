@@ -77,13 +77,9 @@ func run() error {
 	if *partsDir == "" {
 		return fmt.Errorf("need -parts")
 	}
-	f := analysis.FormatTSV
-	switch *format {
-	case "tsv":
-	case "json":
-		f = analysis.FormatJSON
-	default:
-		return fmt.Errorf("unknown format %q (tsv or json)", *format)
+	f, err := analysis.ParseFormat(*format)
+	if err != nil {
+		return err
 	}
 
 	cfg := campus.DefaultConfig()

@@ -40,6 +40,10 @@ func run() error {
 		gzipOut  = flag.Bool("gzip", false, "gzip-compress the log files (.gz suffix)")
 	)
 	flag.Parse()
+	f, err := analysis.ParseFormat(*format)
+	if err != nil {
+		return err
+	}
 
 	cfg := campus.DefaultConfig()
 	cfg.Seed = *seed
@@ -77,14 +81,7 @@ func run() error {
 		gzClosers = append(gzClosers, gs, gx)
 	}
 
-	opts := analysis.WriteOptions{MaxConnsPerObservation: *maxConns}
-	switch *format {
-	case "tsv":
-	case "json":
-		opts.Format = analysis.FormatJSON
-	default:
-		return fmt.Errorf("unknown format %q (tsv or json)", *format)
-	}
+	opts := analysis.WriteOptions{MaxConnsPerObservation: *maxConns, Format: f}
 	if err := analysis.Write(scenario.Observations, sslW, x509W, opts); err != nil {
 		return err
 	}

@@ -133,14 +133,11 @@ func run() error {
 		})
 	}
 
-	isJSON := false
-	switch *format {
-	case "tsv":
-	case "json":
-		isJSON = true
-	default:
-		return fmt.Errorf("unknown format %q (tsv or json)", *format)
+	f, err := analysis.ParseFormat(*format)
+	if err != nil {
+		return err
 	}
+	isJSON := f == analysis.FormatJSON
 
 	if *demo {
 		if *sslPath == "" || *x5Path == "" {

@@ -69,13 +69,9 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	f := analysis.FormatTSV
-	switch *format {
-	case "tsv":
-	case "json":
-		f = analysis.FormatJSON
-	default:
-		return fmt.Errorf("unknown format %q (tsv or json)", *format)
+	f, err := analysis.ParseFormat(*format)
+	if err != nil {
+		return err
 	}
 
 	cfg := campus.DefaultConfig()

@@ -126,8 +126,8 @@ func (p *Pipeline) DecodeState(data []byte) (*Accumulator, error) {
 }
 
 // AccumulateStream consumes a producer channel through the worker pool and
-// returns the merged (unfinalized) accumulator — RunStream without the
-// finalize, which is what a distributed worker ships upstream. The stream is
+// returns the merged (unfinalized) accumulator, which is what a distributed
+// worker ships upstream. The stream is
 // re-chunked into DefaultBatch-sized handoffs; sequence tags follow producer
 // order, so the result finalizes byte-identically at any worker count. Spans
 // go to the pipeline's tracer.

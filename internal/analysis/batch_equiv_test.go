@@ -1,9 +1,9 @@
 // Batch-axis equivalence suite: the batched handoff (caller-chosen batches
 // through AccumulateBatches, and the internal DefaultBatch re-chunking behind
-// RunParallel and RunStream) must reproduce the sequential report byte for
-// byte — rendered text, JSON export, and the deterministic manifest subset —
-// at every batch size, worker width, and seed, including under injected read
-// faults that cut batches mid-read.
+// RunParallel and AccumulateStream) must reproduce the sequential report
+// byte for byte — rendered text, JSON export, and the deterministic manifest
+// subset — at every batch size, worker width, and seed, including under
+// injected read faults that cut batches mid-read.
 package analysis_test
 
 import (
@@ -50,14 +50,24 @@ func feedBatches(obs []*campus.Observation, b int) <-chan []*campus.Observation 
 	return ch
 }
 
-// accumulateBatches feeds a slice to AccumulateBatches in caller-chosen
-// size-b batches and finalizes under the pipeline's tracer, as RunStream
-// does, so a traced run carries the full pipeline stage set.
-func accumulateBatches(p *analysis.Pipeline, observations []*campus.Observation, b, w int) *analysis.Report {
-	acc := p.AccumulateBatches(feedBatches(observations, b), w)
+// finalizeTraced finalizes under the pipeline's tracer, as Run does, so a
+// traced run carries the full pipeline stage set.
+func finalizeTraced(p *analysis.Pipeline, acc *analysis.Accumulator) *analysis.Report {
 	fsp := p.Tracer.Start("finalize", "finalize")
 	defer fsp.End()
 	return acc.Finalize()
+}
+
+// accumulateBatches feeds a slice to AccumulateBatches in caller-chosen
+// size-b batches and finalizes traced.
+func accumulateBatches(p *analysis.Pipeline, observations []*campus.Observation, b, w int) *analysis.Report {
+	return finalizeTraced(p, p.AccumulateBatches(feedBatches(observations, b), w))
+}
+
+// accumulateStream feeds a slice to AccumulateStream one observation at a
+// time and finalizes traced.
+func accumulateStream(p *analysis.Pipeline, observations []*campus.Observation, w int) *analysis.Report {
+	return finalizeTraced(p, p.AccumulateStream(feedObservations(observations), w))
 }
 
 // tracedRun runs one entry point under a fresh tracer and returns the
@@ -84,8 +94,8 @@ func tracedRun(t *testing.T, p *analysis.Pipeline, seed int64, w int, run func()
 }
 
 // TestBatchSizeEquivalence drives AccumulateBatches over caller-chosen
-// batches across the batch-size axis, and RunStream over a per-record feed,
-// at every width, and checks both renderings against the sequential
+// batches across the batch-size axis, and AccumulateStream over a per-record
+// feed, at every width, and checks both renderings against the sequential
 // baseline.
 func TestBatchSizeEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3}
@@ -111,7 +121,7 @@ func TestBatchSizeEquivalence(t *testing.T) {
 			}
 
 			for _, w := range widths {
-				check(p.RunStream(feedObservations(s.Observations), w), fmt.Sprintf("RunStream workers=%d", w))
+				check(accumulateStream(p, s.Observations, w), fmt.Sprintf("AccumulateStream workers=%d", w))
 				for _, b := range batchSizes {
 					check(accumulateBatches(p, s.Observations, b, w), fmt.Sprintf("AccumulateBatches batch=%d workers=%d", b, w))
 				}
@@ -155,8 +165,8 @@ func TestSurplusWorkersEquivalence(t *testing.T) {
 		{"RunParallel", func(observations []*campus.Observation, w int) *analysis.Report {
 			return p.RunParallel(observations, w)
 		}},
-		{"RunStream", func(observations []*campus.Observation, w int) *analysis.Report {
-			return p.RunStream(feedObservations(observations), w)
+		{"AccumulateStream", func(observations []*campus.Observation, w int) *analysis.Report {
+			return accumulateStream(p, observations, w)
 		}},
 		{"AccumulateBatches", func(observations []*campus.Observation, w int) *analysis.Report {
 			return accumulateBatches(p, observations, analysis.DefaultBatch, w)

@@ -189,9 +189,10 @@ func TestManifestSubsetEquivalence(t *testing.T) {
 	}
 }
 
-// TestRunStreamEquivalence feeds the same observations through the streaming
-// producer path and checks it matches the in-memory run at several widths.
-func TestRunStreamEquivalence(t *testing.T) {
+// TestAccumulateStreamEquivalence feeds the same observations through the
+// streaming producer path and checks it matches the in-memory run at several
+// widths.
+func TestAccumulateStreamEquivalence(t *testing.T) {
 	s := generate(t, 1)
 	p := lintingPipeline(s)
 	baseline := p.RunParallel(s.Observations, 1)
@@ -202,28 +203,20 @@ func TestRunStreamEquivalence(t *testing.T) {
 		counts = []int{runtime.GOMAXPROCS(0)}
 	}
 	for _, w := range counts {
-		ch := make(chan *campus.Observation, 64)
-		go func() {
-			for _, o := range s.Observations {
-				ch <- o
-			}
-			close(ch)
-		}()
-		r := p.RunStream(ch, w)
-		text, js := renderings(t, r)
+		text, js := renderings(t, accumulateStream(p, s.Observations, w))
 		if text != baseText {
-			t.Errorf("RunStream workers=%d: rendered report differs from sequential", w)
+			t.Errorf("AccumulateStream workers=%d: rendered report differs from sequential", w)
 		}
 		if !bytes.Equal(js, baseJSON) {
-			t.Errorf("RunStream workers=%d: JSON export differs from sequential", w)
+			t.Errorf("AccumulateStream workers=%d: JSON export differs from sequential", w)
 		}
 	}
 }
 
 // TestZeekStreamEquivalence round-trips a scenario through the Zeek log
-// writer and back via the streaming loader into RunStream — the exact CLI
-// log-file path — and checks the report matches the in-memory sequential run
-// over the loader's observation order.
+// writer and back via the streaming loader into AccumulateStream — the dist
+// partition path — and checks the report matches the in-memory sequential
+// run over the loader's observation order.
 func TestZeekStreamEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("zeek round-trip is not short-mode work")
@@ -255,7 +248,7 @@ func TestZeekStreamEquivalence(t *testing.T) {
 				return nil
 			})
 	}()
-	r := p.RunStream(ch, runtime.GOMAXPROCS(0))
+	r := finalizeTraced(p, p.AccumulateStream(ch, runtime.GOMAXPROCS(0)))
 	if err := <-loadErr; err != nil {
 		t.Fatal(err)
 	}

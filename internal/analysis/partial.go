@@ -458,6 +458,10 @@ func (pr *partialReport) finalize() *Report {
 		Sec42:   pr.Sec42,
 		Sec43:   Sec43{SingleStats: pr.SingleStats, InterceptSingle: pr.InterceptSingle},
 		Sec63:   pr.Sec63,
+
+		HybridGraph:    pr.HybridGraph,
+		NonPubGraph:    pr.NonPubGraph,
+		InterceptGraph: pr.InterceptGraph,
 	}
 
 	sort.Slice(pr.Excluded, func(i, j int) bool { return pr.Excluded[i][0] < pr.Excluded[j][0] })

@@ -30,8 +30,8 @@ type Pipeline struct {
 	CT         *ctlog.Log
 	Classifier *chain.Classifier
 	Registry   *intercept.Registry
-	// Workers is the shard/worker count Run uses; 0 or negative selects
-	// runtime.GOMAXPROCS(0).
+	// Workers is the shard/worker count Run (and internal/dist's partition
+	// ingest) uses; 0 or negative selects runtime.GOMAXPROCS(0).
 	Workers int
 	// Linter, when set, lints every visible chain during the observation
 	// pass and adds a corpus prevalence summary to the report (Report.Lint).
@@ -68,18 +68,10 @@ func (p *Pipeline) Run(observations []*campus.Observation) *Report {
 
 // RunParallel executes the full analysis with an explicit worker count. The
 // slice reaches the worker pool as DefaultBatch-sized sub-slices, so the
-// result is byte-identical to RunStream over the same observations in slice
-// order, at every worker count.
+// result is byte-identical to AccumulateStream plus Finalize over the same
+// observations in slice order, at every worker count.
 func (p *Pipeline) RunParallel(observations []*campus.Observation, workers int) *Report {
 	return p.finalize(p.AccumulateBatches(sliceBatches(observations), workers))
-}
-
-// RunStream executes the full analysis over a producer channel without ever
-// materializing the observation slice. The merge is order-independent (and
-// outliers are sequence-sorted), so the report is byte-identical to Run over
-// the same observations in the same producer order.
-func (p *Pipeline) RunStream(observations <-chan *campus.Observation, workers int) *Report {
-	return p.finalize(p.AccumulateStream(observations, workers))
 }
 
 // finalize is Accumulator.Finalize under the pipeline's tracer. Like merge,

@@ -7,6 +7,7 @@ package analysis
 
 import (
 	"certchains/internal/chain"
+	"certchains/internal/graph"
 	"certchains/internal/intercept"
 	"certchains/internal/lint"
 	"certchains/internal/stats"
@@ -241,6 +242,11 @@ type Report struct {
 	Sec42   Sec42
 	Sec43   Sec43
 	Sec63   Sec63
+	// HybridGraph, NonPubGraph and InterceptGraph are the co-occurrence
+	// graphs Figures 5, 7 and 8 summarize, kept for drawing them (Graphviz
+	// output); InterceptGraph still holds the leaves Figure 8 omits. The
+	// JSON export carries only the summaries.
+	HybridGraph, NonPubGraph, InterceptGraph *graph.Graph
 	// Lint is the corpus-wide lint prevalence summary; nil when the pipeline
 	// runs without a linter, leaving all other output unchanged.
 	Lint *lint.CorpusSummary

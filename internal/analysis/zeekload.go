@@ -24,6 +24,17 @@ const (
 	FormatJSON
 )
 
+// ParseFormat maps a -format flag value, "tsv" or "json", to its Format.
+func ParseFormat(s string) (Format, error) {
+	switch s {
+	case "tsv":
+		return FormatTSV, nil
+	case "json":
+		return FormatJSON, nil
+	}
+	return 0, fmt.Errorf("unknown format %q (tsv or json)", s)
+}
+
 // Load re-aggregates Zeek ssl.log / x509.log streams (TSV format) into the
 // observation model the pipeline consumes: one observation per (delivered
 // chain, server endpoint), with connection, establishment, SNI and
@@ -67,12 +78,11 @@ func LoadFormat(format Format, ssl, x509 io.Reader) ([]*campus.Observation, erro
 	return out, nil
 }
 
-// LoadFormatFunc is the streaming form of LoadFormat: instead of
-// materializing one giant observation slice, it hands each aggregated
-// observation to emit, in first-seen (chain, server endpoint) order — the
-// producer side of Pipeline.RunStream. Aggregation still requires the full
-// join pass (an observation's counters close only at end of stream), but the
-// observations themselves flow straight into the consumer.
+// LoadFormatFunc is LoadFormat with a callback: it hands each aggregated
+// observation to emit, in first-seen (chain, server endpoint) order. An
+// observation's counters close only at end of stream, so nothing is emitted
+// until the join has read both logs to the end. The callback spares the
+// result slice only; the aggregation state is held to the end either way.
 func LoadFormatFunc(format Format, ssl, x509 io.Reader, emit func(*campus.Observation) error) error {
 	var err error
 	if ssl, err = maybeGunzip(ssl); err != nil {

@@ -1,9 +1,12 @@
 package analysis_test
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 	"time"
@@ -117,6 +120,81 @@ func TestFastJoinPassAllocs(t *testing.T) {
 		}
 		if extra := int64(bN) - int64(b1); extra > maxExtraBytes {
 			t.Errorf("%d observations: %d workers allocate %d bytes more than one, budget %d", n, workers, extra, maxExtraBytes)
+		}
+	}
+}
+
+// TestLogBytesMatchInMemory pins the identity the paper checks rest on: a
+// scenario written as full-volume Zeek logs (one ssl.log row per
+// connection), loaded back and run reports byte for byte what its in-memory
+// observations report, in both log formats.
+func TestLogBytesMatchInMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-volume zeek round-trip is not short-mode work")
+	}
+	cfg := campus.DefaultConfig()
+	cfg.Seed = 1
+	cfg.Scale = 0.0005
+	s, err := campus.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := analysis.FromScenario(s)
+	wantText, wantJSON := renderings(t, p.Run(s.Observations))
+
+	for _, name := range []string{"tsv", "json"} {
+		format, err := analysis.ParseFormat(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			dir := t.TempDir()
+			sslPath, x509Path := filepath.Join(dir, "ssl.log"), filepath.Join(dir, "x509.log")
+			writeLogs(t, s.Observations, sslPath, x509Path, format)
+			sslF, err := os.Open(sslPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sslF.Close()
+			x509F, err := os.Open(x509Path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x509F.Close()
+			observations, err := analysis.LoadFormat(format, sslF, x509F)
+			if err != nil {
+				t.Fatal(err)
+			}
+			text, js := renderings(t, p.Run(observations))
+			if text != wantText {
+				t.Error("report from log bytes differs from the in-memory report")
+			}
+			if !bytes.Equal(js, wantJSON) {
+				t.Error("JSON export from log bytes differs from the in-memory export")
+			}
+		})
+	}
+}
+
+// writeLogs writes observations as uncapped Zeek logs to the two paths.
+func writeLogs(t *testing.T, observations []*campus.Observation, sslPath, x509Path string, format analysis.Format) {
+	t.Helper()
+	sslF, err := os.Create(sslPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x509F, err := os.Create(x509Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sslW, x509W := bufio.NewWriter(sslF), bufio.NewWriter(x509F)
+	if err := analysis.Write(observations, sslW, x509W, analysis.WriteOptions{Format: format}); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{sslW.Flush(), x509W.Flush(), sslF.Close(), x509F.Close()} {
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

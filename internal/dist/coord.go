@@ -36,15 +36,14 @@ const maxWireBytes = 64 << 20
 // CoordConfig configures a coordinator.
 type CoordConfig struct {
 	// Pipeline must match the workers' (seed, scale, lint profile): it
-	// decodes their partial state and recomputes the same analyses.
+	// decodes their partial state and recomputes the same analyses. Its
+	// Workers is RunLocal's in-process pool width per partition; any width
+	// produces identical reports.
 	Pipeline *analysis.Pipeline
 	// Workers are the shard daemons' base URLs ("http://127.0.0.1:9001").
 	Workers []string
 	// Format is the partition log format (RunLocal reads partitions itself).
 	Format analysis.Format
-	// Goroutines is RunLocal's in-process pool width per partition; 0
-	// selects GOMAXPROCS. Any width produces identical reports.
-	Goroutines int
 	// LeaseTTL and Poll shape the lease protocol; zero selects the
 	// defaults above.
 	LeaseTTL time.Duration
@@ -359,7 +358,7 @@ func (c *Coordinator) Run(ctx context.Context, parts []Partition) (*Result, erro
 }
 
 // RunLocal executes the same run in-process: every partition is ingested
-// locally (Goroutines-wide pool per partition) and merged through the
+// locally (a Pipeline.Workers-wide pool per partition) and merged through the
 // identical rebase path, emitting the identical stage set. This is the
 // reference rung of the equivalence claim — and the fallback when no
 // workers are up.
@@ -373,7 +372,7 @@ func (c *Coordinator) RunLocal(ctx context.Context, parts []Partition) (*Result,
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		acc, inputs, err := ingestPartition(ctx, c.cfg.Pipeline, c.fs, c.cfg.Format, c.cfg.Goroutines, 0, part, nil)
+		acc, inputs, err := ingestPartition(ctx, c.cfg.Pipeline, c.fs, c.cfg.Format, 0, part, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -554,7 +553,7 @@ func (c *Coordinator) getSealed(ctx context.Context, op, url, schema string, v a
 // ingest plus the stream stages underneath it. RunLocal passes nil — its
 // coordinator tracer keeps the fixed topology-invariant stage set.
 func ingestPartition(ctx context.Context, p *analysis.Pipeline, fs resilience.FS,
-	format analysis.Format, goroutines int, throttle time.Duration, part Partition,
+	format analysis.Format, throttle time.Duration, part Partition,
 	tracer *obs.Tracer) (*analysis.Accumulator, []obs.InputDigest, error) {
 
 	isp := tracer.Start("dist-ingest", "ingest/"+part.ID).
@@ -573,6 +572,8 @@ func ingestPartition(ctx context.Context, p *analysis.Pipeline, fs resilience.FS
 	sslR := obs.NewDigestReader(sslF)
 	x5R := obs.NewDigestReader(x5F)
 
+	// The pool folds each observation as the loader emits it, so the chaos
+	// Throttle paces the fold itself, one sleep per observation.
 	obsCh := make(chan *campus.Observation, 256)
 	loadErr := make(chan error, 1)
 	go func() {
@@ -591,7 +592,7 @@ func ingestPartition(ctx context.Context, p *analysis.Pipeline, fs resilience.FS
 	// this one its own tracer and shares the read-only components.
 	traced := *p
 	traced.Tracer = tracer
-	acc := traced.AccumulateStream(obsCh, goroutines)
+	acc := traced.AccumulateStream(obsCh, p.Workers)
 	if err := <-loadErr; err != nil {
 		return nil, nil, fmt.Errorf("dist: load partition %s: %w", part.ID, err)
 	}

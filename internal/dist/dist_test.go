@@ -43,6 +43,14 @@ func newPipeline(s *campus.Scenario, lintProfile string) *analysis.Pipeline {
 	return p
 }
 
+// sequentialPipeline is newPipeline with a one-worker observe pool: the
+// sequential reference rung.
+func sequentialPipeline(s *campus.Scenario) *analysis.Pipeline {
+	p := newPipeline(s, "")
+	p.Workers = 1
+	return p
+}
+
 // startWorkers brings up n in-process shard daemons over httptest.
 func startWorkers(t *testing.T, n int, mk func(i int) dist.WorkerConfig) []string {
 	t.Helper()
@@ -108,13 +116,14 @@ func TestDistTopologyEquivalence(t *testing.T) {
 				t.Fatalf("wrote %d partitions, want %d", len(parts), tc.parts)
 			}
 
-			runLocal := func(goroutines int) (*dist.Result, *obs.Tracer) {
+			runLocal := func(workers int) (*dist.Result, *obs.Tracer) {
 				tracer := obs.NewTracer()
+				p := newPipeline(s, tc.lint)
+				p.Workers = workers
 				c := dist.NewCoordinator(dist.CoordConfig{
-					Pipeline:   newPipeline(s, tc.lint),
-					Format:     analysis.FormatTSV,
-					Goroutines: goroutines,
-					Tracer:     tracer,
+					Pipeline: p,
+					Format:   analysis.FormatTSV,
+					Tracer:   tracer,
 				})
 				res, err := c.RunLocal(context.Background(), parts)
 				if err != nil {
@@ -197,7 +206,7 @@ func TestCoordWorkerDeathRequeue(t *testing.T) {
 	}
 	refTr := obs.NewTracer()
 	ref, err := dist.NewCoordinator(dist.CoordConfig{
-		Pipeline: newPipeline(s, ""), Format: analysis.FormatTSV, Goroutines: 1, Tracer: refTr,
+		Pipeline: sequentialPipeline(s), Format: analysis.FormatTSV, Tracer: refTr,
 	}).RunLocal(context.Background(), parts)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +297,7 @@ func TestCoordDuplicateCompletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, err := dist.NewCoordinator(dist.CoordConfig{
-		Pipeline: newPipeline(s, ""), Format: analysis.FormatTSV, Goroutines: 1,
+		Pipeline: sequentialPipeline(s), Format: analysis.FormatTSV,
 	}).RunLocal(context.Background(), parts)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +365,7 @@ func TestCoordReportedFailureRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref, err := dist.NewCoordinator(dist.CoordConfig{
-		Pipeline: newPipeline(s, ""), Format: analysis.FormatTSV, Goroutines: 1,
+		Pipeline: sequentialPipeline(s), Format: analysis.FormatTSV,
 	}).RunLocal(context.Background(), parts)
 	if err != nil {
 		t.Fatal(err)

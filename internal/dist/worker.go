@@ -21,13 +21,11 @@ type WorkerConfig struct {
 	Name string
 	// Pipeline must be built from the same seed/scale (and lint profile) as
 	// the coordinator's: partial state references analyses both sides must
-	// compute identically.
+	// compute identically. Its Workers is the in-process pool width per
+	// partition ingest; any width produces identical partial state.
 	Pipeline *analysis.Pipeline
 	// Format is the partition log format.
 	Format analysis.Format
-	// Goroutines is the in-process pool width per partition ingest; 0
-	// selects GOMAXPROCS. Any width produces identical partial state.
-	Goroutines int
 	// Registry receives the worker's metrics shard; nil allocates one.
 	Registry *obs.Registry
 	// FS is the partition-read seam; nil uses the real filesystem. The
@@ -90,9 +88,6 @@ type workerPartition struct {
 
 // NewWorker builds a worker. Close releases its ingest goroutines.
 func NewWorker(cfg WorkerConfig) *Worker {
-	if cfg.Goroutines < 1 {
-		cfg.Goroutines = 0 // AccumulateStream normalizes to GOMAXPROCS
-	}
 	reg := cfg.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -266,7 +261,7 @@ func (w *Worker) ingest(part Partition) (int64, []byte, []obs.InputDigest, []obs
 	// upstream by itself, and concurrent partitions never interleave spans.
 	tracer := obs.NewTracer()
 	acc, inputs, err := ingestPartition(w.ctx, w.cfg.Pipeline, w.fs, w.cfg.Format,
-		w.cfg.Goroutines, w.cfg.Throttle, part, tracer)
+		w.cfg.Throttle, part, tracer)
 	if err != nil {
 		return 0, nil, nil, nil, err
 	}
