@@ -5,7 +5,11 @@ package campus_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"hash"
+	"io"
 	"reflect"
 	"sort"
 	"strings"
@@ -281,5 +285,293 @@ func TestConnExpansionLongSpan(t *testing.T) {
 	}
 	if st := j.Stats(); st.Orphans != 0 || st.Forced != 0 || joined != o.Conns {
 		t.Errorf("joiner stats %+v, joined %d of %d", st, joined, o.Conns)
+	}
+}
+
+// replayOracle is the materialise-and-sort Replay the merge replaced: every
+// row becomes a tagged record, the records are stable-sorted by (ts,
+// certificate before connection, generation ordinal) and written in that
+// order. It is kept verbatim as the reference the merge must match byte for
+// byte.
+func replayOracle(observations []*campus.Observation, ssl, x509 io.Writer, opts campus.ReplayOptions) error {
+	type replayRecord struct {
+		ts  time.Time
+		ord int
+		x   *zeek.X509Record
+		s   *zeek.SSLRecord
+	}
+	if opts.BatchRecords <= 0 {
+		opts.BatchRecords = 64
+	}
+	var recs []*replayRecord
+	uid := 0
+	ord := 0
+	add := func(r *replayRecord) {
+		r.ord = ord
+		ord++
+		recs = append(recs, r)
+	}
+	certFirst := make(map[string]time.Time)
+	for _, o := range observations {
+		for _, m := range o.Chain {
+			if t, ok := certFirst[string(m.FP)]; !ok || o.First.Before(t) {
+				certFirst[string(m.FP)] = o.First
+			}
+		}
+	}
+	seenCert := make(map[string]bool)
+	for _, o := range observations {
+		fuids := make([]string, len(o.Chain))
+		for i, m := range o.Chain {
+			fuids[i] = string(m.FP)
+			if !seenCert[fuids[i]] {
+				seenCert[fuids[i]] = true
+				first := certFirst[fuids[i]]
+				add(&replayRecord{ts: first, x: zeek.FromMeta(m, first)})
+			}
+		}
+		err := campus.ExpandConns(o, fuids, opts.MaxConnsPerObservation, &uid, func(r *zeek.SSLRecord) error {
+			c := *r // ExpandConns may reuse its record between rows
+			add(&replayRecord{ts: c.TS, s: &c})
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+	}
+	sort.SliceStable(recs, func(i, j int) bool {
+		a, b := recs[i], recs[j]
+		if !a.ts.Equal(b.ts) {
+			return a.ts.Before(b.ts)
+		}
+		if (a.x != nil) != (b.x != nil) {
+			return a.x != nil
+		}
+		return a.ord < b.ord
+	})
+	var open, closeAt time.Time
+	if len(recs) > 0 {
+		open, closeAt = recs[0].ts, recs[len(recs)-1].ts
+	}
+	sink := zeek.NewLogWriter(opts.JSON, ssl, x509, open)
+	for i, r := range recs {
+		if opts.Pace != nil {
+			if err := opts.Pace(r.ts); err != nil {
+				return err
+			}
+		}
+		var err error
+		if r.x != nil {
+			err = sink.WriteX509(r.x)
+		} else {
+			err = sink.WriteSSL(r.s)
+		}
+		if err != nil {
+			return err
+		}
+		if (i+1)%opts.BatchRecords == 0 {
+			if err := sink.Flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return sink.Close(closeAt)
+}
+
+// replayDigest is what one replay leaves behind: the SHA-256 of each log and
+// the (ts, ssl offset, x509 offset) seen at every Pace call. The offsets are
+// the flush boundaries a tailing reader cuts at, so they are pinned with the
+// bytes.
+type replayDigest struct {
+	SSL, X509 string
+	Pace      []pacedRecord
+}
+
+type pacedRecord struct{ ts, ssl, x509 int64 }
+
+// digestCounter hashes what it is handed and counts the bytes.
+type digestCounter struct {
+	h hash.Hash
+	n int64
+}
+
+func newDigestCounter() *digestCounter { return &digestCounter{h: sha256.New()} }
+
+func (d *digestCounter) Write(p []byte) (int, error) {
+	d.n += int64(len(p))
+	return d.h.Write(p)
+}
+
+func (d *digestCounter) sum() string { return hex.EncodeToString(d.h.Sum(nil)) }
+
+type replayFunc func([]*campus.Observation, io.Writer, io.Writer, campus.ReplayOptions) error
+
+func digestReplay(t *testing.T, replay replayFunc, obs []*campus.Observation, opts campus.ReplayOptions) replayDigest {
+	t.Helper()
+	ssl, x509 := newDigestCounter(), newDigestCounter()
+	var d replayDigest
+	opts.BatchRecords = 7 // flush often, so cut offsets are checked densely
+	opts.Pace = func(ts time.Time) error {
+		d.Pace = append(d.Pace, pacedRecord{ts.UnixNano(), ssl.n, x509.n})
+		return nil
+	}
+	if err := replay(obs, ssl, x509, opts); err != nil {
+		t.Fatal(err)
+	}
+	d.SSL, d.X509 = ssl.sum(), x509.sum()
+	return d
+}
+
+func sameReplay(t *testing.T, obs []*campus.Observation, opts campus.ReplayOptions) {
+	t.Helper()
+	want := digestReplay(t, replayOracle, obs, opts)
+	got := digestReplay(t, campus.Replay, obs, opts)
+	if got.SSL != want.SSL || got.X509 != want.X509 {
+		t.Errorf("log bytes differ from the oracle: ssl %s vs %s, x509 %s vs %s", got.SSL, want.SSL, got.X509, want.X509)
+	}
+	if len(got.Pace) != len(want.Pace) {
+		t.Fatalf("%d paced records, oracle %d", len(got.Pace), len(want.Pace))
+	}
+	for i := range want.Pace {
+		if got.Pace[i] != want.Pace[i] {
+			t.Fatalf("paced record %d: ts/ssl/x509 %v, oracle %v", i, got.Pace[i], want.Pace[i])
+		}
+	}
+}
+
+func scenarioAt(t *testing.T, seed int64, scale float64) *campus.Scenario {
+	t.Helper()
+	cfg := campus.DefaultConfig()
+	cfg.Seed = seed
+	cfg.Scale = scale
+	s, err := campus.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// TestReplayMatchesOracle: the merge writes the oracle's bytes, flush for
+// flush, over seeds × formats × row caps (0 is full volume).
+func TestReplayMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		s := scenarioAt(t, seed, 0.0005)
+		for _, json := range []bool{false, true} {
+			for _, maxConns := range []int64{0, 4, 256} {
+				t.Run(fmt.Sprintf("seed%d/json=%v/cap%d", seed, json, maxConns), func(t *testing.T) {
+					sameReplay(t, s.Observations, campus.ReplayOptions{MaxConnsPerObservation: maxConns, JSON: json})
+				})
+			}
+		}
+	}
+}
+
+// TestReplayOracleTies pins the order where timestamps tie or observations
+// are degenerate.
+func TestReplayOracleTies(t *testing.T) {
+	base := replayScenario(t).Observations
+	var withChain []*campus.Observation
+	for _, o := range base {
+		if len(o.Chain) > 0 {
+			withChain = append(withChain, o)
+		}
+	}
+	at := time.Date(2024, 3, 1, 12, 0, 0, 0, time.UTC)
+	obs := func(i int, conns int64, first, last time.Time) *campus.Observation {
+		o := *withChain[i]
+		o.Conns, o.Established, o.NoSNI = conns, conns/2, conns/3
+		o.First, o.Last = first, last
+		return &o
+	}
+	cases := []struct {
+		name string
+		obs  []*campus.Observation
+	}{
+		// The second observation's certificates are first seen at the
+		// instant of one of the first's connection rows: they are logged
+		// ahead of it, though generated after it.
+		{"cert-and-conn-same-instant", []*campus.Observation{
+			obs(0, 5, at, at.Add(4*time.Hour)),
+			obs(1, 3, at.Add(2*time.Hour), at.Add(3*time.Hour)),
+		}},
+		// A later-generated observation that starts earlier moves its
+		// certificates' shared timestamp back.
+		{"shared-cert-earlier-first", []*campus.Observation{
+			obs(0, 4, at.Add(time.Hour), at.Add(2*time.Hour)),
+			obs(0, 4, at, at.Add(3*time.Hour)),
+		}},
+		{"zero-span", []*campus.Observation{
+			obs(0, 6, at, at),
+			obs(1, 6, at, at),
+		}},
+		// A one-row observation's only row is at First, so it does not
+		// stretch #close to Last.
+		{"one-row-last-after-first", []*campus.Observation{
+			obs(0, 1, at, at.Add(48*time.Hour)),
+			obs(1, 2, at.Add(time.Hour), at.Add(2*time.Hour)),
+		}},
+		// Conns = 0 still logs the chain.
+		{"no-conns", []*campus.Observation{
+			obs(0, 0, at.Add(5*time.Hour), at.Add(9*time.Hour)),
+			obs(1, 2, at, at.Add(time.Hour)),
+		}},
+		{"last-before-first", []*campus.Observation{
+			obs(0, 4, at.Add(time.Hour), at),
+		}},
+		{"empty", nil},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, json := range []bool{false, true} {
+				for _, maxConns := range []int64{0, 1, 2} {
+					sameReplay(t, c.obs, campus.ReplayOptions{MaxConnsPerObservation: maxConns, JSON: json})
+				}
+			}
+		})
+	}
+}
+
+// TestLogDigests pins the bytes of both log writers at seed 1, scale 0.0005,
+// full volume, in both formats. The digests change only with a deliberate
+// change to the generator or the log format.
+func TestLogDigests(t *testing.T) {
+	s := scenarioAt(t, 1, 0.0005)
+	want := map[string][2]string{
+		"Write/tsv": {
+			"39b7d8df6d7943efb93b2120b962d62615d21cbd4ce76d24c410fe1ae615160c",
+			"5cf4fa03c06025e231940fbe8127392e4b4e9b00f338a3c3e73e1583e457ce0d",
+		},
+		"Write/json": {
+			"c2d3b21ed3904e4785b5476ec057f4c68e6807382d791ca5c2b950e6c3a8cda8",
+			"fb04f89f3dc1371a62866199cbf5c9c6f81ae06b67ad106941e091f8668e3527",
+		},
+		"Replay/tsv": {
+			"39520d14d3666cf9dd975c448708255916992d122b7d09b170d113d610ea54ce",
+			"ebb77583784bfe689646e50dc077a1b14b098e12a7436ad2de302b04287c4aba",
+		},
+		"Replay/json": {
+			"b3d92411ace68962ef2682a2f0385da5a3278089ea6fec1b518b6de15a608ffe",
+			"98e02c9510209b3af58d01d798c8f4ffb611f19d3cb1fcb717004a286f522255",
+		},
+	}
+	for _, json := range []bool{false, true} {
+		format, aformat := "tsv", analysis.FormatTSV
+		if json {
+			format, aformat = "json", analysis.FormatJSON
+		}
+		ssl, x509 := newDigestCounter(), newDigestCounter()
+		if err := analysis.Write(s.Observations, ssl, x509, analysis.WriteOptions{Format: aformat}); err != nil {
+			t.Fatal(err)
+		}
+		if got, w := [2]string{ssl.sum(), x509.sum()}, want["Write/"+format]; got != w {
+			t.Errorf("Write/%s digests %q, want %q", format, got, w)
+		}
+		ssl, x509 = newDigestCounter(), newDigestCounter()
+		if err := campus.Replay(s.Observations, ssl, x509, campus.ReplayOptions{JSON: json}); err != nil {
+			t.Fatal(err)
+		}
+		if got, w := [2]string{ssl.sum(), x509.sum()}, want["Replay/"+format]; got != w {
+			t.Errorf("Replay/%s digests %q, want %q", format, got, w)
+		}
 	}
 }
