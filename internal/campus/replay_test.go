@@ -451,13 +451,21 @@ func scenarioAt(t *testing.T, seed int64, scale float64) *campus.Scenario {
 	return s
 }
 
+// underRace is set in race-detector builds (race_test.go), which check the
+// oracle on the smallest corpus only: Replay runs on one goroutine.
+var underRace bool
+
 // TestReplayMatchesOracle: the merge writes the oracle's bytes, flush for
 // flush, over seeds × formats × row caps (0 is full volume).
 func TestReplayMatchesOracle(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
+	seeds, caps := int64(3), []int64{0, 4, 256}
+	if underRace {
+		seeds, caps = 1, []int64{4}
+	}
+	for seed := int64(1); seed <= seeds; seed++ {
 		s := scenarioAt(t, seed, 0.0005)
 		for _, json := range []bool{false, true} {
-			for _, maxConns := range []int64{0, 4, 256} {
+			for _, maxConns := range caps {
 				t.Run(fmt.Sprintf("seed%d/json=%v/cap%d", seed, json, maxConns), func(t *testing.T) {
 					sameReplay(t, s.Observations, campus.ReplayOptions{MaxConnsPerObservation: maxConns, JSON: json})
 				})
@@ -535,6 +543,9 @@ func TestReplayOracleTies(t *testing.T) {
 // full volume, in both formats. The digests change only with a deliberate
 // change to the generator or the log format.
 func TestLogDigests(t *testing.T) {
+	if underRace {
+		t.Skip("full-volume logs; the writers run on one goroutine")
+	}
 	s := scenarioAt(t, 1, 0.0005)
 	want := map[string][2]string{
 		"Write/tsv": {
