@@ -11,6 +11,7 @@ import (
 	"hash"
 	"io"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -584,5 +585,45 @@ func TestLogDigests(t *testing.T) {
 		if got, w := [2]string{ssl.sum(), x509.sum()}, want["Replay/"+format]; got != w {
 			t.Errorf("Replay/%s digests %q, want %q", format, got, w)
 		}
+	}
+}
+
+// BenchmarkReplay: rows written per second and allocations per row of a
+// full replay, seed 1, scale 0.002, 256 rows per observation (the streaming
+// benchmark corpus), into discarding writers.
+func BenchmarkReplay(b *testing.B) {
+	cfg := campus.DefaultConfig()
+	cfg.Seed, cfg.Scale = 1, 0.002
+	s, err := campus.Generate(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, json := range []bool{false, true} {
+		name := "tsv"
+		if json {
+			name = "json"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := campus.ReplayOptions{MaxConnsPerObservation: 256, JSON: json}
+			var rows int64
+			count := opts
+			count.Pace = func(time.Time) error { rows++; return nil }
+			if err := campus.Replay(s.Observations, io.Discard, io.Discard, count); err != nil {
+				b.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := campus.Replay(s.Observations, io.Discard, io.Discard, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			total := float64(rows) * float64(b.N)
+			b.ReportMetric(total/b.Elapsed().Seconds(), "rows/s")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/total, "allocs/row")
+		})
 	}
 }

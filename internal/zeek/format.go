@@ -15,6 +15,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"time"
@@ -79,11 +81,6 @@ func (w *Writer) writeHeader() error {
 // WriteRecord writes one record; values must align with the header fields.
 // Nil/empty strings are emitted as the unset sentinel.
 func (w *Writer) WriteRecord(values []string) error {
-	if !w.opened {
-		if err := w.writeHeader(); err != nil {
-			return err
-		}
-	}
 	if len(values) != len(w.header.Fields) {
 		return fmt.Errorf("zeek: record has %d values, header has %d fields", len(values), len(w.header.Fields)) //certchain:coldpath caller-bug error path
 	}
@@ -92,10 +89,18 @@ func (w *Writer) WriteRecord(values []string) error {
 		if i > 0 {
 			w.line = append(w.line, '\t')
 		}
-		if v == "" {
-			v = UnsetField
+		w.line = appendField(w.line, v)
+	}
+	return w.writeLine()
+}
+
+// writeLine ends the record formatted in w.line and writes it, after the
+// header block if the stream has none yet.
+func (w *Writer) writeLine() error {
+	if !w.opened {
+		if err := w.writeHeader(); err != nil {
+			return err
 		}
-		w.line = appendEscaped(w.line, v)
 	}
 	w.line = append(w.line, '\n')
 	_, err := w.w.Write(w.line)
@@ -127,23 +132,64 @@ func (w *Writer) Flush() error {
 	return w.w.Flush()
 }
 
+// appendField appends v as a TSV value, the unset sentinel when empty.
+func appendField(dst []byte, v string) []byte {
+	if v == "" {
+		return append(dst, UnsetField...)
+	}
+	return appendEscaped(dst, v)
+}
+
+// appendVector appends a vector value: the elements escaped and joined by
+// the set separator, the unset sentinel when that join is empty. Only the
+// join's first byte is checked for a leading '#'.
+func appendVector(dst []byte, elems []string) []byte {
+	if len(elems) == 0 || len(elems) == 1 && elems[0] == "" {
+		return append(dst, UnsetField...)
+	}
+	for i, e := range elems {
+		if i == 0 {
+			dst = appendEscaped(dst, e)
+			continue
+		}
+		dst = append(dst, SetSeparator...)
+		dst = appendEscapedBody(dst, e)
+	}
+	return dst
+}
+
+// appendBool appends a Zeek bool.
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 'T')
+	}
+	return append(dst, 'F')
+}
+
 // appendEscaped appends v as a TSV value: tab, newline and backslash
 // escaped, and a leading '#', which would make a data line read as a header
 // directive.
 func appendEscaped(dst []byte, v string) []byte {
-	if !strings.ContainsAny(v, "\t\n\\") && !strings.HasPrefix(v, "#") {
+	if v != "" && v[0] == '#' {
+		dst = append(dst, `\x23`...)
+		v = v[1:]
+	}
+	return appendEscapedBody(dst, v)
+}
+
+// appendEscapedBody is appendEscaped past the first byte: '#' is literal.
+func appendEscapedBody(dst []byte, v string) []byte {
+	if strings.IndexByte(v, '\t') < 0 && strings.IndexByte(v, '\n') < 0 && strings.IndexByte(v, '\\') < 0 {
 		return append(dst, v...)
 	}
 	for i := 0; i < len(v); i++ {
-		switch c := v[i]; {
-		case c == '\t':
+		switch c := v[i]; c {
+		case '\t':
 			dst = append(dst, `\x09`...)
-		case c == '\n':
+		case '\n':
 			dst = append(dst, `\x0a`...)
-		case c == '\\':
+		case '\\':
 			dst = append(dst, `\\`...)
-		case c == '#' && i == 0:
-			dst = append(dst, `\x23`...)
 		default:
 			dst = append(dst, c)
 		}
@@ -253,6 +299,53 @@ func parseDirective(line string) (fields []string, ok bool) {
 // FormatTime renders a Zeek time value (epoch with microsecond precision).
 func FormatTime(t time.Time) string {
 	return strconv.FormatFloat(float64(t.UnixNano())/1e9, 'f', 6, 64)
+}
+
+// appendEpoch appends float64(ns)/1e9 with six decimals, byte for byte what
+// strconv.FormatFloat(float64(ns)/1e9, 'f', 6, 64) returns (FormatTime),
+// without strconv's arbitrary-precision path.
+func appendEpoch(dst []byte, ns int64) []byte {
+	micros, neg, _, ok := epochMicros(ns)
+	if !ok {
+		return strconv.AppendFloat(dst, float64(ns)/1e9, 'f', 6, 64)
+	}
+	return appendMicros(dst, micros, neg)
+}
+
+// epochMicros returns |float64(ns)/1e9| in whole microseconds, rounded as
+// strconv's fixed-precision formatting rounds: half to even on the float's
+// exact binary value, not on ns. The float is mant/2^shift with a 53-bit
+// mant; the product mant*1e6 fits in 128 bits, so the division is exact.
+// ok is false outside 2^-11 ≤ |f| < 2^43 (shift outside [10, 63]), where the
+// quotient or the shift leaves 64 bits.
+func epochMicros(ns int64) (micros uint64, neg bool, shift uint, ok bool) {
+	b := math.Float64bits(float64(ns) / 1e9)
+	neg = b>>63 != 0
+	biased := int(b >> 52 & 0x7ff)
+	if biased == 0 || biased > 1075-10 || biased < 1075-63 {
+		return 0, neg, 0, false
+	}
+	shift = uint(1075 - biased)
+	mant := b&(1<<52-1) | 1<<52
+	hi, lo := bits.Mul64(mant, 1e6)
+	q := hi<<(64-shift) | lo>>shift
+	rem, half := lo&(1<<shift-1), uint64(1)<<(shift-1)
+	if rem > half || rem == half && q&1 == 1 {
+		q++
+	}
+	return q, neg, shift, true
+}
+
+// appendMicros appends ±micros/1e6 with six decimals.
+func appendMicros(dst []byte, micros uint64, neg bool) []byte {
+	if neg {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, micros/1e6, 10)
+	frac := micros % 1e6
+	return append(dst, '.',
+		byte('0'+frac/1e5), byte('0'+frac/1e4%10), byte('0'+frac/1e3%10),
+		byte('0'+frac/100%10), byte('0'+frac/10%10), byte('0'+frac%10))
 }
 
 // FormatBool renders a Zeek bool.

@@ -74,78 +74,53 @@ func NewLogWriter(ndjson bool, ssl, x509 io.Writer, open time.Time) *LogWriter {
 
 // WriteSSL emits one connection record.
 func (l *LogWriter) WriteSSL(r *SSLRecord) error {
+	w := l.ssl
 	if l.json {
-		return l.ssl.writeJSON(&jsonSSLRecord{
-			TS:             epochOf(r.TS),
-			UID:            r.UID,
-			OrigH:          r.OrigH,
-			OrigP:          r.OrigP,
-			RespH:          r.RespH,
-			RespP:          r.RespP,
-			Version:        optStr(r.Version),
-			Cipher:         optStr(r.Cipher),
-			ServerName:     optStr(r.ServerName),
-			Resumed:        r.Resumed,
-			Established:    r.Established,
-			CertChainFUIDs: r.CertChainFUIDs,
-		})
+		w.line = appendSSLJSON(w.line[:0], r)
+		return w.writeLine()
 	}
-	return l.ssl.WriteRecord([]string{
-		FormatTime(r.TS),
-		r.UID,
-		r.OrigH,
-		strconv.Itoa(r.OrigP),
-		r.RespH,
-		strconv.Itoa(r.RespP),
-		r.Version,
-		r.Cipher,
-		r.ServerName,
-		FormatBool(r.Resumed),
-		FormatBool(r.Established),
-		strings.Join(r.CertChainFUIDs, SetSeparator),
-	})
+	b := appendEpoch(w.line[:0], r.TS.UnixNano())
+	b = appendField(append(b, '\t'), r.UID)
+	b = appendField(append(b, '\t'), r.OrigH)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.OrigP), 10)
+	b = appendField(append(b, '\t'), r.RespH)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.RespP), 10)
+	b = appendField(append(b, '\t'), r.Version)
+	b = appendField(append(b, '\t'), r.Cipher)
+	b = appendField(append(b, '\t'), r.ServerName)
+	b = appendBool(append(b, '\t'), r.Resumed)
+	b = appendBool(append(b, '\t'), r.Established)
+	w.line = appendVector(append(b, '\t'), r.CertChainFUIDs)
+	return w.writeLine()
 }
 
 // WriteX509 emits one certificate record.
 func (l *LogWriter) WriteX509(r *X509Record) error {
+	w := l.x509
 	if l.json {
-		return l.x509.writeJSON(&jsonX509Record{
-			TS:             epochOf(r.TS),
-			ID:             r.ID,
-			Version:        r.Version,
-			Serial:         r.Serial,
-			Subject:        r.Subject,
-			Issuer:         r.Issuer,
-			NotValidBefore: epochOf(r.NotValidBefore),
-			NotValidAfter:  epochOf(r.NotValidAfter),
-			KeyAlg:         optStr(r.KeyAlg),
-			SigAlg:         optStr(r.SigAlg),
-			KeyType:        optStr(r.KeyType),
-			KeyLength:      r.KeyLength,
-			BasicCA:        r.BasicConstraintsCA,
-			SANDNS:         r.SANDNS,
-		})
+		w.line = appendX509JSON(w.line[:0], r)
+		return w.writeLine()
 	}
-	bc := ""
-	if r.BasicConstraintsCA != nil {
-		bc = FormatBool(*r.BasicConstraintsCA)
+	b := appendEpoch(w.line[:0], r.TS.UnixNano())
+	b = appendField(append(b, '\t'), r.ID)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.Version), 10)
+	b = appendField(append(b, '\t'), r.Serial)
+	b = appendField(append(b, '\t'), r.Subject)
+	b = appendField(append(b, '\t'), r.Issuer)
+	b = appendEpoch(append(b, '\t'), r.NotValidBefore.UnixNano())
+	b = appendEpoch(append(b, '\t'), r.NotValidAfter.UnixNano())
+	b = appendField(append(b, '\t'), r.KeyAlg)
+	b = appendField(append(b, '\t'), r.SigAlg)
+	b = appendField(append(b, '\t'), r.KeyType)
+	b = strconv.AppendInt(append(b, '\t'), int64(r.KeyLength), 10)
+	b = append(b, '\t')
+	if r.BasicConstraintsCA == nil {
+		b = append(b, UnsetField...)
+	} else {
+		b = appendBool(b, *r.BasicConstraintsCA)
 	}
-	return l.x509.WriteRecord([]string{
-		FormatTime(r.TS),
-		r.ID,
-		strconv.Itoa(r.Version),
-		r.Serial,
-		r.Subject,
-		r.Issuer,
-		FormatTime(r.NotValidBefore),
-		FormatTime(r.NotValidAfter),
-		r.KeyAlg,
-		r.SigAlg,
-		r.KeyType,
-		strconv.Itoa(r.KeyLength),
-		bc,
-		strings.Join(r.SANDNS, SetSeparator),
-	})
+	w.line = appendVector(append(b, '\t'), r.SANDNS)
+	return w.writeLine()
 }
 
 // Flush pushes both streams' buffered records without closing them.
