@@ -106,10 +106,12 @@ chaos:
 		|| { echo "coverage ratchet failed: $$cov% < $(RESILIENCE_COVER_FLOOR)%"; exit 1; }
 
 # One Go benchmark per paper table/figure plus ablations (bench_test.go),
-# then certchain-bench: the four BENCHMARK.json workloads from Zeek log bytes
-# to report bytes, as tables (cmd/certchain-bench/README.md).
+# the log writers (zeek.LogWriter per row, campus.Replay rows/s and
+# allocs/row), then certchain-bench: the four BENCHMARK.json workloads from
+# Zeek log bytes to report bytes, as tables (cmd/certchain-bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem .
+	$(GO) test -run '^$$' -bench 'Write|Replay' -benchmem ./internal/zeek ./internal/campus
 	$(GO) run ./cmd/certchain-bench
 
 # The performance gate, and the only one: certchain-bench on BASE and on the
@@ -127,8 +129,9 @@ bench-compare:
 	$(GO) run ./cmd/certchain-bench -out .bench-compare/head.json
 	$(GO) run ./cmd/certchain-bench -compare .bench-compare/base.json .bench-compare/head.json
 
-# Short fuzz pass over the parsers and the shard-merge property (longer
-# runs: increase -fuzztime).
+# Short fuzz pass over the parsers, the log writers' encoders (against
+# strconv and encoding/json) and the shard-merge property (longer runs:
+# increase -fuzztime).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dn/
 	$(GO) test -fuzz FuzzFieldRoundTrip -fuzztime 20s ./internal/zeek/
@@ -140,6 +143,8 @@ fuzz:
 	$(GO) test -fuzz FuzzFastJoinBlockCuts -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzGroupedLoadBlockCuts -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzStreamDecodeEquivalence -fuzztime 30s ./internal/zeek/
+	$(GO) test -fuzz FuzzAppendEpoch -fuzztime 20s ./internal/zeek/
+	$(GO) test -fuzz FuzzJSONWire -fuzztime 30s ./internal/zeek/
 	$(GO) test -fuzz FuzzShardMerge -fuzztime 30s ./internal/analysis/
 	$(GO) test -fuzz FuzzRegistryMerge -fuzztime 20s ./internal/obs/
 	$(GO) test -fuzz FuzzLintChain -fuzztime 30s ./internal/lint/

@@ -1,10 +1,13 @@
 // Process-level tests of the command line: flag combinations the command
-// must refuse, and the Graphviz figures both input modes draw.
+// must refuse, the Graphviz figures both input modes draw, and the bytes
+// -verify prints.
 package main_test
 
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -128,6 +131,29 @@ func TestDOTMatchesAcrossModes(t *testing.T) {
 		}
 		if !bytes.Equal(mem, fromLogs) {
 			t.Errorf("%s differs between in-memory and log-file runs", name)
+		}
+	}
+}
+
+// TestVerifyOutputDigest pins what -verify prints at seed 1, scale 0.002,
+// with and without the §5 summary. §5 is analysed once for both the summary
+// and its checks; the bytes are the ones two separate analyses printed.
+func TestVerifyOutputDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the binary; skipped in -short")
+	}
+	bin := buildAnalyze(t)
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-verify"}, "ea505949e49aa59c043cb05a736eb4cbf362ff8b56b1cd16c7ecc97dd2673f8a"},
+		{[]string{"-verify", "-revisit=false"}, "3ad7d7ef7f2f865a9f9f963027bab4291528617e015f5e10cfc55ace73c19df8"},
+	} {
+		out := runAnalyze(t, bin, append([]string{"-seed", "1", "-scale", "0.002"}, tc.args...)...)
+		sum := sha256.Sum256(out)
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("certchain-analyze %v: stdout SHA-256 %s, want %s", tc.args, got, tc.want)
 		}
 	}
 }

@@ -229,16 +229,20 @@ func run() error {
 		return nil
 	}
 
+	// §5 is analysed once, for the printed summary and the checks alike.
+	var rr *analysis.RevisitReport
+	if *revisit || *verify {
+		rr = analysis.AnalyzeRevisit(scenario.Classifier, scenario.Revisit, "Lets Encrypt")
+	}
 	if *revisit {
 		fmt.Println()
-		rr := analysis.AnalyzeRevisit(scenario.Classifier, scenario.Revisit, "Lets Encrypt")
 		fmt.Print(rr.Render())
 	}
 
 	if *verify {
 		fmt.Println("\nPaper-vs-measured verification:")
 		checks := paper.Verify(report)
-		checks = append(checks, paper.VerifyRevisit(analysis.AnalyzeRevisit(scenario.Classifier, scenario.Revisit, "Lets Encrypt"))...)
+		checks = append(checks, paper.VerifyRevisit(rr)...)
 		failed := 0
 		for _, c := range checks {
 			fmt.Println(" ", c)

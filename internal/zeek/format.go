@@ -296,14 +296,10 @@ func parseDirective(line string) (fields []string, ok bool) {
 	return strings.Split(rest, Separator), true
 }
 
-// FormatTime renders a Zeek time value (epoch with microsecond precision).
-func FormatTime(t time.Time) string {
-	return strconv.FormatFloat(float64(t.UnixNano())/1e9, 'f', 6, 64)
-}
-
-// appendEpoch appends float64(ns)/1e9 with six decimals, byte for byte what
-// strconv.FormatFloat(float64(ns)/1e9, 'f', 6, 64) returns (FormatTime),
-// without strconv's arbitrary-precision path.
+// appendEpoch appends a Zeek time value, epoch seconds with microsecond
+// precision: float64(ns)/1e9 with six decimals, byte for byte what
+// strconv.FormatFloat(float64(ns)/1e9, 'f', 6, 64) returns, without
+// strconv's arbitrary-precision path.
 func appendEpoch(dst []byte, ns int64) []byte {
 	micros, neg, _, ok := epochMicros(ns)
 	if !ok {

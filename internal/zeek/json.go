@@ -15,7 +15,7 @@ import (
 // epoch seconds with fractional precision, exactly as Zeek renders them.
 
 // The writer appends both wire forms by hand, byte for byte what
-// encoding/json marshals for them (json_test.go keeps the structs as the
+// encoding/json marshals for them (wire_test.go keeps the structs as the
 // reference): unset string fields, a zero key length, an absent basic
 // constraint and empty vectors are omitted; times are the float the TSV
 // text denotes, in encoding/json's float form.
@@ -104,7 +104,7 @@ func appendJSONStrings(b []byte, key string, vs []string) []byte {
 }
 
 // appendJSONEpoch appends the number encoding/json writes for the float
-// that FormatTime's six-decimal text parses to. For 2^-11 ≤ |f| < 2^33 the
+// that appendEpoch's six-decimal text parses to. For 2^-11 ≤ |f| < 2^33 the
 // float's spacing is under a microsecond, so the shortest text that parses
 // back to it is the six-decimal text without trailing zeros.
 func appendJSONEpoch(b []byte, ns int64) []byte {

@@ -57,7 +57,7 @@ func optStr(s string) *string {
 
 // epochOf is the float the TSV time text denotes.
 func epochOf(t time.Time) float64 {
-	f, _ := strconv.ParseFloat(FormatTime(t), 64)
+	f, _ := strconv.ParseFloat(strconv.FormatFloat(float64(t.UnixNano())/1e9, 'f', 6, 64), 64)
 	return f
 }
 
@@ -130,8 +130,9 @@ func TestAppendEpochSeeds(t *testing.T) {
 	}
 }
 
-// FuzzAppendEpoch: appendEpoch is FormatTime's text and appendJSONEpoch is
-// encoding/json's form of the float that text parses to, for any ns.
+// FuzzAppendEpoch: appendEpoch is strconv's six-decimal text and
+// appendJSONEpoch is encoding/json's form of the float that text parses to,
+// for any ns.
 func FuzzAppendEpoch(f *testing.F) {
 	for _, ns := range epochSeeds {
 		f.Add(ns)
