@@ -107,11 +107,12 @@ chaos:
 
 # One Go benchmark per paper table/figure plus ablations (bench_test.go),
 # the log writers (zeek.LogWriter per row, campus.Replay rows/s and
-# allocs/row), then certchain-bench: the four BENCHMARK.json workloads from
-# Zeek log bytes to report bytes, as tables (cmd/certchain-bench/README.md).
+# allocs/row), world generation (campus.Generate), then certchain-bench: the
+# four BENCHMARK.json workloads from Zeek log bytes to report bytes, as
+# tables (cmd/certchain-bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) test -run '^$$' -bench 'Write|Replay' -benchmem ./internal/zeek ./internal/campus
+	$(GO) test -run '^$$' -bench 'Write|Replay|Generate' -benchmem ./internal/zeek ./internal/campus
 	$(GO) run ./cmd/certchain-bench
 
 # The performance gate, and the only one: certchain-bench on BASE and on the
@@ -134,6 +135,7 @@ bench-compare:
 # increase -fuzztime).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dn/
+	$(GO) test -fuzz FuzzDNString -fuzztime 20s ./internal/dn/
 	$(GO) test -fuzz FuzzFieldRoundTrip -fuzztime 20s ./internal/zeek/
 	$(GO) test -fuzz FuzzReader -fuzztime 20s ./internal/zeek/
 	$(GO) test -fuzz FuzzJSONReader -fuzztime 20s ./internal/zeek/

@@ -1,6 +1,7 @@
 package campus
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -387,13 +388,19 @@ func TestObservationEstablishRate(t *testing.T) {
 	}
 }
 
+// BenchmarkGenerate: one world (seed 1) per op, at the smallest scale that
+// keeps every structural absolute and at five times it.
 func BenchmarkGenerate(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Scale = 0.001
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := Generate(cfg); err != nil {
-			b.Fatal(err)
-		}
+	for _, scale := range []float64{0.002, 0.01} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Scale = scale
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Generate(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

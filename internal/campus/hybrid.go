@@ -156,7 +156,7 @@ func (s *Scenario) genHybridCompleteNonPubToPub(emit func(certmodel.Chain, strin
 		leaf := s.pki.mkCert(e.signingCA, dnFor(e.domain, "", e.country), leafOpts...)
 		ch := certmodel.Chain{leaf, signingCert, iss.Cert}
 		// §4.2: all 26 anchored non-public leaves are properly CT-logged.
-		s.CT.AddChain(ch, s.Config.Start.AddDate(0, 0, -30))
+		s.CT.Append(ch, s.Config.Start.AddDate(0, 0, -30))
 		emit(ch, e.domain, hybridEstComplete, false)
 	}
 }
@@ -179,7 +179,7 @@ func (s *Scenario) genHybridCompletePubToPrv(emit func(certmodel.Chain, string, 
 			pub.root.Cert.Subject,
 			withBC(certmodel.BCTrue), withValidity(5*365*24*time.Hour))
 		ch := certmodel.Chain{leaf, iss.Cert, pub.root.Cert, tail}
-		s.CT.AddChain(ch, s.randTime())
+		s.CT.Append(ch, s.randTime())
 		emit(ch, domain, 0.9849, false)
 	}
 }
@@ -226,7 +226,7 @@ func (s *Scenario) genHybridContains(emit func(certmodel.Chain, string, float64,
 			other := s.publicCAs[(s.indexOfCA(ca)+1)%len(s.publicCAs)]
 			ch = append(base, privRoot, other.root.Cert)
 		}
-		s.CT.AddChain(ch, s.randTime())
+		s.CT.Append(ch, s.randTime())
 		emit(ch, domain, hybridEstContains, false)
 	}
 }

@@ -63,7 +63,7 @@ func (s *Scenario) generateInterception() {
 	for i := range popular {
 		popular[i] = fmt.Sprintf("www.%s", s.randDomain())
 		real, _ := s.issuePublicChain(popular[i], false)
-		s.CT.AddChain(real, s.Config.Start.AddDate(0, 0, -60))
+		s.CT.Append(real, s.Config.Start.AddDate(0, 0, -60))
 	}
 
 	// Build the 80 issuers.

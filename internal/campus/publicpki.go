@@ -128,7 +128,7 @@ func (s *Scenario) generatePublicOnly() {
 			ch = append(full, s.crossRoot.Cert)
 		}
 		// Log the leaf in CT: public issuers CT-log by policy.
-		s.CT.AddChain(ch, s.randTime())
+		s.CT.Append(ch, s.randTime())
 
 		first, last := s.window()
 		c := conns[i]

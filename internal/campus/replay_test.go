@@ -457,7 +457,8 @@ func scenarioAt(t *testing.T, seed int64, scale float64) *campus.Scenario {
 var underRace bool
 
 // TestReplayMatchesOracle: the merge writes the oracle's bytes, flush for
-// flush, over seeds × formats × row caps (0 is full volume).
+// flush, over seeds × formats × row caps (0 is full volume). The subtests
+// share one read-only scenario per seed and run in parallel.
 func TestReplayMatchesOracle(t *testing.T) {
 	seeds, caps := int64(3), []int64{0, 4, 256}
 	if underRace {
@@ -468,6 +469,7 @@ func TestReplayMatchesOracle(t *testing.T) {
 		for _, json := range []bool{false, true} {
 			for _, maxConns := range caps {
 				t.Run(fmt.Sprintf("seed%d/json=%v/cap%d", seed, json, maxConns), func(t *testing.T) {
+					t.Parallel()
 					sameReplay(t, s.Observations, campus.ReplayOptions{MaxConnsPerObservation: maxConns, JSON: json})
 				})
 			}

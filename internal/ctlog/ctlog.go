@@ -5,9 +5,11 @@
 // whether CT records a different issuer for the same domain and validity
 // window (§3.2.1).
 //
-// The log issues genuinely signed SCTs (Ed25519), maintains signed tree
-// heads, and answers inclusion and consistency proofs, so monitors built on
-// it exercise the full CT verification path.
+// AddChain and the HTTP add-chain endpoint issue genuinely signed SCTs
+// (Ed25519); Append inserts the same entry without signing, and is what the
+// campus simulator uses, since the analysis reads entries, never SCTs. The
+// log maintains signed tree heads and answers inclusion and consistency
+// proofs, so monitors built on it exercise the full CT verification path.
 package ctlog
 
 import (
@@ -105,8 +107,8 @@ func (l *Log) Size() uint64 {
 	return l.tree.Size()
 }
 
-// ErrAlreadyLogged is returned by AddChain when the leaf is already present;
-// the previous entry's SCT information is still returned.
+// ErrAlreadyLogged is returned by Append and AddChain when the leaf is
+// already present, together with the original entry or its SCT.
 var ErrAlreadyLogged = errors.New("ctlog: certificate already logged")
 
 // leafData serializes the entry fields bound by the SCT and Merkle leaf.
@@ -123,10 +125,12 @@ func leafData(cert *certmodel.Meta, ts time.Time) []byte {
 	return b
 }
 
-// AddChain logs the chain's leaf certificate. The chain must be non-empty;
-// index 0 is the leaf, the remainder its issuing chain. Duplicate leaves
-// return ErrAlreadyLogged together with the original SCT.
-func (l *Log) AddChain(chain certmodel.Chain, at time.Time) (*SCT, error) {
+// Append logs the chain's leaf certificate without signing an SCT: it is the
+// log's one insert path (tree, entries and the leaf, domain and issuer
+// indexes). The chain must be non-empty; index 0 is the leaf, the remainder
+// its issuing chain. A duplicate leaf returns the original entry together
+// with ErrAlreadyLogged.
+func (l *Log) Append(chain certmodel.Chain, at time.Time) (*Entry, error) {
 	if len(chain) == 0 {
 		return nil, errors.New("ctlog: empty chain")
 	}
@@ -135,7 +139,7 @@ func (l *Log) AddChain(chain certmodel.Chain, at time.Time) (*SCT, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if prev, ok := l.byLeafFP[leaf.FP]; ok {
-		return l.signSCTLocked(prev), ErrAlreadyLogged
+		return prev, ErrAlreadyLogged
 	}
 
 	e := &Entry{
@@ -154,7 +158,19 @@ func (l *Log) AddChain(chain certmodel.Chain, at time.Time) (*SCT, error) {
 	}
 	issKey := leaf.IssuerKey()
 	l.byIssuer[issKey] = append(l.byIssuer[issKey], e)
-	return l.signSCTLocked(e), nil
+	return e, nil
+}
+
+// AddChain is Append followed by signing the entry's SCT. Duplicate leaves
+// return ErrAlreadyLogged together with the original entry's SCT. The
+// signature is made after the write lock is released, so readers do not
+// wait for it.
+func (l *Log) AddChain(chain certmodel.Chain, at time.Time) (*SCT, error) {
+	e, err := l.Append(chain, at)
+	if e == nil {
+		return nil, err
+	}
+	return l.signSCT(e), err
 }
 
 func coveredNames(m *certmodel.Meta) []string {
@@ -174,7 +190,9 @@ func coveredNames(m *certmodel.Meta) []string {
 	return names
 }
 
-func (l *Log) signSCTLocked(e *Entry) *SCT {
+// signSCT needs no lock: the log's id and key and an inserted entry's fields
+// never change.
+func (l *Log) signSCT(e *Entry) *SCT {
 	msg := leafData(e.Cert, e.Timestamp)
 	return &SCT{
 		LogID:     l.id,

@@ -3,6 +3,7 @@ package ctlog
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -92,6 +93,84 @@ func TestAddChainDuplicate(t *testing.T) {
 func TestAddChainEmpty(t *testing.T) {
 	l := newLog(t)
 	if _, err := l.AddChain(nil, t0); err == nil {
+		t.Error("empty chain must be rejected")
+	}
+}
+
+// TestAppendMatchesAddChain: Append is AddChain without the signature — the
+// same chains give the same tree, entries and query answers — and a leaf
+// first appended still gets a valid SCT from AddChain.
+func TestAppendMatchesAddChain(t *testing.T) {
+	root := mkCert("CN=Root", "CN=Issuing CA")
+	var chains []certmodel.Chain
+	for i := 0; i < 12; i++ {
+		iss := fmt.Sprintf("CN=CA %d", i%3)
+		host := fmt.Sprintf("h%d.example.com", i)
+		chains = append(chains, certmodel.Chain{mkCert(iss, "CN="+host, host, "*.example.com"), root})
+	}
+	signed, appended := newLog(t), newLog(t)
+	for i, ch := range chains {
+		at := t0.Add(time.Duration(i) * time.Minute)
+		sct, err := signed.AddChain(ch, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, err := appended.Append(ch, at)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Index != sct.LeafIndex || !e.Timestamp.Equal(sct.Timestamp) {
+			t.Errorf("chain %d: entry %d@%v, SCT %d@%v", i, e.Index, e.Timestamp, sct.LeafIndex, sct.Timestamp)
+		}
+	}
+	if a, b := signed.TreeHead(t0).RootHash, appended.TreeHead(t0).RootHash; a != b {
+		t.Errorf("roots differ: %x vs %x", a, b)
+	}
+	es, ea := signed.GetEntries(0, 100), appended.GetEntries(0, 100)
+	if !reflect.DeepEqual(es, ea) {
+		t.Error("entries differ between AddChain and Append")
+	}
+	indexes := func(es []*Entry) []uint64 {
+		var out []uint64
+		for _, e := range es {
+			out = append(out, e.Index)
+		}
+		return out
+	}
+	for _, d := range []string{"h3.example.com", "other.example.com", "absent.example.net"} {
+		if a, b := indexes(signed.QueryDomain(d)), indexes(appended.QueryDomain(d)); !reflect.DeepEqual(a, b) {
+			t.Errorf("QueryDomain(%s): %v vs %v", d, a, b)
+		}
+		if a, b := signed.IssuersFor(d, t0), appended.IssuersFor(d, t0); !reflect.DeepEqual(a, b) {
+			t.Errorf("IssuersFor(%s): %v vs %v", d, a, b)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		iss := dn.MustParse(fmt.Sprintf("CN=CA %d", i))
+		if a, b := indexes(signed.EntriesByIssuer(iss)), indexes(appended.EntriesByIssuer(iss)); !reflect.DeepEqual(a, b) {
+			t.Errorf("EntriesByIssuer(%v): %v vs %v", iss, a, b)
+		}
+	}
+
+	// A duplicate through Append returns the first entry.
+	first := ea[4]
+	e, err := appended.Append(chains[4], t0.AddDate(0, 1, 0))
+	if !errors.Is(err, ErrAlreadyLogged) || e != first {
+		t.Errorf("duplicate Append = %v, %v; want the first entry and ErrAlreadyLogged", e, err)
+	}
+	// AddChain on an appended leaf signs the original index and timestamp.
+	sct, err := appended.AddChain(chains[4], t0.AddDate(0, 2, 0))
+	if !errors.Is(err, ErrAlreadyLogged) {
+		t.Fatalf("AddChain after Append: err = %v, want ErrAlreadyLogged", err)
+	}
+	if sct.LeafIndex != first.Index || !sct.Timestamp.Equal(first.Timestamp) || !appended.VerifySCT(sct, chains[4][0]) {
+		t.Errorf("SCT %d@%v (verifies: %v), want a valid SCT for %d@%v",
+			sct.LeafIndex, sct.Timestamp, appended.VerifySCT(sct, chains[4][0]), first.Index, first.Timestamp)
+	}
+	if appended.Size() != uint64(len(chains)) {
+		t.Errorf("Size = %d after duplicates, want %d", appended.Size(), len(chains))
+	}
+	if _, err := appended.Append(nil, t0); err == nil {
 		t.Error("empty chain must be rejected")
 	}
 }

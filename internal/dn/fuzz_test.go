@@ -1,6 +1,8 @@
 package dn
 
 import (
+	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -113,5 +115,110 @@ func FuzzParse(f *testing.F) {
 		if d.Normalized() != d2.Normalized() {
 			t.Fatalf("normalization unstable for %q", input)
 		}
+	})
+}
+
+// referenceString is the straightforward form of DN.String — one builder per
+// escaped value, hex escapes through fmt — kept as the oracle the appending
+// implementation must reproduce byte for byte.
+func referenceString(d DN) string {
+	var b strings.Builder
+	for i, rdn := range d {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		for j, a := range rdn {
+			if j > 0 {
+				b.WriteByte('+')
+			}
+			b.WriteString(a.Type)
+			b.WriteByte('=')
+			b.WriteString(referenceEscape(a.Value))
+		}
+	}
+	return b.String()
+}
+
+func referenceEscape(v string) string {
+	if v == "" {
+		return v
+	}
+	var b strings.Builder
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		switch {
+		case c == ',' || c == '+' || c == ';' || c == '\\' || c == '"' || c == '<' || c == '>' || c == '=':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case c == '#' && i == 0:
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case c == ' ' && (i == 0 || i == len(v)-1):
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		case c < 0x20 || c == 0x7f:
+			fmt.Fprintf(&b, "\\%02x", c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	return b.String()
+}
+
+// TestDNStringAllocs: String costs one allocation, the string itself.
+func TestDNStringAllocs(t *testing.T) {
+	d := MustParse(`CN=Foo\, Bar+OU=dev,O=Campus  Networks\0a,C=US`)
+	allocs := testing.AllocsPerRun(1000, func() { _ = d.String() })
+	if allocs != 1 {
+		t.Fatalf("String allocated %.1f allocs/op, want 1", allocs)
+	}
+}
+
+// FuzzDNString checks String against referenceString twice per input: on
+// the parsed DN, and on DNs built directly from the input's bytes, which
+// reach values Parse never produces (control bytes, a leading '#', leading
+// and trailing spaces, every special character, multi-valued RDNs). Both
+// must parse back to the DN they were rendered from.
+func FuzzDNString(f *testing.F) {
+	for _, seed := range []string{
+		"CN=example.com,O=Example Inc.,C=US",
+		`CN=Foo\, Bar+OU=dev,O=x`,
+		"#lead,trail ,  both  ",
+		",+;\\\"<>=#",
+		"\x00\x01\t\n\x1f\x7f",
+		"CN=трест,O=юникод",
+		strings.Repeat("long value ", 40),
+	} {
+		f.Add(seed)
+	}
+	for _, c := range normalizedCases {
+		f.Add(c.dn)
+	}
+	check := func(t *testing.T, d DN) {
+		t.Helper()
+		s := d.String()
+		if want := referenceString(d); s != want {
+			t.Fatalf("String(%#v) = %q, reference %q", d, s, want)
+		}
+		if got := string(d.AppendString([]byte("prefix:"))); got != "prefix:"+s {
+			t.Fatalf("AppendString(%#v) = %q, want %q", d, got, "prefix:"+s)
+		}
+		back, err := Parse(s)
+		if err != nil {
+			t.Fatalf("String(%#v) = %q does not parse: %v", d, s, err)
+		}
+		if !reflect.DeepEqual(back, d) {
+			t.Fatalf("Parse(String(%#v)) = %#v via %q", d, back, s)
+		}
+	}
+	f.Fuzz(func(t *testing.T, input string) {
+		if d, err := Parse(input); err == nil {
+			check(t, d)
+		}
+		// Built DNs: the input is a value of its own and, split in half,
+		// the two values of a multi-valued RDN.
+		h := len(input) / 2
+		d := DN{{{Type: "CN", Value: input[:h]}, {Type: "OU", Value: input[h:]}}, {{Type: "O", Value: input}}}
+		check(t, d)
 	})
 }
