@@ -685,7 +685,7 @@ func BenchmarkAblation_ZeekParse(b *testing.B) {
 		}
 	}
 	var ssl, x509 bytes.Buffer
-	if err := analysis.Write(subset, &ssl, &x509, analysis.WriteOptions{MaxConnsPerObservation: 5}); err != nil {
+	if err := campus.Replay(subset, &ssl, &x509, campus.ReplayOptions{MaxConnsPerObservation: 5}); err != nil {
 		b.Fatal(err)
 	}
 	sslData, x509Data := ssl.Bytes(), x509.Bytes()

@@ -207,10 +207,11 @@ func AnalyzeRevisit(s *Scenario) *RevisitReport {
 	return analysis.AnalyzeRevisit(s.Classifier, s.Revisit, "Lets Encrypt")
 }
 
-// WriteZeekLogs expands observations into Zeek ssl.log / x509.log streams.
+// WriteZeekLogs expands observations into Zeek ssl.log / x509.log streams
+// in timestamp order, as Zeek writes them.
 func WriteZeekLogs(observations []*Observation, ssl, x509 io.Writer, maxConnsPerObservation int64) error {
-	return analysis.Write(observations, ssl, x509,
-		analysis.WriteOptions{MaxConnsPerObservation: maxConnsPerObservation})
+	return campus.Replay(observations, ssl, x509,
+		campus.ReplayOptions{MaxConnsPerObservation: maxConnsPerObservation})
 }
 
 // LoadZeekLogs re-aggregates Zeek log streams into observations.

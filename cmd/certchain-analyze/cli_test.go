@@ -14,7 +14,6 @@ import (
 	"strings"
 	"testing"
 
-	"certchains/internal/analysis"
 	"certchains/internal/campus"
 )
 
@@ -103,7 +102,7 @@ func TestDOTMatchesAcrossModes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sslW, x509W := bufio.NewWriter(sslF), bufio.NewWriter(x509F)
-	if err := analysis.Write(s.Observations, sslW, x509W, analysis.WriteOptions{MaxConnsPerObservation: 4}); err != nil {
+	if err := campus.Replay(s.Observations, sslW, x509W, campus.ReplayOptions{MaxConnsPerObservation: 4}); err != nil {
 		t.Fatal(err)
 	}
 	for _, err := range []error{sslW.Flush(), x509W.Flush(), sslF.Close(), x509F.Close()} {

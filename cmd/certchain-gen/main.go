@@ -81,8 +81,8 @@ func run() error {
 		gzClosers = append(gzClosers, gs, gx)
 	}
 
-	opts := analysis.WriteOptions{MaxConnsPerObservation: *maxConns, Format: f}
-	if err := analysis.Write(scenario.Observations, sslW, x509W, opts); err != nil {
+	opts := campus.ReplayOptions{MaxConnsPerObservation: *maxConns, JSON: f == analysis.FormatJSON}
+	if err := campus.Replay(scenario.Observations, sslW, x509W, opts); err != nil {
 		return err
 	}
 	for _, g := range gzClosers {

@@ -383,7 +383,7 @@ func TestZeekRoundTrip(t *testing.T) {
 		}
 	}
 	var ssl, x509 bytes.Buffer
-	if err := Write(subset, &ssl, &x509, WriteOptions{MaxConnsPerObservation: 20}); err != nil {
+	if err := campus.Replay(subset, &ssl, &x509, campus.ReplayOptions{MaxConnsPerObservation: 20}); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := Load(bytes.NewReader(ssl.Bytes()), bytes.NewReader(x509.Bytes()))
@@ -466,7 +466,7 @@ func TestLoadGzippedLogs(t *testing.T) {
 		}
 	}
 	var ssl, x509 bytes.Buffer
-	if err := Write(subset, &ssl, &x509, WriteOptions{MaxConnsPerObservation: 3}); err != nil {
+	if err := campus.Replay(subset, &ssl, &x509, campus.ReplayOptions{MaxConnsPerObservation: 3}); err != nil {
 		t.Fatal(err)
 	}
 	gz := func(b []byte) []byte {

@@ -211,7 +211,7 @@ func TestBatchChaosShortRead(t *testing.T) {
 	p := lintingPipeline(s)
 
 	var ssl, x509 bytes.Buffer
-	if err := analysis.Write(s.Observations, &ssl, &x509, analysis.WriteOptions{MaxConnsPerObservation: 4}); err != nil {
+	if err := campus.Replay(s.Observations, &ssl, &x509, campus.ReplayOptions{MaxConnsPerObservation: 4}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,7 +10,9 @@ package analysis_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -107,6 +109,36 @@ func TestParallelEquivalence(t *testing.T) {
 				}
 				if failed == 0 && testing.Verbose() {
 					t.Logf("seed %d workers=%d: report identical, all paper checks pass", seed, w)
+				}
+			}
+		})
+	}
+}
+
+// TestOrderIndependence: the report is a function of the observation set,
+// not of its order. A log writer may emit observations in any order (Zeek's
+// is connection time), so the observations in generation order, reversed
+// and shuffled must render and export byte for byte alike, lint included.
+func TestOrderIndependence(t *testing.T) {
+	for _, seed := range []int64{1, 3} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			s := generate(t, seed)
+			p := lintingPipeline(s)
+			wantText, wantJSON := renderings(t, p.Run(s.Observations))
+
+			reversed := slices.Clone(s.Observations)
+			slices.Reverse(reversed)
+			shuffled := slices.Clone(s.Observations)
+			rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) {
+				shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			})
+			for name, obs := range map[string][]*campus.Observation{"reversed": reversed, "shuffled": shuffled} {
+				text, js := renderings(t, p.Run(obs))
+				if text != wantText {
+					t.Errorf("%s observations: rendered report differs", name)
+				}
+				if !bytes.Equal(js, wantJSON) {
+					t.Errorf("%s observations: JSON export differs", name)
 				}
 			}
 		})
@@ -225,7 +257,7 @@ func TestZeekStreamEquivalence(t *testing.T) {
 	p := lintingPipeline(s)
 
 	var ssl, x509 bytes.Buffer
-	if err := analysis.Write(s.Observations, &ssl, &x509, analysis.WriteOptions{MaxConnsPerObservation: 4}); err != nil {
+	if err := campus.Replay(s.Observations, &ssl, &x509, campus.ReplayOptions{MaxConnsPerObservation: 4}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -60,8 +60,8 @@ type partialReport struct {
 	SingleConns int64                                     `json:"single_conns,omitempty"`
 	SingleNoSNI int64                                     `json:"single_no_sni,omitempty"`
 	// Excluded records pathological outliers as (global observation
-	// sequence, length) pairs so the merged slice restores input order
-	// exactly.
+	// sequence, length) pairs. The report lists only the lengths, longest
+	// first; the sequence tags stay because sealed v1 state carries them.
 	Excluded outliers `json:"excluded,omitempty"`
 	// Analyses caches structure analyses per unique chain key.
 	Analyses analysisCache `json:"chains,omitempty"`
@@ -464,10 +464,10 @@ func (pr *partialReport) finalize() *Report {
 		InterceptGraph: pr.InterceptGraph,
 	}
 
-	sort.Slice(pr.Excluded, func(i, j int) bool { return pr.Excluded[i][0] < pr.Excluded[j][0] })
 	for _, ex := range pr.Excluded {
 		r.Figure1.Excluded = append(r.Figure1.Excluded, ex[1])
 	}
+	sort.Sort(sort.Reverse(sort.IntSlice(r.Figure1.Excluded)))
 
 	for cat, cs := range pr.Table2 {
 		cs.ClientIPs = len(pr.IPSets[cat])

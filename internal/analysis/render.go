@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"certchains/internal/chain"
@@ -64,9 +63,7 @@ func (r *Report) Render() string {
 		b.WriteByte('\n')
 	}
 	if len(r.Figure1.Excluded) > 0 {
-		ex := append([]int(nil), r.Figure1.Excluded...)
-		sort.Sort(sort.Reverse(sort.IntSlice(ex)))
-		w("Excluded pathological chain lengths: %v\n", ex)
+		w("Excluded pathological chain lengths: %v\n", r.Figure1.Excluded)
 	}
 	b.WriteByte('\n')
 

@@ -241,52 +241,3 @@ func (a *ConnAggregate) Finalize() *campus.Observation {
 	a.o.ClientIPs = ips
 	return a.o
 }
-
-// WriteOptions controls how observations expand into Zeek log records.
-type WriteOptions struct {
-	// MaxConnsPerObservation caps the ssl.log rows emitted per
-	// observation; 0 means no cap. Aggregate counts above the cap are
-	// down-sampled proportionally (establishment and SNI ratios are
-	// preserved by interleaving).
-	MaxConnsPerObservation int64
-	// Format selects TSV (default) or ND-JSON output.
-	Format Format
-}
-
-// Write expands observations into Zeek ssl.log and x509.log streams — the
-// inverse of Load, used to materialize a scenario as the log files the
-// paper's pipeline starts from.
-func Write(observations []*campus.Observation, ssl, x509 io.Writer, opts WriteOptions) error {
-	var open time.Time
-	for _, o := range observations {
-		if open.IsZero() || o.First.Before(open) {
-			open = o.First
-		}
-	}
-	sink := zeek.NewLogWriter(opts.Format == FormatJSON, ssl, x509, open)
-	seenCert := make(map[string]bool)
-	uid := 0
-
-	for _, o := range observations {
-		fuids := make([]string, len(o.Chain))
-		for i, m := range o.Chain {
-			fuids[i] = string(m.FP)
-			if !seenCert[fuids[i]] {
-				seenCert[fuids[i]] = true
-				if err := sink.WriteX509(zeek.FromMeta(m, o.First)); err != nil {
-					return fmt.Errorf("analysis: write x509 record: %w", err)
-				}
-			}
-		}
-		if err := campus.ExpandConns(o, fuids, opts.MaxConnsPerObservation, &uid, sink.WriteSSL); err != nil {
-			return fmt.Errorf("analysis: write ssl record: %w", err)
-		}
-	}
-	var closeAt time.Time
-	for _, o := range observations {
-		if o.Last.After(closeAt) {
-			closeAt = o.Last
-		}
-	}
-	return sink.Close(closeAt)
-}

@@ -88,7 +88,7 @@ func TestFastJoinPassAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{100, 400} {
 		var ssl, x509 bytes.Buffer
-		if err := analysis.Write(s.Observations[:n], &ssl, &x509, analysis.WriteOptions{MaxConnsPerObservation: 256}); err != nil {
+		if err := campus.Replay(s.Observations[:n], &ssl, &x509, campus.ReplayOptions{MaxConnsPerObservation: 256}); err != nil {
 			t.Fatal(err)
 		}
 		rows := float64(bytes.Count(ssl.Bytes(), []byte{'\n'}))
@@ -127,20 +127,30 @@ func TestFastJoinPassAllocs(t *testing.T) {
 // TestLogBytesMatchInMemory pins the identity the paper checks rest on: a
 // scenario written as full-volume Zeek logs (one ssl.log row per
 // connection), loaded back and run reports byte for byte what its in-memory
-// observations report, in both log formats.
+// observations report, in both log formats, at seeds 1 and 3.
 func TestLogBytesMatchInMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-volume zeek round-trip is not short-mode work")
 	}
-	cfg := campus.DefaultConfig()
-	cfg.Seed = 1
-	cfg.Scale = 0.0005
-	s, err := campus.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
+	type want struct {
+		s          *campus.Scenario
+		p          *analysis.Pipeline
+		text, json string
 	}
-	p := analysis.FromScenario(s)
-	wantText, wantJSON := renderings(t, p.Run(s.Observations))
+	seeds := []int64{1, 3}
+	wants := make([]want, len(seeds))
+	for i, seed := range seeds {
+		cfg := campus.DefaultConfig()
+		cfg.Seed = seed
+		cfg.Scale = 0.0005
+		s, err := campus.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := analysis.FromScenario(s)
+		text, js := renderings(t, p.Run(s.Observations))
+		wants[i] = want{s, p, text, string(js)}
+	}
 
 	for _, name := range []string{"tsv", "json"} {
 		format, err := analysis.ParseFormat(name)
@@ -149,29 +159,34 @@ func TestLogBytesMatchInMemory(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			dir := t.TempDir()
-			sslPath, x509Path := filepath.Join(dir, "ssl.log"), filepath.Join(dir, "x509.log")
-			writeLogs(t, s.Observations, sslPath, x509Path, format)
-			sslF, err := os.Open(sslPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer sslF.Close()
-			x509F, err := os.Open(x509Path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer x509F.Close()
-			observations, err := analysis.LoadFormat(format, sslF, x509F)
-			if err != nil {
-				t.Fatal(err)
-			}
-			text, js := renderings(t, p.Run(observations))
-			if text != wantText {
-				t.Error("report from log bytes differs from the in-memory report")
-			}
-			if !bytes.Equal(js, wantJSON) {
-				t.Error("JSON export from log bytes differs from the in-memory export")
+			for i, w := range wants {
+				t.Run(fmt.Sprintf("seed%d", seeds[i]), func(t *testing.T) {
+					t.Parallel()
+					dir := t.TempDir()
+					sslPath, x509Path := filepath.Join(dir, "ssl.log"), filepath.Join(dir, "x509.log")
+					writeLogs(t, w.s.Observations, sslPath, x509Path, format)
+					sslF, err := os.Open(sslPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sslF.Close()
+					x509F, err := os.Open(x509Path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer x509F.Close()
+					observations, err := analysis.LoadFormat(format, sslF, x509F)
+					if err != nil {
+						t.Fatal(err)
+					}
+					text, js := renderings(t, w.p.Run(observations))
+					if text != w.text {
+						t.Error("report from log bytes differs from the in-memory report")
+					}
+					if string(js) != w.json {
+						t.Error("JSON export from log bytes differs from the in-memory export")
+					}
+				})
 			}
 		})
 	}
@@ -189,7 +204,7 @@ func writeLogs(t *testing.T, observations []*campus.Observation, sslPath, x509Pa
 		t.Fatal(err)
 	}
 	sslW, x509W := bufio.NewWriter(sslF), bufio.NewWriter(x509F)
-	if err := analysis.Write(observations, sslW, x509W, analysis.WriteOptions{Format: format}); err != nil {
+	if err := campus.Replay(observations, sslW, x509W, campus.ReplayOptions{JSON: format == analysis.FormatJSON}); err != nil {
 		t.Fatal(err)
 	}
 	for _, err := range []error{sslW.Flush(), x509W.Flush(), sslF.Close(), x509F.Close()} {

@@ -12,11 +12,9 @@ import (
 
 // Replay expands observations into Zeek ssl.log / x509.log record streams in
 // global timestamp order — the order a live Zeek worker writes them — so the
-// output can drive the streaming ingest daemon like a real capture. The
-// records themselves are exactly the ones the batch exporter
-// (analysis.Write) produces for the same options: the connection expansion
-// is shared, only the file order differs (batch groups rows by observation;
-// a live log interleaves them by time).
+// output can drive the streaming ingest daemon like a real capture. It is
+// the one log writer: generated logs, dist partitions and replayed captures
+// all come from it.
 //
 // Rows are ordered by timestamp; at one instant certificates come before
 // connections, matching Zeek's behavior of logging a handshake's x509
@@ -35,8 +33,7 @@ import (
 // real-time, accelerated, or unpaced emission.
 type ReplayOptions struct {
 	// MaxConnsPerObservation caps the ssl.log rows emitted per observation;
-	// 0 means no cap. Ratios are preserved under sampling exactly as in the
-	// batch exporter.
+	// 0 means no cap. Establishment and SNI ratios survive the sampling.
 	MaxConnsPerObservation int64
 	// JSON selects ND-JSON output instead of TSV.
 	JSON bool
@@ -50,8 +47,7 @@ type ReplayOptions struct {
 }
 
 // connRows is one observation's ssl.log expansion: how many rows it writes
-// and what every row shares. Both log writers (Replay, analysis.Write)
-// expand through it, so their rows can differ only in file order.
+// and what every row shares. Replay's cursors step through it row by row.
 type connRows struct {
 	o       *Observation
 	fuids   []string
@@ -123,25 +119,6 @@ func connUID(n int) string {
 	i--
 	b[i] = 'C'
 	return string(b[i:])
-}
-
-// ExpandConns emits the ssl.log rows one observation stands for, in
-// connection order: at most maxConns of them (0 means all o.Conns), their
-// timestamps spread evenly over [o.First, o.Last], client addresses rotating
-// through o.ClientIPs. fuids are the chain's x509.log ids and *uid numbers
-// connections across observations. emit is handed one record, refilled for
-// every row: it must not keep it.
-func ExpandConns(o *Observation, fuids []string, maxConns int64, uid *int, emit func(*zeek.SSLRecord) error) error {
-	rows := newConnRows(o, fuids, maxConns)
-	var r zeek.SSLRecord
-	for i := int64(0); i < rows.n; i++ {
-		*uid++
-		rows.row(i, *uid, &r)
-		if err := emit(&r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // certRow is one x509.log row of a replay: a certificate at the earliest

@@ -1,6 +1,6 @@
-// Replay emitter tests live in an external package so they can compare the
-// live-ordered streams against the batch exporter/loader in
-// internal/analysis (which imports campus).
+// Replay emitter tests live in an external package so they can load the
+// live-ordered streams back through the loader in internal/analysis (which
+// imports campus).
 package campus_test
 
 import (
@@ -164,38 +164,6 @@ func TestReplayTimeOrderedAndJoinable(t *testing.T) {
 	}
 }
 
-// TestReplayMatchesBatchExporter: the live-ordered streams must aggregate
-// back to exactly the observations the batch exporter's streams do — same
-// rows, different file order.
-func TestReplayMatchesBatchExporter(t *testing.T) {
-	s := replayScenario(t)
-	const maxConns = 4
-
-	var lssl, lx509 bytes.Buffer
-	if err := campus.Replay(s.Observations, &lssl, &lx509, campus.ReplayOptions{MaxConnsPerObservation: maxConns}); err != nil {
-		t.Fatal(err)
-	}
-	var bssl, bx509 bytes.Buffer
-	if err := analysis.Write(s.Observations, &bssl, &bx509, analysis.WriteOptions{MaxConnsPerObservation: maxConns}); err != nil {
-		t.Fatal(err)
-	}
-
-	live, err := analysis.Load(bytes.NewReader(lssl.Bytes()), bytes.NewReader(lx509.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := analysis.Load(bytes.NewReader(bssl.Bytes()), bytes.NewReader(bx509.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(live) == 0 {
-		t.Fatal("replay produced no observations")
-	}
-	if !reflect.DeepEqual(sortedKeys(live), sortedKeys(batch)) {
-		t.Errorf("replay aggregates differ from batch exporter (%d vs %d observations)", len(live), len(batch))
-	}
-}
-
 func TestReplayJSONFormat(t *testing.T) {
 	s := replayScenario(t)
 	var jssl, jx509, tssl, tx509 bytes.Buffer
@@ -220,9 +188,9 @@ func TestReplayJSONFormat(t *testing.T) {
 
 // TestConnExpansionLongSpan: an observation with thousands of connections
 // over a year used to overflow the timestamp interpolation (i*span in int64
-// past ≈292 rows), scattering rows outside [First, Last]. Both writers must
-// emit non-decreasing timestamps from First to Last, and the replayed logs
-// must join without orphans or forced drains.
+// past ≈292 rows), scattering rows outside [First, Last]. Replay must emit
+// non-decreasing timestamps from First to Last, and its logs must join
+// without orphans or forced drains.
 func TestConnExpansionLongSpan(t *testing.T) {
 	var o campus.Observation
 	for _, cand := range replayScenario(t).Observations {
@@ -236,35 +204,27 @@ func TestConnExpansionLongSpan(t *testing.T) {
 	o.Last = o.First.Add(365 * 24 * time.Hour)
 	obs := []*campus.Observation{&o}
 
-	var rssl, rx509, wssl, wx509 bytes.Buffer
+	var rssl, rx509 bytes.Buffer
 	if err := campus.Replay(obs, &rssl, &rx509, campus.ReplayOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := analysis.Write(obs, &wssl, &wx509, analysis.WriteOptions{}); err != nil {
-		t.Fatal(err)
+	recs := readAllRecords(t, rssl.Bytes())
+	if int64(len(recs)) != o.Conns {
+		t.Fatalf("%d ssl rows, want %d", len(recs), o.Conns)
 	}
-	for _, w := range []struct {
-		name string
-		ssl  []byte
-	}{{"Replay", rssl.Bytes()}, {"Write", wssl.Bytes()}} {
-		name, recs := w.name, readAllRecords(t, w.ssl)
-		if int64(len(recs)) != o.Conns {
-			t.Fatalf("%s: %d ssl rows, want %d", name, len(recs), o.Conns)
+	var prev time.Time
+	for i, rec := range recs {
+		ts, _ := rec.GetTime("ts")
+		if ts.Before(prev) {
+			t.Fatalf("ts regresses at row %d: %v < %v", i, ts, prev)
 		}
-		var prev time.Time
-		for i, rec := range recs {
-			ts, _ := rec.GetTime("ts")
-			if ts.Before(prev) {
-				t.Fatalf("%s: ts regresses at row %d: %v < %v", name, i, ts, prev)
-			}
-			prev = ts
-		}
-		if first, _ := recs[0].GetTime("ts"); !first.Equal(o.First) {
-			t.Errorf("%s: first ts %v, want %v", name, first, o.First)
-		}
-		if !prev.Equal(o.Last) {
-			t.Errorf("%s: last ts %v, want %v", name, prev, o.Last)
-		}
+		prev = ts
+	}
+	if first, _ := recs[0].GetTime("ts"); !first.Equal(o.First) {
+		t.Errorf("first ts %v, want %v", first, o.First)
+	}
+	if !prev.Equal(o.Last) {
+		t.Errorf("last ts %v, want %v", prev, o.Last)
 	}
 
 	// One observation: every certificate is logged at First, so x509.log
@@ -276,7 +236,7 @@ func TestConnExpansionLongSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, rec := range readAllRecords(t, rssl.Bytes()) {
+	for _, rec := range recs {
 		if err := j.AddSSLRecord(rec); err != nil {
 			t.Fatal(err)
 		}
@@ -542,23 +502,15 @@ func TestReplayOracleTies(t *testing.T) {
 	}
 }
 
-// TestLogDigests pins the bytes of both log writers at seed 1, scale 0.0005,
+// TestLogDigests pins the bytes of the log writer at seed 1, scale 0.0005,
 // full volume, in both formats. The digests change only with a deliberate
 // change to the generator or the log format.
 func TestLogDigests(t *testing.T) {
 	if underRace {
-		t.Skip("full-volume logs; the writers run on one goroutine")
+		t.Skip("full-volume logs; the writer runs on one goroutine")
 	}
 	s := scenarioAt(t, 1, 0.0005)
 	want := map[string][2]string{
-		"Write/tsv": {
-			"39b7d8df6d7943efb93b2120b962d62615d21cbd4ce76d24c410fe1ae615160c",
-			"5cf4fa03c06025e231940fbe8127392e4b4e9b00f338a3c3e73e1583e457ce0d",
-		},
-		"Write/json": {
-			"c2d3b21ed3904e4785b5476ec057f4c68e6807382d791ca5c2b950e6c3a8cda8",
-			"fb04f89f3dc1371a62866199cbf5c9c6f81ae06b67ad106941e091f8668e3527",
-		},
 		"Replay/tsv": {
 			"39520d14d3666cf9dd975c448708255916992d122b7d09b170d113d610ea54ce",
 			"ebb77583784bfe689646e50dc077a1b14b098e12a7436ad2de302b04287c4aba",
@@ -569,18 +521,11 @@ func TestLogDigests(t *testing.T) {
 		},
 	}
 	for _, json := range []bool{false, true} {
-		format, aformat := "tsv", analysis.FormatTSV
+		format := "tsv"
 		if json {
-			format, aformat = "json", analysis.FormatJSON
+			format = "json"
 		}
 		ssl, x509 := newDigestCounter(), newDigestCounter()
-		if err := analysis.Write(s.Observations, ssl, x509, analysis.WriteOptions{Format: aformat}); err != nil {
-			t.Fatal(err)
-		}
-		if got, w := [2]string{ssl.sum(), x509.sum()}, want["Write/"+format]; got != w {
-			t.Errorf("Write/%s digests %q, want %q", format, got, w)
-		}
-		ssl, x509 = newDigestCounter(), newDigestCounter()
 		if err := campus.Replay(s.Observations, ssl, x509, campus.ReplayOptions{JSON: json}); err != nil {
 			t.Fatal(err)
 		}

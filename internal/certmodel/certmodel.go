@@ -19,6 +19,7 @@ import (
 	"crypto/x509"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -192,11 +193,17 @@ func shortFP(fp Fingerprint) string {
 // that exists only as log fields. Two Meta values with identical identifying
 // fields fingerprint identically, mirroring how a DER hash is stable.
 func SyntheticFingerprint(issuer, subject dn.DN, serialHex string, notBefore, notAfter time.Time) Fingerprint {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s\x00%d\x00%d",
-		issuer.Normalized(), subject.Normalized(), strings.ToLower(serialHex),
-		notBefore.Unix(), notAfter.Unix())
-	return Fingerprint(hex.EncodeToString(h.Sum(nil)))
+	iss, sub, serial := issuer.Normalized(), subject.Normalized(), strings.ToLower(serialHex)
+	// The hashed bytes are issuer, subject, serial and the two epochs in
+	// decimal, NUL-separated, built on the stack unless they outgrow buf.
+	var buf [256]byte
+	b := append(append(buf[:0], iss...), 0)
+	b = append(append(b, sub...), 0)
+	b = append(append(b, serial...), 0)
+	b = append(strconv.AppendInt(b, notBefore.Unix(), 10), 0)
+	b = strconv.AppendInt(b, notAfter.Unix(), 10)
+	sum := sha256.Sum256(b)
+	return Fingerprint(hex.EncodeToString(sum[:]))
 }
 
 // FromX509 projects a parsed X.509 certificate into the log-level model,

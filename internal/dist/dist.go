@@ -142,7 +142,7 @@ func WritePartitions(obs []*campus.Observation, dir string, n int, format analys
 			sslF.Close()
 			return nil, fmt.Errorf("dist: write partitions: %w", err)
 		}
-		err = analysis.Write(part, sslF, x5F, analysis.WriteOptions{Format: format})
+		err = campus.Replay(part, sslF, x5F, campus.ReplayOptions{JSON: format == analysis.FormatJSON})
 		if cerr := sslF.Close(); err == nil {
 			err = cerr
 		}
