@@ -10,8 +10,8 @@ build:
 	$(GO) build ./...
 
 # Static analysis: go vet plus certchain-vet, the project-invariant suite
-# (determinism, merge/snapshot completeness, resilience conventions, hot-path
-# allocations, lock discipline). Suppressions live in .certchain-vet.json
+# (determinism, resilience conventions, hot-path allocations, lock
+# discipline). Suppressions live in .certchain-vet.json
 # (reason required per entry; stale entries fail). The JSON artifact is what
 # CI uploads.
 vet:
@@ -131,8 +131,8 @@ bench-compare:
 	$(GO) run ./cmd/certchain-bench -compare .bench-compare/base.json .bench-compare/head.json
 
 # Short fuzz pass over the parsers, the log writers' encoders (against
-# strconv and encoding/json) and the shard-merge property (longer runs:
-# increase -fuzztime).
+# strconv and encoding/json) and the merge-contract laws (FuzzShardMerge,
+# FuzzPartialSnapshotDecode; longer runs: increase -fuzztime).
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime 30s ./internal/dn/
 	$(GO) test -fuzz FuzzDNString -fuzztime 20s ./internal/dn/

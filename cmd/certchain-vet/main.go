@@ -1,9 +1,10 @@
 // Command certchain-vet runs the project's static-analysis suite over the
 // source tree: determinism (wall clock, unseeded rand, map-ordered output),
-// mergefields (Merge/snapshot field completeness on every accumulator),
 // resilience (network and sleep paths must use the internal/resilience
 // seams), hotpath (allocation ratchet for //certchain:hotpath files), and
 // locks (no blocking operations under a mutex, no defer-unlock in loops).
+// Merge and snapshot completeness is not a static rule: the merge-contract
+// laws (internal/analysis/laws_test.go) check it by behaviour.
 //
 // Suppressions live in the checked-in .certchain-vet.json allowlist; every
 // entry carries a mandatory reason, and entries whose path matches no file
@@ -13,7 +14,7 @@
 //
 // Usage:
 //
-//	certchain-vet [-analyzers determinism,mergefields,...] [-format text|json|sarif]
+//	certchain-vet [-analyzers determinism,locks,...] [-format text|json|sarif]
 //	              [-artifact vet.json] [-config .certchain-vet.json] [-tests] [root]
 package main
 

@@ -2,12 +2,12 @@
 // lifecycle the distributed topology runs across process boundaries:
 // observe partitions, encode, decode on the other side, rebase, merge,
 // finalize. The wire form is adversarial input to the coordinator, so the
-// decoder is also fuzzed: malformed bytes must error, never panic.
+// decoder is also fuzzed (FuzzPartialSnapshotDecode, laws_test.go):
+// malformed bytes must error, never panic.
 package analysis_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -173,98 +173,6 @@ func TestDecodeStateWithSectorIssuers(t *testing.T) {
 	}
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Error("JSON export from legacy state differs from a fresh pass")
-	}
-}
-
-// FuzzPartialSnapshotDecode hammers the partial-state decoder with mutated
-// and truncated wire bytes. The decoder parses network input on the
-// coordinator, so any outcome but (accumulator, nil) or (nil, error) — in
-// particular any panic — is a bug. Decoded accumulators must also survive
-// the operations the coordinator performs on them.
-func FuzzPartialSnapshotDecode(f *testing.F) {
-	s := generate(f, 1)
-	p := lintingPipeline(s)
-
-	acc := p.NewAccumulator()
-	for _, o := range s.Observations[:len(s.Observations)/4] {
-		acc.Observe(o)
-	}
-	valid, err := acc.EncodeState()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte(`{"schema":"certchains/analysis-partial","version":1,"payload":{}}`))
-	f.Add([]byte(`{"schema":"certchains/analysis-partial","version":1,"payload":{"observations":-1}}`))
-	f.Add([]byte(`{"schema":"certchains/analysis-partial","version":1,"payload":{"partial":{"chains":["|"]}}}`))
-	f.Add([]byte(`{"schema":"x","version":9,"payload":{}}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(``))
-	for _, tc := range malformedPartials {
-		f.Add(sealedPartial(f, tc.partial))
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		restored, err := p.DecodeState(data)
-		if err != nil {
-			if restored != nil {
-				t.Fatal("DecodeState returned both an accumulator and an error")
-			}
-			return
-		}
-		// Whatever decoded must behave like an accumulator: rebase, merge
-		// into a fresh one, and finalize without panicking.
-		restored.OffsetSeq(7)
-		merged := p.NewAccumulator()
-		merged.Merge(restored)
-		if rep := merged.Finalize(); rep == nil {
-			t.Fatal("finalize returned nil report")
-		}
-	})
-}
-
-// malformedPartials are partial payloads that are valid JSON but that no
-// encoder writes: a histogram or CDF of the wrong shape, a client-IP set
-// without its Table 2 row, an unknown port group, or a null over a structure
-// the accumulator writes through. The first five once decoded without error
-// and then panicked in merge or finalize, or silently dropped points.
-var malformedPartials = []struct{ name, partial string }{
-	{"figure6 without bins", `{"figure6":{"lo":0,"hi":1,"bins":[]}}`},
-	{"figure6 with two bins", `{"figure6":{"lo":0,"hi":1,"bins":[0,0]}}`},
-	{"figure6 with empty range", `{"figure6":{"lo":0,"hi":0,"bins":[0,0,0,0,0,0,0,0,0,0]}}`},
-	{"ip_sets category without table2 row", `{"ip_sets":{"2":["10.0.0.1"]}}`},
-	{"figure1 with fewer counts than values", `{"figure1":{"0":{"values":[1,2],"counts":[1]}}}`},
-	{"null figure1 cdf", `{"figure1":{"0":null}}`},
-	{"null port_hist group", `{"port_hist":{"hybrid":null}}`},
-	{"unknown port_hist group", `{"port_hist":{"bogus":{"443":1}}}`},
-	{"null graph", `{"hybrid_graph":null}`},
-	{"null table3", `{"table3":null}`},
-	{"null lint findings", `{"lint":{"observations":0,"conns":0,"findings_per_chain":null}}`},
-}
-
-// sealedPartial wraps a partial payload in a valid state envelope.
-func sealedPartial(tb testing.TB, partial string) []byte {
-	tb.Helper()
-	data, err := certmodel.Seal(analysis.StateSchema, analysis.StateVersion,
-		json.RawMessage(`{"observations":1,"partial":`+partial+`}`))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return data
-}
-
-// TestDecodeStateRejectsMalformed requires DecodeState to refuse every
-// malformedPartials payload: the coordinator merges and finalizes whatever
-// decodes, so a partial no encoder writes must fail at the boundary.
-func TestDecodeStateRejectsMalformed(t *testing.T) {
-	p := lintingPipeline(generate(t, 1))
-	for _, tc := range malformedPartials {
-		t.Run(tc.name, func(t *testing.T) {
-			if acc, err := p.DecodeState(sealedPartial(t, tc.partial)); err == nil {
-				t.Errorf("DecodeState accepted %s (observations %d)", tc.partial, acc.Observations())
-			}
-		})
 	}
 }
 

@@ -25,7 +25,7 @@ import (
 // format, in wire order (see snapshot.go); finalize builds the Report from
 // them.
 type partialReport struct {
-	p *Pipeline //certchain:nomerge shared read-only pipeline config, identical across shards
+	p *Pipeline // shared read-only pipeline config, identical across shards
 
 	Table2          map[chain.Category]CategoryStats `json:"table2,omitempty"`
 	Table3          map[chain.HybridCategory]int     `json:"table3,omitempty"`
@@ -68,7 +68,7 @@ type partialReport struct {
 	// keyBuf is a reusable scratch buffer for composite map keys. Probing
 	// with m[string(keyBuf)] compiles to an allocation-free lookup; a key
 	// string is materialized only on first sight of a value.
-	keyBuf []byte //certchain:nomerge scratch buffer, no accumulated state
+	keyBuf []byte
 	// Lint accumulates corpus lint findings; nil when the pipeline has no
 	// linter.
 	Lint *lint.CorpusReport `json:"lint,omitempty"`

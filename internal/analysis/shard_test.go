@@ -1,7 +1,8 @@
 // In-package tests of the sharding machinery: worker normalization and the
 // merge property the whole design rests on — any partition of the
 // observations into shards, merged in any order, finalizes to the same
-// report as the unpartitioned run.
+// report as the unpartitioned run. laws_test.go fuzzes the same property on
+// small inputs.
 package analysis
 
 import (
@@ -30,8 +31,9 @@ func TestNormalizeWorkers(t *testing.T) {
 	}
 }
 
-// shardScenario caches one small scenario for the partition property tests;
-// fuzzing re-enters the target thousands of times and must not regenerate.
+// shardScenario caches one small scenario for the partition property tests
+// and the merge laws; fuzzing re-enters its targets thousands of times and
+// must not regenerate.
 var (
 	shardOnce sync.Once
 	shardScen *campus.Scenario
@@ -51,8 +53,8 @@ func shardSetup(tb testing.TB) (*campus.Scenario, *Pipeline) {
 		}
 		shardScen = s
 		shardPipe = FromScenario(s)
-		// Lint during the partition property tests too: the fuzz target then
-		// exercises the corpus lint accumulator's merge contract as well.
+		// Lint during the partition property tests too: they and the merge
+		// laws then exercise the corpus lint accumulator's contract as well.
 		shardPipe.Linter = lint.New(s.Classifier, lint.Config{Now: s.End(), Profile: lint.ProfileAll})
 		base := shardPipe.RunParallel(s.Observations, 1)
 		shardText = base.Render()
@@ -127,20 +129,27 @@ func TestDegeneratePartitions(t *testing.T) {
 	checkPartition(t, []int{n / 2, n / 2}, true)
 }
 
-// FuzzShardMerge is the property test the issue asks for: interpret four
-// fuzzed values as shard boundaries over the fixed observation set and
-// require the merged partials to equal the unpartitioned run.
-func FuzzShardMerge(f *testing.F) {
-	f.Add(uint16(0), uint16(0), uint16(0), uint16(0), false)
-	f.Add(uint16(1), uint16(2), uint16(3), uint16(4), false)
-	f.Add(uint16(400), uint16(800), uint16(1200), uint16(1600), true)
-	f.Add(uint16(1879), uint16(1879), uint16(0), uint16(1), true)
-	f.Add(uint16(937), uint16(941), uint16(65535), uint16(31), false)
-	f.Fuzz(func(t *testing.T, a, b, c, d uint16, reverse bool) {
-		s, _ := shardSetup(t)
-		n := len(s.Observations)
-		cuts := []int{int(a) % (n + 1), int(b) % (n + 1), int(c) % (n + 1), int(d) % (n + 1)}
+// TestShardMergeSeeds partitions the whole corpus at FuzzShardMerge's former
+// seeds, four cut points each (an index past the end wraps modulo n+1),
+// merged forward or backward.
+func TestShardMergeSeeds(t *testing.T) {
+	s, _ := shardSetup(t)
+	n := len(s.Observations)
+	for _, tc := range []struct {
+		cuts    [4]int
+		reverse bool
+	}{
+		{[4]int{0, 0, 0, 0}, false},
+		{[4]int{1, 2, 3, 4}, false},
+		{[4]int{400, 800, 1200, 1600}, true},
+		{[4]int{1879, 1879, 0, 1}, true},
+		{[4]int{937, 941, 65535, 31}, false},
+	} {
+		cuts := make([]int, 0, len(tc.cuts))
+		for _, c := range tc.cuts {
+			cuts = append(cuts, c%(n+1))
+		}
 		sort.Ints(cuts)
-		checkPartition(t, cuts, reverse)
-	})
+		checkPartition(t, cuts, tc.reverse)
+	}
 }

@@ -94,12 +94,18 @@ func NewWindowRing(p *Pipeline, cfg WindowConfig) *WindowRing {
 func (w *WindowRing) Config() WindowConfig { return w.cfg }
 
 func (w *WindowRing) bucketIdx(t time.Time) int64 {
-	return floorDiv(t.UnixNano(), int64(w.cfg.Interval))
+	return WindowIndex(t, w.cfg.Interval)
 }
 
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
+// WindowIndex is the index of the interval-wide window holding t: window i
+// spans [i*interval, (i+1)*interval) nanoseconds since the Unix epoch, so
+// times before the epoch floor to negative indexes. interval must be
+// positive. The ring's buckets and the ingest daemon's aggregation windows
+// both use it, so an aggregate closes on a bucket boundary.
+func WindowIndex(t time.Time, interval time.Duration) int64 {
+	ns, iv := t.UnixNano(), int64(interval)
+	q := ns / iv
+	if ns%iv < 0 {
 		q--
 	}
 	return q
@@ -244,7 +250,7 @@ func (w *WindowRing) ReportWith(extra []*campus.Observation, window time.Duratio
 	}
 	minIdx := int64(0)
 	if !all {
-		minIdx = floorDiv(wm.UnixNano(), int64(w.cfg.Interval)) - n + 1
+		minIdx = WindowIndex(wm, w.cfg.Interval) - n + 1
 	}
 	for _, idx := range w.order {
 		if !all && idx < minIdx {

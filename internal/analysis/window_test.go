@@ -174,7 +174,7 @@ func TestWindowRingConcurrentReports(t *testing.T) {
 // to ingesting N+M in one uninterrupted run (which itself matches the batch
 // pipeline), across seeds and worker widths. The snapshot also round-trips
 // through JSON canonically: re-marshaling a restored ring reproduces the
-// original bytes.
+// original bytes, even when the restart configures another interval.
 func TestWindowSnapshotEquivalence(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	if testing.Short() {
@@ -209,7 +209,11 @@ func TestWindowSnapshotEquivalence(t *testing.T) {
 				if err := json.Unmarshal(data, &snap); err != nil {
 					t.Fatal(err)
 				}
-				restored, err := analysis.RestoreWindowRing(p, cfg, &snap)
+				// The snapshot's interval wins over a restart's configured
+				// one, which would otherwise split its buckets.
+				restartCfg := cfg
+				restartCfg.Interval = 3 * interval
+				restored, err := analysis.RestoreWindowRing(p, restartCfg, &snap)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -29,7 +29,7 @@ type Finding struct {
 	// Pos locates the violation. Filename is root-relative and
 	// slash-separated so findings are stable across checkouts.
 	Pos token.Position
-	// Analyzer is the reporting analyzer's name (e.g. "mergefields").
+	// Analyzer is the reporting analyzer's name (e.g. "hotpath").
 	Analyzer string
 	// Rule is the stable rule identifier within the analyzer.
 	Rule string
@@ -233,8 +233,8 @@ func PkgCall(call *ast.CallExpr, pkgs map[string]bool) (string, bool) {
 const DirectivePrefix = "//certchain:"
 
 // Directive extracts the directive name and trailing argument from one
-// comment. "//certchain:nomerge shared config" yields ("nomerge",
-// "shared config", true).
+// comment. "//certchain:coldpath once per shard" yields ("coldpath",
+// "once per shard", true).
 func Directive(c *ast.Comment) (name, arg string, ok bool) {
 	text := strings.TrimSpace(c.Text)
 	if !strings.HasPrefix(text, DirectivePrefix) {

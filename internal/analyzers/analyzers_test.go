@@ -82,8 +82,8 @@ func TestDirectiveParsing(t *testing.T) {
 package p
 
 type s struct {
-	a int //certchain:nomerge shared config
-	b int //certchain:nosnapshot
+	a int //certchain:alpha shared config
+	b int //certchain:beta
 	c int // a plain comment mentioning certchain: nothing
 }
 `
@@ -100,18 +100,18 @@ type s struct {
 
 	var args []string
 	for _, cg := range file.Comments {
-		if arg, ok := analyzers.CommentHasDirective(cg, "nomerge"); ok {
-			args = append(args, "nomerge="+arg)
+		if arg, ok := analyzers.CommentHasDirective(cg, "alpha"); ok {
+			args = append(args, "alpha="+arg)
 		}
-		if arg, ok := analyzers.CommentHasDirective(cg, "nosnapshot"); ok {
-			args = append(args, "nosnapshot="+arg)
+		if arg, ok := analyzers.CommentHasDirective(cg, "beta"); ok {
+			args = append(args, "beta="+arg)
 		}
 	}
-	if len(args) != 2 || args[0] != "nomerge=shared config" || args[1] != "nosnapshot=" {
+	if len(args) != 2 || args[0] != "alpha=shared config" || args[1] != "beta=" {
 		t.Errorf("directive args: got %v", args)
 	}
 
-	lines := analyzers.DirectiveLines(fset, file, "nomerge")
+	lines := analyzers.DirectiveLines(fset, file, "alpha")
 	if len(lines) != 1 {
 		t.Fatalf("DirectiveLines: got %v", lines)
 	}

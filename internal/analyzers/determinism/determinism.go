@@ -281,7 +281,7 @@ func defaultImportName(path string) string {
 
 // Suite adapts the determinism rules to the certchain-vet analyzer suite
 // (internal/analyzers): certchain-vet runs it alongside
-// mergefields, resilience, hotpath, and locks under one allowlist
+// resilience, hotpath, and locks under one allowlist
 // (.certchain-vet.json) and emitter set.
 type Suite struct{}
 

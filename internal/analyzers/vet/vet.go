@@ -22,7 +22,6 @@ import (
 	"certchains/internal/analyzers/determinism"
 	"certchains/internal/analyzers/hotpath"
 	"certchains/internal/analyzers/locks"
-	"certchains/internal/analyzers/mergefields"
 	"certchains/internal/analyzers/resilience"
 	"certchains/internal/lint"
 )
@@ -37,7 +36,6 @@ func All() []analyzers.Analyzer {
 		determinism.Suite{},
 		hotpath.Analyzer{},
 		locks.Analyzer{},
-		mergefields.Analyzer{},
 		resilience.Analyzer{},
 	}
 }

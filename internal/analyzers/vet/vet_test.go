@@ -217,7 +217,7 @@ func TestWriteSARIF(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ids[r.ID] = true
 	}
-	for _, want := range []string{"determinism/time-now", "mergefields/merge-field", "resilience/raw-sleep", "hotpath/fmt-alloc", "locks/held-across-block"} {
+	for _, want := range []string{"determinism/time-now", "resilience/raw-sleep", "hotpath/fmt-alloc", "locks/held-across-block"} {
 		if !ids[want] {
 			t.Errorf("SARIF rules missing %q (have %d rules)", want, len(ids))
 		}

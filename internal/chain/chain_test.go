@@ -275,16 +275,16 @@ func TestIsLeaf(t *testing.T) {
 		cert("CN=Root", "CN=Root", certmodel.BCAbsent),
 		cert("CN=Someone", "CN=standalone.com", certmodel.BCAbsent),
 	}
-	if !IsLeaf(ch, 0) {
+	if !keysOf(ch).isLeaf(ch, 0) {
 		t.Error("BC=FALSE cert is a leaf")
 	}
-	if IsLeaf(ch, 1) {
+	if keysOf(ch).isLeaf(ch, 1) {
 		t.Error("BC=TRUE cert is not a leaf")
 	}
-	if IsLeaf(ch, 2) {
+	if keysOf(ch).isLeaf(ch, 2) {
 		t.Error("self-signed BC-absent cert acting as issuer is not a leaf")
 	}
-	if !IsLeaf(ch, 3) {
+	if !keysOf(ch).isLeaf(ch, 3) {
 		t.Error("BC-absent non-issuing cert is structurally a leaf")
 	}
 }

@@ -43,7 +43,7 @@ func (l LinkState) Matched() bool { return l != LinkMismatch }
 type Run struct {
 	Start, End int
 	// HasLeaf reports whether chain[Start] is a leaf certificate per
-	// IsLeaf, making the run a candidate complete matched path.
+	// isLeaf, making the run a candidate complete matched path.
 	HasLeaf bool
 }
 
@@ -158,7 +158,11 @@ func (k *chainKeys) issuedCount(key string) int {
 	return n
 }
 
-// isLeaf is the keyed implementation behind IsLeaf.
+// isLeaf reports whether chain[i] looks like an end-entity certificate:
+// basicConstraints CA=FALSE, or — when the extension is absent — not acting
+// as an issuer of any other certificate in this chain and not self-signed.
+// This mirrors the paper's pragmatic leaf identification under widespread
+// basicConstraints omission (§4.3).
 func (k *chainKeys) isLeaf(ch certmodel.Chain, i int) bool {
 	m := ch[i]
 	switch m.BC {
@@ -178,21 +182,12 @@ func (k *chainKeys) isLeaf(ch certmodel.Chain, i int) bool {
 	return k.issuedCount(k.subject[i]) == 0
 }
 
-// IsLeaf reports whether chain[i] looks like an end-entity certificate:
-// basicConstraints CA=FALSE, or — when the extension is absent — not acting
-// as an issuer of any other certificate in this chain and not self-signed.
-// This mirrors the paper's pragmatic leaf identification under widespread
-// basicConstraints omission (§4.3).
-func IsLeaf(ch certmodel.Chain, i int) bool {
-	return keysOf(ch).isLeaf(ch, i)
-}
-
 // IsLeafPosition reports whether chain[i] occupies the delivered leaf
 // position. TLS servers send the end-entity certificate first (RFC 8446
 // §4.4.2), so the leaf position is index 0 — for every chain length —
 // unless the first certificate demonstrably acts as an issuer of another
 // delivered member (a root-first delivery), in which case no position is
-// treated as the leaf. Unlike IsLeaf, the predicate deliberately ignores
+// treated as the leaf. Unlike isLeaf, the predicate deliberately ignores
 // basicConstraints: a first-position certificate asserting CA=TRUE is still
 // in the leaf position (that contradiction is exactly what lints flag).
 func IsLeafPosition(ch certmodel.Chain, i int) bool {

@@ -218,14 +218,14 @@ func TestQuickCategorizeOrderInvariant(t *testing.T) {
 	}
 }
 
-// Property: IsLeaf agrees with the keyed implementation used internally.
+// Property: every run's HasLeaf agrees with isLeaf at the run's start.
 func TestQuickIsLeafAgreesWithRuns(t *testing.T) {
 	cl := quickClassifier(t)
 	f := func(recipe []byte) bool {
 		ch := randomChain(recipe)
 		a := cl.Analyze(ch)
 		for _, r := range a.Runs {
-			if r.HasLeaf != IsLeaf(ch, r.Start) {
+			if r.HasLeaf != keysOf(ch).isLeaf(ch, r.Start) {
 				return false
 			}
 		}

@@ -24,10 +24,10 @@ type aggWindow struct {
 // aggregator buckets joined connections into per-interval observation
 // aggregates, closing a window once the join watermark passes its end.
 type aggregator struct {
-	interval time.Duration //certchain:nosnapshot config; Restore threads it from the ring snapshot's authoritative IntervalNS
+	interval time.Duration // config; Restore threads it from the ring snapshot's authoritative IntervalNS
 	windows  map[int64]*aggWindow
 	order    []int64 // ascending open-window indexes
-	keyBuf   []byte  //certchain:nosnapshot scratch
+	keyBuf   []byte  // scratch
 
 	// maxFolded guards against out-of-order stragglers: a connection landing
 	// in an already-folded window re-opens it (counted) and the straggler
@@ -40,14 +40,6 @@ type aggregator struct {
 
 func newAggregator(interval time.Duration) *aggregator {
 	return &aggregator{interval: interval, windows: make(map[int64]*aggWindow)}
-}
-
-func floorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
 }
 
 func (g *aggregator) window(idx int64) *aggWindow {
@@ -67,7 +59,7 @@ func (g *aggregator) window(idx int64) *aggWindow {
 // by the joiner; the aggregate keeps only what may outlive the call.
 func (g *aggregator) add(c *zeek.Connection) {
 	g.totalConns++
-	idx := floorDiv(c.SSL.TS.UnixNano(), int64(g.interval))
+	idx := analysis.WindowIndex(c.SSL.TS, g.interval)
 	if g.foldedAny && idx <= g.maxFolded {
 		g.lateConns++
 	}

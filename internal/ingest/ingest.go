@@ -72,15 +72,17 @@ type Config struct {
 // a poll waits only when it has a window to fold while a build runs.
 type Ingestor struct {
 	mu     sync.Mutex
-	ringMu sync.RWMutex //certchain:nosnapshot lock, not state
+	ringMu sync.RWMutex
 	cfg    Config
 	p      *analysis.Pipeline
 
 	// strs interns the field values both row decoders produce; bounded, like
-	// the joiner's caches, because the daemon runs for months.
-	strs     *certmodel.Interner //certchain:nosnapshot cache; a restart starts it over
-	sslDec   *zeek.RowDecoder    //certchain:nosnapshot its stream state rides the tailer's TailState
-	x509Dec  *zeek.RowDecoder    //certchain:nosnapshot its stream state rides the tailer's TailState
+	// the joiner's caches, because the daemon runs for months. A cache: a
+	// restart starts it over. The decoders' stream state rides the tailers'
+	// TailState.
+	strs     *certmodel.Interner
+	sslDec   *zeek.RowDecoder
+	x509Dec  *zeek.RowDecoder
 	sslTail  *zeek.Tailer
 	x509Tail *zeek.Tailer
 	joiner   *zeek.IncrementalJoiner
@@ -93,16 +95,18 @@ type Ingestor struct {
 	wmSet bool
 
 	// version counts PollOnce and Finish calls: the ingest state a report
-	// reads is a function of it. It keys the report flights.
-	version uint64 //certchain:nosnapshot process-local flight key; a restart starts over with no flights
+	// reads is a function of it. It keys the report flights, so it is
+	// process-local: a restart starts over with no flights.
+	version uint64
 	// flights are the report builds in progress, keyed by (version, window
 	// span); buildSlots bounds how many run at once (report.go).
-	flights    map[flightKey]*reportFlight //certchain:nosnapshot in-flight builds only; nothing outlives its build
-	buildSlots chan struct{}               //certchain:nosnapshot semaphore sized by GOMAXPROCS
+	flights    map[flightKey]*reportFlight
+	buildSlots chan struct{}
 	// reportBuilds counts report builds; reportShared counts Report calls
-	// that joined a build already in flight instead.
-	reportBuilds int64 //certchain:nosnapshot process-lifetime counter, like the caches'
-	reportShared int64 //certchain:nosnapshot process-lifetime counter, like the caches'
+	// that joined a build already in flight instead. Both are
+	// process-lifetime, like the caches' counters.
+	reportBuilds int64
+	reportShared int64
 
 	// recordErrs counts records the tailers decoded but the join layer
 	// rejected (bad field values); the daemon outlives them.

@@ -18,7 +18,11 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
+	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -329,10 +333,93 @@ func TestIngestorWindowedFolding(t *testing.T) {
 	}
 }
 
+// withAnomalies inserts three rows into the replayed TSV logs: ahead of
+// x509.log's first row, a re-logged copy of it; at ssl.log's first line
+// boundary past 35%, two copies of its first connection — one without a
+// uid, which the join rejects, and one with a fresh uid and server address,
+// a straggler for the capture's first window. It returns sslMid, the offset
+// of the inserted connections, and x509Cut, an offset mid-way through the
+// second certificate logged after the connection just before sslMid. A
+// daemon that polls ssl.log up to sslMid and x509.log up to x509Cut joins
+// everything it read and folds the early windows, so its next poll past
+// sslMid counts the straggler late.
+func withAnomalies(tb testing.TB, ssl, x509 []byte) (sslOut, x509Out []byte, sslMid, x509Cut int) {
+	tb.Helper()
+	parse := func(log []byte) (lines, fields []string, first int) {
+		lines = strings.SplitAfter(string(log), "\n")
+		for i, line := range lines {
+			if strings.HasPrefix(line, "#fields\t") {
+				fields = strings.Split(strings.TrimSpace(line), "\t")[1:]
+			} else if line != "" && line[0] != '#' {
+				return lines, fields, i
+			}
+		}
+		tb.Fatal("log has no data row")
+		return nil, nil, 0
+	}
+	ts := func(fields []string, line string) float64 {
+		v, err := strconv.ParseFloat(strings.Split(line, "\t")[slices.Index(fields, "ts")], 64)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return v
+	}
+	with := func(fields []string, line string, set map[string]string) string {
+		row := strings.Split(strings.TrimSpace(line), "\t")
+		for k, v := range set {
+			row[slices.Index(fields, k)] = v
+		}
+		return strings.Join(row, "\t") + "\n"
+	}
+
+	lines, fields, first := parse(ssl)
+	at := first
+	for ; sslMid < len(ssl)*35/100; at++ {
+		sslMid += len(lines[at])
+	}
+	before := ts(fields, lines[at-1])
+	lines = slices.Insert(lines, at,
+		with(fields, lines[first], map[string]string{"uid": zeek.UnsetField}),
+		with(fields, lines[first], map[string]string{"uid": "Cstraggler", "id.resp_h": "10.255.255.254"}))
+	sslOut = []byte(strings.Join(lines, ""))
+
+	lines, fields, first = parse(x509)
+	lines = slices.Insert(lines, first, lines[first])
+	later := 0
+	for _, line := range lines[first:] {
+		if ts(fields, line) > before {
+			if later++; later == 2 {
+				x509Cut += len(line) / 2
+				break
+			}
+		}
+		x509Cut += len(line)
+	}
+	for _, line := range lines[:first] {
+		x509Cut += len(line)
+	}
+	return sslOut, []byte(strings.Join(lines, "")), sslMid, x509Cut
+}
+
+// restartStats is st without the fields a restart starts over by design:
+// the process-lifetime counters, caches and clocks.
+func restartStats(st ingest.Stats) ingest.Stats {
+	st.Snapshots, st.SnapshotAge, st.Uptime = 0, 0, 0
+	st.InternStrings, st.InternDNs = 0, 0
+	st.ChainCache, st.ChainCacheHits, st.ChainCacheMisses = 0, 0, 0
+	st.DecodeFallbacks = nil
+	st.ReportBuilds, st.ReportShared = 0, 0
+	return st
+}
+
 // TestIngestorSnapshotRestartEquivalence is the crash-resume guarantee:
-// ingest a prefix (cut mid-line), snapshot, restore into a fresh process
-// image, append the rest, and the final report is byte-identical to a run
-// that never stopped — across seeds and fold-worker widths.
+// ingest a prefix (cut mid-line) in two polls, snapshot, restore into a
+// fresh process image, append the rest, and the final report is
+// byte-identical to a run that never stopped — across seeds and fold-worker
+// widths. The prefix carries withAnomalies' rows, so the snapshot holds a
+// duplicate certificate, a record error and a late connection, and the
+// restored daemon's Stats equal the snapshotted one's on every field but the
+// process-lifetime ones.
 func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 	seeds := []int64{1, 2}
 	if testing.Short() {
@@ -342,6 +429,7 @@ func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			s := scenario(t, seed)
 			ssl, x509 := replayBytes(t, s, false)
+			ssl, x509, sslMid, x509Cut := withAnomalies(t, ssl, x509)
 			window := analysis.WindowConfig{Interval: span(s)/10 + time.Nanosecond, Buckets: 6}
 
 			for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
@@ -359,10 +447,12 @@ func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 
 					// Interrupted run: prefixes cut mid-line at different
 					// points per file, so the snapshot catches partial
-					// trailing lines and a half-full join buffer.
+					// trailing lines and a half-full join buffer. The first
+					// poll folds the capture's early windows, so the
+					// straggler the second poll reads is late.
 					dir := t.TempDir()
-					sslCut, x509Cut := len(ssl)*55/100, len(x509)*70/100
-					sslPath2, x509Path2 := writeLogs(t, dir, ssl[:sslCut], x509[:x509Cut])
+					sslCut := len(ssl) * 55 / 100
+					sslPath2, x509Path2 := writeLogs(t, dir, ssl[:sslMid], x509[:x509Cut])
 					cfg := ingest.Config{
 						SSLPath:      sslPath2,
 						X509Path:     x509Path2,
@@ -373,10 +463,21 @@ func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 					if err := first.PollOnce(); err != nil {
 						t.Fatal(err)
 					}
+					appendFile(t, sslPath2, ssl[sslMid:sslCut])
+					if err := first.PollOnce(); err != nil {
+						t.Fatal(err)
+					}
 					if err := first.SnapshotToFile(); err != nil {
 						t.Fatal(err)
 					}
-					firstObs := first.Stats().Observations
+					firstStats := first.Stats()
+					if firstStats.RecordErrs == 0 || firstStats.LateConns == 0 || firstStats.Joiner.DupCerts == 0 {
+						t.Fatalf("the snapshot carries %d record errors, %d late connections, %d duplicate certificates; want each non-zero",
+							firstStats.RecordErrs, firstStats.LateConns, firstStats.Joiner.DupCerts)
+					}
+					if firstStats.Snapshots != 1 || firstStats.SnapshotAge < 0 {
+						t.Errorf("after one snapshot write: %d snapshots, age %v s", firstStats.Snapshots, firstStats.SnapshotAge)
+					}
 					if err := first.Close(); err != nil {
 						t.Fatal(err)
 					}
@@ -391,8 +492,13 @@ func TestIngestorSnapshotRestartEquivalence(t *testing.T) {
 						t.Fatal("RestoreOrNew ignored the snapshot file")
 					}
 					defer second.Close()
-					if got := second.Stats().Observations; got != firstObs {
-						t.Fatalf("restored %d observations, snapshotted %d", got, firstObs)
+					st := second.Stats()
+					if got, want := restartStats(st), restartStats(firstStats); !reflect.DeepEqual(got, want) {
+						t.Fatalf("restored Stats differ from the snapshotted daemon's:\n got %+v\nwant %+v", got, want)
+					}
+					if st.Snapshots != 0 || st.SnapshotAge != -1 || st.Uptime > time.Hour.Seconds() {
+						t.Errorf("a restart must start the process-lifetime fields over: %d snapshots, age %v s, uptime %v s",
+							st.Snapshots, st.SnapshotAge, st.Uptime)
 					}
 					appendFile(t, sslPath2, ssl[sslCut:])
 					appendFile(t, x509Path2, x509[x509Cut:])

@@ -36,9 +36,10 @@ type Stats struct {
 	FoldedWindows int64                                     `json:"folded_windows"`
 	LateConns     int64                                     `json:"late_conns"`
 	RecordErrs    int64                                     `json:"record_errs"`
-	Snapshots     int64                                     `json:"snapshots"`
-	// SnapshotAge is seconds since the last snapshot write; -1 before the
-	// first one.
+	// Snapshots counts snapshot writes, SnapshotAge is seconds since the
+	// last one (-1 before the first), and Uptime is seconds since the
+	// Ingestor was built. All process-lifetime: a restart starts them over.
+	Snapshots   int64   `json:"snapshots"`
 	SnapshotAge float64 `json:"snapshot_age_seconds"`
 	Uptime      float64 `json:"uptime_seconds"`
 	Closed      bool    `json:"closed"`
@@ -55,6 +56,7 @@ type Stats struct {
 	// Format is the log format being decoded ("tsv" or "json");
 	// DecodeFallbacks counts, per zeek.FallbackReasons entry, the ND-JSON
 	// lines of either log that left the fast tokenizer for the legacy parser.
+	// Process-lifetime, like the decoders that count them.
 	Format          string           `json:"format,omitempty"`
 	DecodeFallbacks map[string]int64 `json:"decode_fallbacks,omitempty"`
 

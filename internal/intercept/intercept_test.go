@@ -152,34 +152,6 @@ func TestVerdictString(t *testing.T) {
 	}
 }
 
-func TestPortHints(t *testing.T) {
-	cases := map[int]PortHint{
-		443:   PortNeutral,
-		8443:  PortNeutral,
-		8013:  PortVendor,
-		4437:  PortVendor,
-		14430: PortVendor,
-		33854: PortUncommon,
-		8888:  PortUncommon,
-	}
-	for port, want := range cases {
-		if got := HintForPort(port); got != want {
-			t.Errorf("HintForPort(%d) = %v, want %v", port, got, want)
-		}
-	}
-	if v, ok := VendorForPort(8013); !ok || v != "Fortinet FortiGate" {
-		t.Errorf("VendorForPort(8013) = %q, %v", v, ok)
-	}
-	if _, ok := VendorForPort(443); ok {
-		t.Error("443 must have no vendor")
-	}
-	for _, h := range []PortHint{PortNeutral, PortUncommon, PortVendor} {
-		if h.String() == "" {
-			t.Error("empty hint string")
-		}
-	}
-}
-
 // TestAppendixBFalseClaimScenario documents the Appendix B scenario: a
 // self-signed certificate falsely claiming a well-known domain. The CT
 // cross-reference flags it the same way it flags middleboxes — CT records a

@@ -20,7 +20,7 @@ import (
 // The JSON form is the tagged fields. The linter is not encoded: decode into
 // a NewCorpusReport whose linter is configured like the encoder's.
 type CorpusReport struct {
-	linter *Linter //certchain:nomerge shared deterministic lint engine, not accumulated state
+	linter *Linter // shared deterministic lint engine, not accumulated state
 	// Observations / Conns count every linted observation additively.
 	Observations int64 `json:"observations"`
 	Conns        int64 `json:"conns"`
@@ -39,7 +39,7 @@ type CorpusReport struct {
 	// keyBuf holds the chain key being looked up: probing FindingsPerChain
 	// with m[string(keyBuf)] allocates nothing, so a key string is built
 	// only on a chain's first sight.
-	keyBuf []byte //certchain:nomerge scratch buffer, no accumulated state
+	keyBuf []byte
 }
 
 // NewCorpusReport creates an empty accumulator linting with l.

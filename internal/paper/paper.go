@@ -271,14 +271,3 @@ func VerifyRevisit(rr *analysis.RevisitReport) []Check {
 	}
 	return out
 }
-
-// Failed filters the checks that did not pass.
-func Failed(checks []Check) []Check {
-	var out []Check
-	for _, c := range checks {
-		if !c.Pass {
-			out = append(out, c)
-		}
-	}
-	return out
-}

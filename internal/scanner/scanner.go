@@ -8,7 +8,6 @@ package scanner
 import (
 	"context"
 	"crypto/tls"
-	"crypto/x509"
 	"fmt"
 	"net"
 	"time"
@@ -232,17 +231,4 @@ func Compare(cl *chain.Classifier, addr string, oldChain, newChain certmodel.Cha
 		NewLen:      len(newChain),
 		NewVerdict:  newA.Verdict,
 	}
-}
-
-// RootsFromDER parses trusted roots for verification-enabled scans.
-func RootsFromDER(ders ...[]byte) (*x509.CertPool, error) {
-	pool := x509.NewCertPool()
-	for _, der := range ders {
-		c, err := x509.ParseCertificate(der)
-		if err != nil {
-			return nil, fmt.Errorf("scanner: parse root: %w", err)
-		}
-		pool.AddCert(c)
-	}
-	return pool, nil
 }

@@ -249,15 +249,3 @@ func TestFarmRejectsBadChains(t *testing.T) {
 		t.Errorf("err = %v, want ErrNoLeafKey", err)
 	}
 }
-
-func TestRootsFromDER(t *testing.T) {
-	m := pki.NewMint(6, clock)
-	root, _ := m.NewRoot(pki.Name("R"))
-	pool, err := RootsFromDER(root.Cert.Raw)
-	if err != nil || pool == nil {
-		t.Fatalf("RootsFromDER: %v", err)
-	}
-	if _, err := RootsFromDER([]byte{0x30, 0x01}); err == nil {
-		t.Error("bad DER must error")
-	}
-}

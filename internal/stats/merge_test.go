@@ -72,10 +72,14 @@ func TestHistogramMerge(t *testing.T) {
 		}
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Error("merging histograms with different shapes did not panic")
-		}
-	}()
-	a.Merge(NewHistogram(0, 2, 10))
+	for _, other := range []*Histogram{NewHistogram(-1, 1, 10), NewHistogram(0, 2, 10), NewHistogram(0, 1, 5)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("merging [0, 1]/10 with [%g, %g]/%d did not panic", other.Lo, other.Hi, len(other.Bins))
+				}
+			}()
+			a.Merge(other)
+		}()
+	}
 }

@@ -90,8 +90,16 @@ func TestHistogramSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(r.Bins, h.Bins) || r.Total() != h.Total() {
 		t.Fatal("decoded histogram merges differently")
 	}
+	// Both bounds travel: a histogram below zero round-trips too.
+	neg, back := NewHistogram(-1, 1, 4), NewHistogram(-1, 1, 4)
+	neg.Add(-0.9)
+	roundTrip(t, neg, back)
+	if !reflect.DeepEqual(back.Bins, neg.Bins) {
+		t.Fatalf("bins of [-1, 1] differ: %v vs %v", back.Bins, neg.Bins)
+	}
 	// A histogram decodes only its own shape.
 	for _, bad := range []string{
+		`{"lo":-1,"hi":1,"bins":[0,0,0,0,0,0,0,0,0,0]}`,
 		`{"lo":0,"hi":1,"bins":[]}`,
 		`{"lo":0,"hi":1,"bins":[0,0]}`,
 		`{"lo":0,"hi":0,"bins":[0,0,0,0,0,0,0,0,0,0]}`,

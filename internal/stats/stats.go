@@ -14,7 +14,7 @@ import (
 // weighted by counts.
 type CDF struct {
 	counts map[int]int64
-	total  int64 //certchain:nosnapshot derived; UnmarshalJSON rebuilds it through Add
+	total  int64 // derived; UnmarshalJSON rebuilds it through Add
 }
 
 // NewCDF returns an empty distribution.

@@ -404,7 +404,14 @@ func (t *Tailer) Rotations() int64 { return t.rotations }
 func (t *Tailer) ParseErrors() int64 { return t.parseErrs }
 
 // Offset is the byte position of fully processed lines in the current file.
-func (t *Tailer) Offset() int64 { return t.offset }
+// A restored position not yet applied is reported as is, as State does, so a
+// restored daemon shows the offset it will resume from.
+func (t *Tailer) Offset() int64 {
+	if t.resume.Offset > 0 {
+		return t.resume.Offset
+	}
+	return t.offset
+}
 
 // Close releases the underlying file handle.
 func (t *Tailer) Close() error {
